@@ -53,12 +53,9 @@ def _matrix_csv(writer, name: str, mat: np.ndarray):
 
 @click.group()
 @click.option("--tol", type=float, default=None, help="Global tolerance override.")
-@click.option("--threads", type=int, default=1, help="Quadrature worker count (results are thread-count independent).")
 @click.pass_context
-def main(ctx, tol, threads):
+def main(ctx, tol):
     """Two-variable Bernstein-Szego orthogonal polynomial toolkit."""
-    if threads < 1:
-        raise click.UsageError("--threads must be >= 1")
     ctx.ensure_object(dict)
     ctx.obj["tol"] = DEFAULT_TOL if tol is None else tol
 

@@ -140,14 +140,18 @@ def high_band_coefficients(
     return v, terms
 
 
-def build_lex_high(spec: WeightSpec, r: int, k: int, m: int) -> BivariatePoly:
-    """Unit-norm high-band polynomial at lex slot (r, k) on a width-m window."""
+def _high_band_sum(spec: WeightSpec, r: int, k: int, m: int) -> BivariatePoly:
+    """The solved high-band combination at lex slot (r, k), un-normalized."""
     v, terms = high_band_coefficients(spec, r, k, m)
     p = BivariatePoly.zero(CHEB_U)
     for c, t in zip(v, terms):
-        if c != 0.0:
-            p = p + t.scale(float(c))
-    unit, _ = oracle_for(spec).normalized(p, (r, k))
+        p = p + t.scale(float(c))
+    return p
+
+
+def build_lex_high(spec: WeightSpec, r: int, k: int, m: int) -> BivariatePoly:
+    """Unit-norm high-band polynomial at lex slot (r, k) on a width-m window."""
+    unit, _ = oracle_for(spec).normalized(_high_band_sum(spec, r, k, m), (r, k))
     return unit
 
 
@@ -291,10 +295,7 @@ def build_revlex(spec: WeightSpec, l: int, t: int, n: int) -> BivariatePoly:
     if l <= n - reflected.kappa:
         p = build_lex_low(reflected, t, l, normalize=False)
     else:
-        v, terms = high_band_coefficients(reflected, t, l, n)
-        p = BivariatePoly.zero(CHEB_U)
-        for c, term in zip(v, terms):
-            p = p + term.scale(float(c))
+        p = _high_band_sum(reflected, t, l, n)
     p = p.swap_xy()
     unit, _ = oracle_for(spec).normalized(p, (l, t))
     return unit
@@ -351,10 +352,7 @@ def _closed_slot(
             and r >= 2 * base.n_f
             and m >= 2 * base.n_f
         ):
-            v, terms = high_band_coefficients(base, r, k, m)
-            p = BivariatePoly.zero(CHEB_U)
-            for c, term in zip(v, terms):
-                p = p + term.scale(float(c))
+            p = _high_band_sum(base, r, k, m)
         else:
             return None
     except (ValueError, DegenerateWindowError):

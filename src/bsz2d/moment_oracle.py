@@ -23,16 +23,17 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from collections import OrderedDict
 
 import numpy as np
 
 from .ortho import OrthoSystem, index_sequence, leading_sign_fix
-from .poly_core import CHEB_U, BivariatePoly, mul
+from .poly_core import CHEB_U, BivariatePoly, _lin, mul
 from .weights import WeightSpec
 
 DEFAULT_TOL = 1e-11
 MAX_RESOLUTION = 2**14
+MAX_ORACLES = 8
 _START_RESOLUTION = 128
 
 
@@ -63,8 +64,11 @@ def _cos_matrix(imax: int, theta: np.ndarray) -> np.ndarray:
 class MomentOracle:
     """Per-spec moment cache and Gram-Schmidt engine.
 
-    Thread access: the cache is read-mostly; a missing table is computed
-    under a lock so the first writer's value is the one stored.
+    The oracle owns every cached result for its spec and tolerance: the
+    moment tables and, in ``_systems``, the Gram-Schmidt systems and the
+    total-degree vectors.  Thread access: the cache is read-mostly; a
+    missing table is computed under a lock so the first writer's value is
+    the one stored.
     """
 
     def __init__(self, spec: WeightSpec, tol: float = DEFAULT_TOL, max_resolution: int = MAX_RESOLUTION):
@@ -77,7 +81,6 @@ class MomentOracle:
         self._chebu_err = 0.0
         self._chebu_resolution = 0
         self._mono: dict[tuple[int, int], tuple[float, float]] = {}
-        self._mono_resolution = 0
         self._systems: dict[tuple, OrthoSystem] = {}
         self._load_spill()
 
@@ -154,7 +157,6 @@ class MomentOracle:
                 for a in range(imax + 1):
                     for b in range(imax + 1):
                         self._mono.setdefault((a, b), (float(table[a, b]), float(errs[a, b])))
-                self._mono_resolution = res
                 self._save_spill()
             return self._mono[key]
 
@@ -199,15 +201,7 @@ class MomentOracle:
         """integral of f(x) g(x) dmu_y(x) for Chebyshev-U coefficient vectors."""
         if len(fx) == 0 or len(gx) == 0:
             return 0.0
-        prod = np.zeros(len(fx) + len(gx) - 1)
-        for a, ca in enumerate(fx):
-            if ca == 0:
-                continue
-            for b, cb in enumerate(gx):
-                if cb == 0:
-                    continue
-                for c in range(abs(a - b), a + b + 1, 2):
-                    prod[c] += float(ca) * float(cb)
+        prod = np.tensordot(np.outer(fx, gx), _lin(len(fx), len(gx)))
         vals = self.univariate_chebu_moments(len(prod) - 1, y)
         return float(np.dot(prod, vals))
 
@@ -235,28 +229,30 @@ class MomentOracle:
     def gram(self, indices: list[tuple[int, int]]) -> np.ndarray:
         """Gram matrix of the tensor Chebyshev-U elements at the given
         (x-degree, y-degree) pairs."""
-        smax = 2 * max(max(i, j) for i, j in indices)
-        m1 = self.chebu_table(smax)
-        n = len(indices)
-        G = np.empty((n, n))
-        for a in range(n):
-            ia, ja = indices[a]
-            for b in range(a + 1):
-                ib, jb = indices[b]
-                ss = np.arange(abs(ia - ib), ia + ib + 1, 2)
-                tt = np.arange(abs(ja - jb), ja + jb + 1, 2)
-                G[a, b] = G[b, a] = float(np.sum(m1[np.ix_(ss, tt)]))
-        return G
+        ii, jj = np.array(indices).T
+        nx, ny = int(ii.max()) + 1, int(jj.max()) + 1
+        m1 = self.chebu_table(2 * max(nx, ny) - 2)
+        # H[i1, i2, j1, j2] = <U_i1(x) U_j1(y), U_i2(x) U_j2(y)>
+        H = np.tensordot(_lin(nx, nx) @ m1[: 2 * nx - 1, : 2 * ny - 1], _lin(ny, ny), axes=(2, 2))
+        return H[ii[:, None], ii[None, :], jj[:, None], jj[None, :]]
 
     # -- Gram-Schmidt ------------------------------------------------------
     def gram_schmidt(self, ordering: str, n: int, m: int | None = None, cond_cap: float = 1e12) -> OrthoSystem:
         """Orthonormal system over the requested index range, built purely
         from quadrature moments.  This is the universal oracle the closed
         forms are compared against."""
-        key = (ordering, n, m)
+        return self._memo((ordering, n, m), lambda: self._orthonormalize(ordering, n, m, cond_cap))
+
+    def _memo(self, key: tuple, build) -> OrthoSystem:
+        """The system cached under ``key``, built on a miss (first writer wins)."""
         with self._lock:
             if key in self._systems:
                 return self._systems[key]
+        system = build()
+        with self._lock:
+            return self._systems.setdefault(key, system)
+
+    def _orthonormalize(self, ordering: str, n: int, m: int | None, cond_cap: float) -> OrthoSystem:
         idx = index_sequence(ordering, n, m)
         G = self.gram(idx)
         cond = float(np.linalg.cond(G))
@@ -289,9 +285,7 @@ class MomentOracle:
             p = leading_sign_fix(BivariatePoly(CHEB_U, grid), (i, j))
             system.entries.append(((i, j), p))
             system.norms.append(norms[k])
-        with self._lock:
-            self._systems.setdefault(key, system)
-            return self._systems[key]
+        return system
 
     # -- disk spill --------------------------------------------------------
     def _spill_path(self) -> str | None:
@@ -325,6 +319,8 @@ class MomentOracle:
             data = np.load(path)
         except Exception:
             return
+        if float(data["chebu_err"]) > self.tol:
+            return  # written at a looser tolerance: recompute
         self._chebu_table = data["chebu"]
         self._mass = float(data["mass"])
         self._chebu_err = float(data["chebu_err"])
@@ -333,16 +329,24 @@ class MomentOracle:
             self._mono[(int(k[0]), int(k[1]))] = (float(v[0]), float(v[1]))
 
 
-_ORACLES: dict[str, MomentOracle] = {}
+_ORACLES: OrderedDict[str, MomentOracle] = OrderedDict()
 _ORACLES_LOCK = threading.Lock()
 
 
 def oracle_for(spec: WeightSpec, tol: float = DEFAULT_TOL) -> MomentOracle:
-    """Shared per-spec oracle (first writer wins, deterministic)."""
+    """Shared per-spec oracle (first writer wins, deterministic).
+
+    At most MAX_ORACLES are kept; the least recently used one is dropped,
+    and with it every table and system cached for its spec.
+    """
     key = f"{spec.fingerprint}:{tol:.3e}"
     with _ORACLES_LOCK:
-        if key not in _ORACLES:
+        if key in _ORACLES:
+            _ORACLES.move_to_end(key)
+        else:
             _ORACLES[key] = MomentOracle(spec, tol=tol)
+            if len(_ORACLES) > MAX_ORACLES:
+                _ORACLES.popitem(last=False)
         return _ORACLES[key]
 
 

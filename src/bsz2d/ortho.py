@@ -31,10 +31,6 @@ def revlex_key(idx: tuple[int, int]) -> tuple[int, int]:
 _KEYS = {TOTAL: td_key, LEX: lex_key, REVLEX: revlex_key}
 
 
-def ordering_key(ordering: str):
-    return _KEYS[ordering]
-
-
 def index_sequence(ordering: str, n: int, m: int | None = None) -> list[tuple[int, int]]:
     """Ordered (x-degree, y-degree) pairs: total degree <= n, or the
     rectangular window 0..n by 0..m for lex/revlex."""

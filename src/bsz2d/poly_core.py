@@ -3,12 +3,11 @@
 Univariate and bivariate polynomials are stored as dense coefficient
 arrays over either the Chebyshev-U basis or the monomial basis; a sparse
 Laurent table in (z, w) supports the leading-behaviour bookkeeping of the
-lexicographical elimination algorithm.
+lexicographical elimination algorithm.  Coefficients are double precision.
 
-Coefficients are double precision by default.  Every constructor also
-accepts ``fractions.Fraction`` entries (dtype=object arrays), in which
-case all arithmetic and basis conversions are exact; this mode is meant
-for validating elimination steps at desk degrees.
+Every Chebyshev-U product reduces to the linearization rule
+U_a U_b = sum of U_c over c = |a-b|, |a-b|+2, ..., a+b, held as a 0/1
+tensor by ``_lin``.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import lru_cache
+from typing import Mapping
 
 import numpy as np
 
@@ -29,22 +28,6 @@ NEG_INF = float("-inf")
 
 class BasisMismatchError(ValueError):
     """Raised when an operation requires operands in the same basis."""
-
-
-def _is_exact(coeffs: np.ndarray) -> bool:
-    return coeffs.dtype == object
-
-
-def _as_array(coeffs, exact: bool | None = None) -> np.ndarray:
-    if isinstance(coeffs, np.ndarray) and coeffs.dtype == object:
-        return coeffs
-    seq = list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs.ravel().tolist()
-    if exact or any(isinstance(c, Fraction) for c in seq):
-        arr = np.empty(len(seq), dtype=object)
-        for i, c in enumerate(seq):
-            arr[i] = Fraction(c) if not isinstance(c, Fraction) else c
-        return arr
-    return np.asarray(coeffs, dtype=float)
 
 
 def _trim1(c: np.ndarray) -> np.ndarray:
@@ -63,24 +46,15 @@ def _trim2(c: np.ndarray) -> np.ndarray:
     return c[:nr, :nc]
 
 
-def chebu_to_monomial_matrix(n: int, exact: bool = False):
+def chebu_to_monomial_matrix(n: int) -> np.ndarray:
     """Columns are the monomial coefficients of U_0 .. U_n (exact integers)."""
-    cols: list[list] = [[1]]
+    T = np.zeros((n + 1, n + 1))
+    T[0, 0] = 1.0
     if n >= 1:
-        cols.append([0, 2])
+        T[1, 1] = 2.0
     for k in range(2, n + 1):
-        prev, prev2 = cols[k - 1], cols[k - 2]
-        col = [0] + [2 * c for c in prev]
-        for j, c in enumerate(prev2):
-            col[j] -= c
-        cols.append(col)
-    dtype = object if exact else float
-    T = np.zeros((n + 1, n + 1), dtype=dtype)
-    if exact:
-        T[:] = 0
-    for i, col in enumerate(cols):
-        for j, c in enumerate(col):
-            T[j, i] = Fraction(c) if exact else float(c)
+        T[1:, k] = 2.0 * T[:-1, k - 1]
+        T[:, k] -= T[:, k - 2]
     return T
 
 
@@ -89,13 +63,11 @@ def _chebu_from_monomial_1d(m: np.ndarray) -> np.ndarray:
     n = len(m) - 1
     if n < 0:
         return m.copy()
-    exact = _is_exact(m)
-    T = chebu_to_monomial_matrix(n, exact=exact)
-    c = m.astype(object).copy() if exact else m.astype(float).copy()
-    out = np.zeros(n + 1, dtype=object if exact else float)
+    T = chebu_to_monomial_matrix(n)
+    c = m.astype(float)
+    out = np.zeros(n + 1)
     for i in range(n, -1, -1):
-        lead = T[i, i]
-        ci = c[i] / lead if exact else c[i] / lead
+        ci = c[i] / T[i, i]
         out[i] = ci
         if ci != 0:
             c[: i + 1] = c[: i + 1] - ci * T[: i + 1, i]
@@ -106,9 +78,7 @@ def _convert1(coeffs: np.ndarray, src: str, dst: str) -> np.ndarray:
     if src == dst or len(coeffs) == 0:
         return coeffs.copy()
     if src == CHEB_U and dst == MONOMIAL:
-        n = len(coeffs) - 1
-        T = chebu_to_monomial_matrix(n, exact=_is_exact(coeffs))
-        return T @ coeffs
+        return chebu_to_monomial_matrix(len(coeffs) - 1) @ coeffs
     if src == MONOMIAL and dst == CHEB_U:
         return _chebu_from_monomial_1d(coeffs)
     raise ValueError(f"unknown basis pair {src!r} -> {dst!r}")
@@ -144,7 +114,7 @@ class UnivariatePoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = _trim1(_as_array(self.coeffs))
+        arr = _trim1(np.asarray(self.coeffs, dtype=float))
         object.__setattr__(self, "coeffs", arr)
         if self.basis not in (CHEB_U, MONOMIAL):
             raise ValueError(f"unknown basis {self.basis!r}")
@@ -170,11 +140,7 @@ class UnivariatePoly:
     def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
         if self.basis != other.basis:
             raise BasisMismatchError(self.basis + " vs " + other.basis)
-        n = max(len(self.coeffs), len(other.coeffs))
-        exact = _is_exact(self.coeffs) or _is_exact(other.coeffs)
-        out = np.zeros(n, dtype=object if exact else float)
-        if exact:
-            out[:] = Fraction(0)
+        out = np.zeros(max(len(self.coeffs), len(other.coeffs)))
         out[: len(self.coeffs)] += self.coeffs
         out[: len(other.coeffs)] += other.coeffs
         return UnivariatePoly(self.basis, out)
@@ -196,8 +162,8 @@ class UnivariatePoly:
         n = max(len(a), len(b))
         pa = np.zeros(n)
         pb = np.zeros(n)
-        pa[: len(a)] = [float(c) for c in a]
-        pb[: len(b)] = [float(c) for c in b]
+        pa[: len(a)] = a
+        pb[: len(b)] = b
         return bool(np.max(np.abs(pa - pb), initial=0.0) <= tol)
 
 
@@ -214,9 +180,17 @@ def u_index(n: int) -> UnivariatePoly:
     return UnivariatePoly(CHEB_U, c)
 
 
-def _lin_range(a: int, b: int) -> range:
-    """Indices in the linearization U_a U_b = sum_{c} U_c."""
-    return range(abs(a - b), a + b + 1, 2)
+@lru_cache(maxsize=256)
+def _lin(na: int, nb: int) -> np.ndarray:
+    """L[a, b, c] = 1 where U_c occurs in U_a U_b, for a < na, b < nb.
+
+    The tables are small, cached and read-only."""
+    a = np.arange(na)[:, None, None]
+    b = np.arange(nb)[None, :, None]
+    c = np.arange(na + nb - 1)[None, None, :]
+    L = ((np.abs(a - b) <= c) & (c <= a + b) & ((a + b - c) % 2 == 0)).astype(float)
+    L.setflags(write=False)
+    return L
 
 
 @dataclass(frozen=True)
@@ -228,11 +202,7 @@ class BivariatePoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = self.coeffs
-        if not isinstance(arr, np.ndarray) or arr.dtype not in (np.dtype(float), np.dtype(object)):
-            arr = np.atleast_2d(np.asarray(arr, dtype=float))
-        if arr.ndim != 2:
-            arr = np.atleast_2d(arr)
+        arr = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
         object.__setattr__(self, "coeffs", _trim2(arr))
         if self.basis not in (CHEB_U, MONOMIAL):
             raise ValueError(f"unknown basis {self.basis!r}")
@@ -289,7 +259,7 @@ class BivariatePoly:
 
     @staticmethod
     def const(c, basis: str = CHEB_U) -> "BivariatePoly":
-        return BivariatePoly(basis, np.array([[c]], dtype=object if isinstance(c, Fraction) else float))
+        return BivariatePoly(basis, np.array([[c]], dtype=float))
 
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "BivariatePoly"):
@@ -300,10 +270,7 @@ class BivariatePoly:
         self._check(other)
         nr = max(self.coeffs.shape[0], other.coeffs.shape[0])
         nc = max(self.coeffs.shape[1], other.coeffs.shape[1])
-        exact = _is_exact(self.coeffs) or _is_exact(other.coeffs)
-        out = np.zeros((nr, nc), dtype=object if exact else float)
-        if exact:
-            out[:] = Fraction(0)
+        out = np.zeros((nr, nc))
         a, b = self.coeffs, other.coeffs
         out[: a.shape[0], : a.shape[1]] += a
         out[: b.shape[0], : b.shape[1]] += b
@@ -323,11 +290,10 @@ class BivariatePoly:
     def to_basis(self, basis: str) -> "BivariatePoly":
         if basis == self.basis or self.is_zero:
             return BivariatePoly(basis, self.coeffs.copy())
-        exact = _is_exact(self.coeffs)
         nx, ny = self.coeffs.shape
         if self.basis == CHEB_U and basis == MONOMIAL:
-            Tx = chebu_to_monomial_matrix(nx - 1, exact=exact)
-            Ty = chebu_to_monomial_matrix(ny - 1, exact=exact)
+            Tx = chebu_to_monomial_matrix(nx - 1)
+            Ty = chebu_to_monomial_matrix(ny - 1)
             return BivariatePoly(MONOMIAL, Tx @ self.coeffs @ Ty.T)
         if self.basis == MONOMIAL and basis == CHEB_U:
             mid = np.stack([_chebu_from_monomial_1d(self.coeffs[:, j]) for j in range(ny)], axis=1)
@@ -356,7 +322,7 @@ class BivariatePoly:
         d = (self - other).coeffs
         if d.size == 0:
             return True
-        return bool(np.max(np.abs(d.astype(float))) <= tol)
+        return bool(np.max(np.abs(d)) <= tol)
 
 
 def mul(p: BivariatePoly, q: BivariatePoly) -> BivariatePoly:
@@ -365,35 +331,19 @@ def mul(p: BivariatePoly, q: BivariatePoly) -> BivariatePoly:
         raise BasisMismatchError(p.basis + " vs " + q.basis)
     if p.is_zero or q.is_zero:
         return BivariatePoly.zero(p.basis)
-    exact = _is_exact(p.coeffs) or _is_exact(q.coeffs)
-    dtype = object if exact else float
     a, b = p.coeffs, q.coeffs
-    nx = a.shape[0] + b.shape[0] - 1
-    ny = a.shape[1] + b.shape[1] - 1
-    out = np.zeros((nx, ny), dtype=dtype)
-    if exact:
-        out[:] = Fraction(0)
     if p.basis == MONOMIAL:
+        out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
         for i in range(a.shape[0]):
             for j in range(a.shape[1]):
                 c = a[i, j]
                 if c != 0:
                     out[i : i + b.shape[0], j : j + b.shape[1]] += c * b
         return BivariatePoly(MONOMIAL, out)
-    # Chebyshev-U linearization: U_a U_b = sum_{c=|a-b|..a+b step 2} U_c
-    for i1 in range(a.shape[0]):
-        for j1 in range(a.shape[1]):
-            c1 = a[i1, j1]
-            if c1 == 0:
-                continue
-            for i2 in range(b.shape[0]):
-                xs = list(_lin_range(i1, i2))
-                for j2 in range(b.shape[1]):
-                    c = c1 * b[i2, j2]
-                    if c == 0:
-                        continue
-                    ys = list(_lin_range(j1, j2))
-                    out[np.ix_(xs, ys)] += c
+    # out[x, y] = sum a[i1, j1] b[i2, j2] Lx[i1, i2, x] Ly[j1, j2, y]
+    t = np.tensordot(a, _lin(a.shape[0], b.shape[0]), axes=(0, 0))  # (j1, i2, x)
+    t = np.tensordot(t, b, axes=(1, 0))  # (j1, x, j2)
+    out = np.tensordot(t, _lin(a.shape[1], b.shape[1]), axes=([0, 2], [0, 1]))
     return BivariatePoly(CHEB_U, out)
 
 

@@ -8,8 +8,6 @@ form exists in general and the component comes from oracle Gram-Schmidt.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .moment_oracle import MomentOracle, oracle_for
@@ -17,9 +15,6 @@ from .ortho import TOTAL, OrthoSystem
 from .poly_core import BivariatePoly, mul, u_index
 from .szego_core import build_qk, low_band_threshold
 from .weights import WeightSpec
-
-_CACHE: dict[tuple[str, int, float], OrthoSystem] = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def total_threshold(spec: WeightSpec) -> int:
@@ -60,14 +55,17 @@ def build_total_low(spec: WeightSpec, n: int, k: int) -> BivariatePoly:
 
 
 def build_total_vector(spec: WeightSpec, n: int, oracle: MomentOracle | None = None) -> OrthoSystem:
-    """The (n+1)-component orthonormal vector P_n, ordered by ascending k."""
+    """The (n+1)-component orthonormal vector P_n, ordered by ascending k.
+
+    Cached by the oracle, beside its Gram-Schmidt systems.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     orc = oracle_for(spec) if oracle is None else oracle
-    key = (spec.fingerprint, n, orc.tol)
-    with _CACHE_LOCK:
-        if key in _CACHE:
-            return _CACHE[key]
+    return orc._memo(("total vector", n), lambda: _total_vector(spec, n, orc))
+
+
+def _total_vector(spec: WeightSpec, n: int, orc: MomentOracle) -> OrthoSystem:
     k0 = total_threshold(spec)
     low = orc.gram_schmidt(TOTAL, n) if k0 > 0 else None
     out = OrthoSystem(TOTAL)
@@ -82,8 +80,6 @@ def build_total_vector(spec: WeightSpec, n: int, oracle: MomentOracle | None = N
             p, nrm = orc.normalized(raw, idx)
         out.entries.append((idx, p))
         out.norms.append(float(nrm))
-    with _CACHE_LOCK:
-        _CACHE.setdefault(key, out)
     return out
 
 

@@ -134,7 +134,3 @@ class TestErrors:
         path.write_text(json.dumps({"generic_h": [[1.0], [-2.0]]}))
         res = runner.invoke(main, ["moments", "--weight", str(path)])
         assert res.exit_code == 2
-
-    def test_bad_threads(self, runner, product_weight):
-        res = runner.invoke(main, ["--threads", "0", "moments", "--weight", product_weight])
-        assert res.exit_code == 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bsz2d import moment_oracle
 from bsz2d.moment_oracle import (
     AccuracyError,
     MomentOracle,
@@ -37,6 +38,13 @@ class TestChebyshevBaseline:
             assert orc.univariate_moment(0, y) == pytest.approx(math.pi / 2, rel=1e-10)
             assert orc.univariate_moment(2, y) == pytest.approx(math.pi / 8, rel=1e-10)
         assert orc.slice_inner([0.0, 1.0], [0.0, 1.0], 0.3) == pytest.approx(math.pi / 2, rel=1e-10)
+
+    def test_slice_inner_matches_pointwise_product(self):
+        # U_2 * (1 + U_1) = U_1 + U_2 + U_3, whose slice integral is the sum
+        orc = oracle_for(product_spec([-0.6]))
+        got = orc.slice_inner([0.0, 0.0, 1.0], [1.0, 1.0], 0.4)
+        want = float(np.sum(orc.univariate_chebu_moments(3, 0.4)[1:]))
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_gram_is_identity(self):
         orc = oracle_for(chebyshev_spec())
@@ -74,6 +82,23 @@ class TestGeneralOracle:
         assert nrm == pytest.approx(orc.norm(p))
         assert unit.coeffs[1, 1] > 0
         assert orc.norm(unit) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_gram_sums_the_moment_table():
+    orc = oracle_for(product_spec([0.5, -0.3]))
+    idx = [(0, 0), (2, 1), (0, 3), (1, 1), (3, 0)]
+    m1 = orc.chebu_table(6)
+    want = np.array(
+        [
+            [
+                sum(m1[s, t] for s in range(abs(i1 - i2), i1 + i2 + 1, 2) for t in range(abs(j1 - j2), j1 + j2 + 1, 2))
+                for i2, j2 in idx
+            ]
+            for i1, j1 in idx
+        ]
+    )
+    G = orc.gram(idx)
+    assert np.max(np.abs(G - want)) < 1e-14
 
 
 class TestGramSchmidt:
@@ -131,10 +156,29 @@ class TestSpill:
         assert np.array_equal(second.chebu_table(6), table)
         assert second.mass == pytest.approx(first.mass)
 
+    def test_looser_spill_is_recomputed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
+        spec = product_spec([0.9])
+        MomentOracle(spec, tol=1e-3).chebu_table(4)
+        reopened = MomentOracle(spec, tol=1e-11)
+        reopened.chebu_table(4)
+        assert reopened._chebu_err < 1e-11
+        assert reopened._chebu_resolution == 1024  # what a fresh oracle needs
+
     def test_no_spill_without_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("BSZ2D_CACHE_DIR", raising=False)
         MomentOracle(product_spec([0.15])).chebu_table(2)
         assert list(tmp_path.iterdir()) == []
+
+
+def test_oracle_registry_is_bounded():
+    kept = oracle_for(product_spec([0.11]))
+    dropped = oracle_for(product_spec([0.12]))
+    for k in range(moment_oracle.MAX_ORACLES + 2):
+        assert oracle_for(product_spec([0.11])) is kept  # recently used, so kept
+        oracle_for(product_spec([0.2 + 0.01 * k]))
+    assert len(moment_oracle._ORACLES) == moment_oracle.MAX_ORACLES
+    assert oracle_for(product_spec([0.12])) is not dropped
 
 
 def test_accuracy_error_on_tiny_cap():

@@ -28,6 +28,17 @@ def cheb_u(n: int, x: float) -> float:
     return math.sin((n + 1) * th) / math.sin(th)
 
 
+def chebu_mul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The linearization rule applied term by term."""
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
+    for (i1, j1), c1 in np.ndenumerate(a):
+        for (i2, j2), c2 in np.ndenumerate(b):
+            for x in range(abs(i1 - i2), i1 + i2 + 1, 2):
+                for y in range(abs(j1 - j2), j1 + j2 + 1, 2):
+                    out[x, y] += c1 * c2
+    return out
+
+
 class TestUnivariate:
     def test_chebu_evaluation_matches_trig(self):
         p = UnivariatePoly(CHEB_U, [0.0, 0.0, 1.0])
@@ -67,11 +78,20 @@ class TestBivariate:
         assert p(0.3, -0.4) == pytest.approx(cheb_u(2, 0.3) * cheb_u(1, -0.4), abs=1e-12)
 
     def test_mul_matches_pointwise(self):
-        a = BivariatePoly.from_separable(u_index(2), u_index(1))
-        b = BivariatePoly.from_separable(u_index(1), u_index(2))
-        prod = mul(a, b)
-        for x, y in [(0.2, 0.5), (-0.6, -0.1), (0.85, 0.3)]:
-            assert prod(x, y) == pytest.approx(a(x, y) * b(x, y), rel=1e-12, abs=1e-12)
+        rng = np.random.default_rng(11)
+        pairs = [(BivariatePoly.from_separable(u_index(2), u_index(1)), BivariatePoly.from_separable(u_index(1), u_index(2)))]
+        # dense, non-separable operands of unequal shapes
+        for sa, sb in [((5, 3), (2, 6)), ((1, 4), (7, 1)), ((4, 4), (4, 4))]:
+            pairs.append((BivariatePoly(CHEB_U, rng.normal(size=sa)), BivariatePoly(CHEB_U, rng.normal(size=sb))))
+        for a, b in pairs:
+            prod = mul(a, b)
+            ref = chebu_mul_reference(a.coeffs, b.coeffs)
+            assert prod.coeffs.shape == ref.shape
+            assert np.max(np.abs(prod.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+            for x, y in [(0.2, 0.5), (-0.6, -0.1), (0.85, 0.3)]:
+                assert prod(x, y) == pytest.approx(a(x, y) * b(x, y), rel=1e-12, abs=1e-12)
+            mono = mul(a.to_basis(MONOMIAL), b.to_basis(MONOMIAL))
+            assert mono.to_basis(CHEB_U).approx_eq(prod, 1e-10)
 
     @given(st.integers(0, 5), st.integers(0, 5), st.floats(-0.9, 0.9))
     @settings(max_examples=40, deadline=None)
