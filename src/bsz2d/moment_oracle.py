@@ -6,6 +6,20 @@ phi); the trapezoid rule on [0, 2pi)^2 then converges geometrically.
 Resolution is doubled until successive values agree to the requested
 tolerance, and the last doubling increment is kept as the error estimate.
 
+The trapezoid sums run over a quarter of the grid.  The weight
+1/|h(e^{i theta}, y)|^2 is even in theta (h has real coefficients) and
+in phi (it depends on y = cos phi only), and every row factory below is
+even and vanishes at theta = 0 and theta = pi.  So the nodes
+2 pi j / R with j and R - j contribute equally, j = 0 and j = R/2
+contribute nothing, and a table is 4 times its sum over the interior
+nodes theta, phi in (0, pi); a slice moment is 2 times its interior sum.
+A table is accumulated over theta-row chunks of at most _CHUNK_BYTES of
+weights, so its memory grows like R, not R^2.
+
+An oracle accepts only weights that ``is_stable`` certifies.  An unstable
+h can vanish on the unit circle, where the weight is not integrable, and
+the doubling would then climb to MAX_RESOLUTION before failing.
+
 The probability measure is
     dmu = (4/pi^2) sqrt(1-x^2) sqrt(1-y^2) / |h(e^{i theta}, y)|^2 dx dy,
 and the one-variable slice measure (no 2/pi prefactor) is
@@ -22,19 +36,23 @@ Gram-Schmidt defines, but the Gram matrices stay well conditioned.
 from __future__ import annotations
 
 import os
+import tempfile
 import threading
+import zipfile
 from collections import OrderedDict
 
 import numpy as np
 
 from .ortho import OrthoSystem, index_sequence, leading_sign_fix
 from .poly_core import CHEB_U, BivariatePoly, _lin, mul
-from .weights import WeightSpec
+from .weights import InvalidWeightError, WeightSpec, is_stable
 
 DEFAULT_TOL = 1e-11
 MAX_RESOLUTION = 2**14
 MAX_ORACLES = 8
 _START_RESOLUTION = 128
+_CHUNK_BYTES = 2**21  # bytes of weights evaluated in one theta-row chunk of a table
+_SPILL_KEYS = ("chebu", "mass", "chebu_err", "chebu_resolution", "mono_keys", "mono_vals")
 
 
 class AccuracyError(RuntimeError):
@@ -45,8 +63,9 @@ class OracleUnreliableError(RuntimeError):
     """The Gram matrix is too ill conditioned to trust the oracle."""
 
 
-def _theta_grid(resolution: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(resolution) / resolution
+def _interior_grid(resolution: int) -> np.ndarray:
+    """The trapezoid nodes 2 pi j / R strictly inside (0, pi): j = 1 .. R/2 - 1."""
+    return 2.0 * np.pi * np.arange(1, resolution // 2) / resolution
 
 
 def _sin_matrix(smax: int, theta: np.ndarray) -> np.ndarray:
@@ -72,6 +91,11 @@ class MomentOracle:
     """
 
     def __init__(self, spec: WeightSpec, tol: float = DEFAULT_TOL, max_resolution: int = MAX_RESOLUTION):
+        report = is_stable(spec)
+        if not report.stable:
+            raise InvalidWeightError(
+                f"weight is not stable: min root modulus {report.min_modulus:.6g} at y={report.witness_y}"
+            )
         self.spec = spec
         self.tol = tol
         self.max_resolution = max_resolution
@@ -85,20 +109,28 @@ class MomentOracle:
         self._load_spill()
 
     # -- quadrature cores -------------------------------------------------
-    def _weight_grid(self, resolution: int) -> np.ndarray:
-        th = _theta_grid(resolution)
-        y = np.cos(th)
-        return 1.0 / self.spec.h_abs2(th[:, None], y[None, :])
-
     def _table_at(self, make_rows, resolution: int) -> np.ndarray:
-        """(1/pi^2) (2 pi / R)^2 * A W B^T for row factories in theta and phi."""
-        th = _theta_grid(resolution)
-        W = self._weight_grid(resolution)
-        A, B = make_rows(th)
-        scale = (2.0 * np.pi / resolution) ** 2 / np.pi**2
-        return scale * (A @ W @ B.T)
+        """(1/pi^2) (2 pi / R)^2 * A W B^T for row factories in theta and phi.
 
-    def _converged_table(self, make_rows, tol: float) -> tuple[np.ndarray, float, int]:
+        Summed over the interior quarter grid (times 4), in theta-row chunks
+        of at most _CHUNK_BYTES of weights.
+        """
+        th = _interior_grid(resolution)
+        A, B = make_rows(th)
+        y = np.cos(th)[None, :]
+        rows = max(1, _CHUNK_BYTES // (8 * len(th)))
+        AW = np.zeros((A.shape[0], len(th)))
+        for lo in range(0, len(th), rows):
+            chunk = slice(lo, lo + rows)
+            W = self.spec.h_abs2(th[chunk, None], y)
+            np.reciprocal(W, out=W)
+            AW += A[:, chunk] @ W
+        scale = 4.0 * (2.0 * np.pi / resolution) ** 2 / np.pi**2
+        return scale * (AW @ B.T)
+
+    def _converged_table(self, make_rows, tol: float) -> tuple[np.ndarray, np.ndarray, float, int]:
+        """The first table whose increment over the previous doubling is below
+        tol; returns (table, previous table, increment, resolution)."""
         resolution = _START_RESOLUTION
         prev = self._table_at(make_rows, resolution)
         err = float("inf")
@@ -112,7 +144,7 @@ class MomentOracle:
             cur = self._table_at(make_rows, resolution)
             err = float(np.max(np.abs(cur - prev) / (1.0 + np.abs(cur))))
             if err < tol:
-                return cur, err, resolution
+                return cur, prev, err, resolution
             prev = cur
 
     # -- Chebyshev-U moments ---------------------------------------------
@@ -126,7 +158,7 @@ class MomentOracle:
             if self._chebu_table is None or self._chebu_table.shape[0] <= smax:
                 size = max(smax, 63)
                 make = lambda th: (_sin_matrix(size, th), _sin_matrix(size, th))
-                table, err, res = self._converged_table(make, self.tol)
+                table, _, err, res = self._converged_table(make, self.tol)
                 self._mass = float(table[0, 0])
                 self._chebu_table = table / self._mass
                 self._chebu_err, self._chebu_resolution = err, res
@@ -150,10 +182,9 @@ class MomentOracle:
                 mass = self.mass
                 imax = max(i, j, 8)
                 make = lambda th: (_cos_matrix(imax, th), _cos_matrix(imax, th))
-                table, err, res = self._converged_table(make, tol)
+                table, prev, _, _ = self._converged_table(make, tol)
                 table = table / mass
-                prev = self._table_at(make, res // 2) / mass
-                errs = np.abs(table - prev)
+                errs = np.abs(table - prev / mass)
                 for a in range(imax + 1):
                     for b in range(imax + 1):
                         self._mono.setdefault((a, b), (float(table[a, b]), float(errs[a, b])))
@@ -168,11 +199,12 @@ class MomentOracle:
         resolution = _START_RESOLUTION
 
         def run(res: int) -> np.ndarray:
-            th = _theta_grid(res)
-            w = 1.0 / self.spec.h_abs2(th, np.full_like(th, y))
+            th = _interior_grid(res)
+            w = 1.0 / self.spec.h_abs2(th, y)
             A = rows_of(th)
-            # dmu_y carries no 2/pi prefactor: 1/2 * trapezoid over [0, 2pi)
-            return 0.5 * (2.0 * np.pi / res) * (A @ w)
+            # dmu_y carries no 2/pi prefactor: 1/2 * trapezoid over [0, 2pi),
+            # which is twice the sum over the interior half grid
+            return (2.0 * np.pi / res) * (A @ w)
 
         prev = run(resolution)
         while True:
@@ -301,31 +333,47 @@ class MomentOracle:
             return
         mono_keys = np.array(sorted(self._mono), dtype=int).reshape(-1, 2)
         mono_vals = np.array([self._mono[tuple(k)] for k in mono_keys], dtype=float).reshape(-1, 2)
-        np.savez(
-            path,
-            chebu=self._chebu_table,
-            mass=self._mass,
-            chebu_err=self._chebu_err,
-            chebu_resolution=self._chebu_resolution,
-            mono_keys=mono_keys,
-            mono_vals=mono_vals,
-        )
+        # write beside the target, then rename over it: a reader never sees half a file
+        fd, tmp = tempfile.mkstemp(suffix=".npz.tmp", dir=os.path.dirname(path))
+        try:
+            with os.fdopen(fd, "wb") as f:
+                np.savez(
+                    f,
+                    chebu=self._chebu_table,
+                    mass=self._mass,
+                    chebu_err=self._chebu_err,
+                    chebu_resolution=self._chebu_resolution,
+                    mono_keys=mono_keys,
+                    mono_vals=mono_vals,
+                )
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def _load_spill(self):
+        """Adopt the spill if it is whole, well formed and at least as tight
+        as the oracle's tol; otherwise leave the oracle empty to recompute."""
         path = self._spill_path()
-        if path is None or not os.path.exists(path):
+        if path is None:
             return
         try:
-            data = np.load(path)
-        except Exception:
+            with open(path, "rb") as f, np.load(f) as data:
+                spill = {key: data[key] for key in _SPILL_KEYS}
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
             return
-        if float(data["chebu_err"]) > self.tol:
+        table, keys, vals = spill["chebu"], spill["mono_keys"], spill["mono_vals"]
+        if table.ndim != 2 or table.shape[0] != table.shape[1] or not np.all(np.isfinite(table)):
+            return
+        if keys.ndim != 2 or keys.shape[1:] != (2,) or vals.shape != keys.shape:
+            return
+        if not float(spill["chebu_err"]) <= self.tol:
             return  # written at a looser tolerance: recompute
-        self._chebu_table = data["chebu"]
-        self._mass = float(data["mass"])
-        self._chebu_err = float(data["chebu_err"])
-        self._chebu_resolution = int(data["chebu_resolution"])
-        for k, v in zip(data["mono_keys"], data["mono_vals"]):
+        self._chebu_table = table
+        self._mass = float(spill["mass"])
+        self._chebu_err = float(spill["chebu_err"])
+        self._chebu_resolution = int(spill["chebu_resolution"])
+        for k, v in zip(keys, vals):
             self._mono[(int(k[0]), int(k[1]))] = (float(v[0]), float(v[1]))
 
 

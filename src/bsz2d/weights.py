@@ -135,10 +135,25 @@ class WeightSpec:
         return acc
 
     def h_abs2(self, theta, y):
-        """|h(e^{i theta}, y)|^2 on broadcastable grids."""
-        z = np.exp(1j * np.asarray(theta, dtype=float))
-        v = self.h_eval(z, y)
-        return (v * v.conj()).real
+        """|h(e^{i theta}, y)|^2 on broadcastable grids, in real arithmetic.
+
+        With c_k = h_k(y), |h|^2 = (sum_k c_k cos k theta)^2 + (sum_k c_k sin k theta)^2.
+        On a tensor grid (theta a column, y a row) each sum is one rank-K
+        matrix product, K = N_h + 1.
+        """
+        theta = np.asarray(theta, dtype=float)
+        y = np.asarray(y, dtype=float)
+        kt = np.multiply.outer(theta, np.arange(self.n_h + 1))  # theta.shape + (K,)
+        hy = np.stack([np.broadcast_to(hi(y), y.shape) for hi in self.h], axis=-1)  # y.shape + (K,)
+        if theta.ndim == y.ndim == 2 and theta.shape[1] == 1 and y.shape[0] == 1:
+            re, im = np.cos(kt[:, 0]) @ hy[0].T, np.sin(kt[:, 0]) @ hy[0].T
+        else:
+            re = np.einsum("...k,...k->...", np.cos(kt), hy)
+            im = np.einsum("...k,...k->...", np.sin(kt), hy)
+        re *= re
+        im *= im
+        re += im
+        return re
 
     # -- misc -------------------------------------------------------------
     def __eq__(self, other):
@@ -250,24 +265,24 @@ def is_stable(spec: WeightSpec, y_samples: int = 129, tol: float = 1e-9) -> Stab
 
     ys = np.cos(np.pi * (2 * np.arange(y_samples) + 1) / (2 * y_samples))
     ys = np.concatenate([ys, [-1.0, 1.0]])
-    min_mod = float("inf")
-    witness = None
-    drops: list[float] = []
-    for y in ys:
-        c = np.array([float(hi(y)) for hi in spec.h])  # z^0 .. z^N
-        scale = np.max(np.abs(c))
-        nz = len(c)
-        while nz > 1 and abs(c[nz - 1]) <= 1e-14 * scale:
-            nz -= 1
-        if nz < len(c):
-            drops.append(float(y))
-        if nz <= 1:
-            continue
-        roots = np.roots(c[:nz][::-1])
-        m = float(np.min(np.abs(roots)))
-        if m < min_mod:
-            min_mod, witness = m, float(y)
-    return StabilityReport(min_mod > 1.0 + tol, min_mod, witness, "sampled", tuple(drops), tol)
+    c = np.stack([np.broadcast_to(hi(ys), ys.shape) for hi in spec.h], axis=1)  # row: z^0 .. z^N at ys[r]
+    scale = np.max(np.abs(c), axis=1, keepdims=True)
+    live = np.abs(c) > 1e-14 * scale
+    live[:, 0] = True
+    nz = c.shape[1] - np.argmax(live[:, ::-1], axis=1)  # effective length after trailing near-zeros
+    mods = np.full(len(ys), np.inf)
+    for n in np.unique(nz[nz > 1]):
+        rows = np.flatnonzero(nz == n)
+        # companion matrices of the reversed coefficients, as np.roots builds them
+        p = c[rows, :n][:, ::-1]
+        comp = np.zeros((len(rows), n - 1, n - 1))
+        comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+        comp[:, np.arange(1, n - 1), np.arange(n - 2)] = 1.0
+        mods[rows] = np.min(np.abs(np.linalg.eigvals(comp)), axis=1)
+    drops = tuple(float(y) for y in ys[nz < c.shape[1]])
+    k = int(np.argmin(mods))
+    min_mod, witness = float(mods[k]), float(ys[k]) if np.isfinite(mods[k]) else None
+    return StabilityReport(min_mod > 1.0 + tol, min_mod, witness, "sampled", drops, tol)
 
 
 # -- JSON config ------------------------------------------------------------

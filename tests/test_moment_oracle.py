@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from bsz2d.moment_oracle import (
 )
 from bsz2d.ortho import LEX, TOTAL
 from bsz2d.poly_core import CHEB_U, BivariatePoly, u_index
-from bsz2d.weights import chebyshev_spec, product_spec
+from bsz2d.weights import InvalidWeightError, chebyshev_spec, generic_spec, product_spec
 
 
 class TestChebyshevBaseline:
@@ -169,6 +170,101 @@ class TestSpill:
         monkeypatch.delenv("BSZ2D_CACHE_DIR", raising=False)
         MomentOracle(product_spec([0.15])).chebu_table(2)
         assert list(tmp_path.iterdir()) == []
+
+
+    def _spill(self, tmp_path, monkeypatch, spec):
+        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
+        MomentOracle(spec).moment(1, 1)  # fills the chebU and the monomial tables
+        (path,) = tmp_path.iterdir()
+        with np.load(path) as data:
+            return path, dict(data)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d.pop("chebu_err"),
+            lambda d: d.pop("mono_vals"),
+            lambda d: d.update(chebu=d["chebu"][0]),
+            lambda d: d.update(chebu=d["chebu"][:, :-1]),
+            lambda d: d.update(chebu=np.where(np.eye(len(d["chebu"])) > 0, np.nan, d["chebu"])),
+            lambda d: d.update(mono_vals=d["mono_vals"][:-1]),
+            lambda d: d.update(mono_keys=d["mono_keys"].ravel()),
+        ],
+        ids=["no-err", "no-mono-vals", "chebu-1d", "chebu-not-square", "chebu-nan", "mono-lengths", "mono-keys-1d"],
+    )
+    def test_malformed_spill_is_recomputed(self, tmp_path, monkeypatch, corrupt):
+        spec = product_spec([0.45])
+        path, data = self._spill(tmp_path, monkeypatch, spec)
+        want = data["chebu"][:5, :5].copy()
+        corrupt(data)
+        np.savez(path, **data)
+        reopened = MomentOracle(spec)
+        assert reopened._chebu_table is None  # the spill was not adopted
+        assert np.max(np.abs(reopened.chebu_table(4) - want)) < 1e-14
+
+    def test_truncated_spill_is_recomputed(self, tmp_path, monkeypatch):
+        spec = product_spec([0.45])
+        path, _ = self._spill(tmp_path, monkeypatch, spec)
+        path.write_bytes(path.read_bytes()[:100])
+        assert MomentOracle(spec)._chebu_table is None
+
+    def test_failed_write_keeps_the_old_spill(self, tmp_path, monkeypatch):
+        spec = product_spec([0.45])
+        path, data = self._spill(tmp_path, monkeypatch, spec)
+
+        def broken_savez(f, **arrays):
+            f.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", broken_savez)
+        with pytest.raises(OSError):
+            MomentOracle(spec).moment(12, 0)  # beyond the spilled monomial table: computes and saves
+        assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
+        with np.load(path) as kept:
+            assert np.array_equal(kept["chebu"], data["chebu"])
+
+
+def test_unstable_weight_is_rejected():
+    # min root modulus 0.62: an ungated oracle climbs toward a 16384^2 grid
+    with pytest.raises(InvalidWeightError):
+        MomentOracle(generic_spec([[1], [-0.6, -1.2], [0.3]]))
+
+
+class TestKernel:
+    SPECS = [product_spec([0.7]), product_spec([0.5, -0.3]), generic_spec([[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]])]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["one-factor", "two-factor", "generic"])
+    def test_h_abs2_matches_h_eval(self, spec):
+        rng = np.random.default_rng(1)
+        th = rng.uniform(0.0, 2.0 * np.pi, 7)
+        y = rng.uniform(-1.0, 1.0, 5)
+        ref = lambda t, v: np.abs(spec.h_eval(np.exp(1j * t), v)) ** 2
+        for t, v in [(th[:, None], y[None, :]), (th, 0.3), (th, np.cos(th)), (th[:5], y), (0.4, -0.2)]:
+            got, want = spec.h_abs2(t, v), ref(t, v)
+            assert np.shape(got) == np.shape(want)
+            assert np.max(np.abs(got - want) / want) < 1e-12
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["one-factor", "two-factor", "generic"])
+    def test_table_matches_full_grid(self, spec):
+        res, size = 256, 9
+        th = 2.0 * np.pi * np.arange(res) / res
+        W = 1.0 / np.abs(spec.h_eval(np.exp(1j * th)[:, None], np.cos(th)[None, :])) ** 2
+        A = moment_oracle._sin_matrix(size, th)
+        want = (2.0 * np.pi / res) ** 2 / np.pi**2 * (A @ W @ A.T)
+        make = lambda t: (moment_oracle._sin_matrix(size, t), moment_oracle._sin_matrix(size, t))
+        got = MomentOracle(spec)._table_at(make, res)
+        assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_near_boundary_table_memory_is_bounded(self):
+        orc = MomentOracle(product_spec([0.978]))
+        tracemalloc.start()
+        try:
+            orc.chebu_table(12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert orc._chebu_resolution == 4096
+        assert peak < 32 * 2**20  # one full 4096^2 weight grid alone is 128 MB
 
 
 def test_oracle_registry_is_bounded():

@@ -120,6 +120,57 @@ class TestStability:
         assert rep.min_modulus == pytest.approx(0.5, rel=1e-9)
 
 
+def _stability_reference(spec, y_samples=129, tol=1e-9):
+    """The sampled certificate one y at a time, with np.roots."""
+    ys = np.cos(np.pi * (2 * np.arange(y_samples) + 1) / (2 * y_samples))
+    ys = np.concatenate([ys, [-1.0, 1.0]])
+    min_mod, witness, drops = float("inf"), None, []
+    for y in ys:
+        c = np.array([float(hi(y)) for hi in spec.h])
+        nz = len(c)
+        while nz > 1 and abs(c[nz - 1]) <= 1e-14 * np.max(np.abs(c)):
+            nz -= 1
+        if nz < len(c):
+            drops.append(float(y))
+        if nz > 1:
+            m = float(np.min(np.abs(np.roots(c[:nz][::-1]))))
+            if m < min_mod:
+                min_mod, witness = m, float(y)
+    return min_mod > 1.0 + tol, min_mod, witness, tuple(drops)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]],
+        [[1], [-0.6, -1.2], [0.3]],  # unstable, min modulus 0.62
+        [[1], [0.3, -0.5], [0.0]],  # h_2 = 0: the degree drops at every y
+        [[1], [0.1, 0.2], [0.1, 0.0, 0.05], [0.0, 0.3], [0.0]],  # h_3 = 0.3 y also vanishes near y = 0
+        [[1.0], [-2.0]],
+        [[1.0]],  # h = 1 has no roots
+    ],
+)
+def test_batched_stability_matches_per_sample_roots(rows):
+    spec = generic_spec(rows)
+    rep = is_stable(spec)
+    stable, min_mod, witness, drops = _stability_reference(spec)
+    assert rep.method == "sampled" and rep.stable == stable
+    assert rep.min_modulus == pytest.approx(min_mod, rel=1e-12)
+    assert rep.witness_y == witness and rep.degree_drops == drops
+
+
+def test_batched_stability_on_random_specs():
+    rng = np.random.default_rng(3)
+    for n_h in (2, 3, 4):
+        for _ in range(5):
+            rows = [[1.0]] + [list(rng.uniform(-0.4, 0.4, int(min(i, n_h - i)) + 1)) for i in range(1, n_h + 1)]
+            spec = generic_spec(rows)
+            rep = is_stable(spec)
+            stable, min_mod, witness, drops = _stability_reference(spec)
+            assert (rep.stable, rep.witness_y, rep.degree_drops) == (stable, witness, drops)
+            assert rep.min_modulus == pytest.approx(min_mod, rel=1e-12)
+
+
 class TestConfig:
     def test_round_trip_product(self):
         spec = product_spec([-0.5, 0.3])
