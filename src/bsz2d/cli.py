@@ -180,7 +180,7 @@ def example(example_id, a, b, a1, a2, b1, b2, depth, report):
 def verify(ctx, weight, depth, report):
     """Full invariant suite: orthonormality, window consistency, structure."""
     spec = _load_spec(weight)
-    oracle_for(spec, ctx.obj["tol"])
+    orc = oracle_for(spec, ctx.obj["tol"])
     checks: list[dict] = []
 
     def record(name, margin, tol):
@@ -192,10 +192,7 @@ def verify(ctx, weight, depth, report):
         record(f"three-term residual n={n}", total_blocks(spec, n).residual, 1e-7)
     window = min(depth, 4)
     system = lex_system(spec, window, window)
-    orc = oracle_for(spec, ctx.obj["tol"])
-    polys = [p for _, p in system.entries]
-    G = np.array([[orc.inner(p, q) for q in polys] for p in polys])
-    record(f"lex orthonormality {window}x{window}", float(np.max(np.abs(G - np.eye(len(polys))))), 1e-7)
+    record(f"lex orthonormality {window}x{window}", gram_deviation(spec, system, orc), 1e-7)
     n0 = spec.n_h // 2
     for n in range(max(1, n0), min(depth - 1, n0 + 2) + 1):
         try:

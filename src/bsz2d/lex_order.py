@@ -316,7 +316,7 @@ def lex_system(spec: WeightSpec, n: int, m: int, ordering: str = LEX) -> OrthoSy
     if ordering not in (LEX, REVLEX):
         raise ValueError("ordering must be lex or revlex")
     orc = oracle_for(spec)
-    fallback = None
+    fallback = slot_of = None
     out = OrthoSystem(ordering)
     swap = ordering == REVLEX
     major, minor = (n, m) if not swap else (m, n)
@@ -327,8 +327,9 @@ def lex_system(spec: WeightSpec, n: int, m: int, ordering: str = LEX) -> OrthoSy
             if hit is None:
                 if fallback is None:
                     fallback = orc.gram_schmidt(ordering, n, m)
-                p = fallback.poly(idx)
-                nrm = fallback.norms[fallback.indices().index(idx)] if fallback.norms else float("nan")
+                    slot_of = {key: pos for pos, key in enumerate(fallback.indices())}
+                p = fallback.entries[slot_of[idx]][1]
+                nrm = fallback.norms[slot_of[idx]]
             else:
                 p, nrm = hit
             out.entries.append((idx, p))

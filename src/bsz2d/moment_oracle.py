@@ -25,12 +25,20 @@ The probability measure is
 and the one-variable slice measure (no 2/pi prefactor) is
     dmu_y = sqrt(1-x^2) / |h(e^{i theta}, y)|^2 dx.
 
-Orthonormal systems are produced by modified Gram-Schmidt with one
-reorthogonalization pass, run over the tensor Chebyshev-U basis ordered
-exactly like the monomial sequence of the requested ordering.  Since
-U_i(x) U_j(y) and x^i y^j have identical leading index pairs in every
-ordering used here, the resulting system is the same one monomial
-Gram-Schmidt defines, but the Gram matrices stay well conditioned.
+Orthonormal systems are produced by classical Gram-Schmidt applied twice
+(CGS2) in coefficient space, run over the tensor Chebyshev-U basis
+ordered exactly like the monomial sequence of the requested ordering:
+each slot subtracts its projection on all earlier slots at once, with
+the Gram matrix G as the inner product, and then does so a second time.
+Two passes lose orthogonality only at the O(eps) level, as modified
+Gram-Schmidt with reorthogonalization does (L. Giraud, J. Langou and
+M. Rozloznik, Comput. Math. Appl. 50, 2005).  Since U_i(x) U_j(y) and
+x^i y^j have identical leading index pairs in every ordering used here,
+the resulting system is the same one monomial Gram-Schmidt defines, but
+the Gram matrices stay well conditioned.
+
+Monomial moments are cached with the tolerance they converged at, and
+served only to requests at that tolerance or a looser one.
 """
 
 from __future__ import annotations
@@ -104,7 +112,7 @@ class MomentOracle:
         self._mass = 1.0
         self._chebu_err = 0.0
         self._chebu_resolution = 0
-        self._mono: dict[tuple[int, int], tuple[float, float]] = {}
+        self._mono: dict[tuple[int, int], tuple[float, float, float]] = {}  # (value, error, tol)
         self._systems: dict[tuple, OrthoSystem] = {}
         self._load_spill()
 
@@ -176,9 +184,9 @@ class MomentOracle:
         if i < 0 or j < 0:
             raise ValueError("moment exponents must be nonnegative")
         tol = self.tol if tol is None else tol
-        key = (i, j)
         with self._lock:
-            if key not in self._mono:
+            hit = self._mono.get((i, j))
+            if hit is None or hit[2] > tol:  # missing, or converged at a looser tol
                 mass = self.mass
                 imax = max(i, j, 8)
                 make = lambda th: (_cos_matrix(imax, th), _cos_matrix(imax, th))
@@ -187,9 +195,12 @@ class MomentOracle:
                 errs = np.abs(table - prev / mass)
                 for a in range(imax + 1):
                     for b in range(imax + 1):
-                        self._mono.setdefault((a, b), (float(table[a, b]), float(errs[a, b])))
+                        have = self._mono.get((a, b))
+                        if have is None or have[2] > tol:  # keep entries at least as tight
+                            self._mono[(a, b)] = (float(table[a, b]), float(errs[a, b]), tol)
                 self._save_spill()
-            return self._mono[key]
+                hit = self._mono[(i, j)]
+            return hit[:2]
 
     def moment(self, i: int, j: int, tol: float | None = None) -> float:
         return self.moment_with_error(i, j, tol)[0]
@@ -258,6 +269,18 @@ class MomentOracle:
             raise ValueError("cannot normalize the zero polynomial")
         return leading_sign_fix(f.to_basis(CHEB_U).scale(1.0 / nrm), leading), nrm
 
+    def inner_matrix(self, polys: list[BivariatePoly]) -> np.ndarray:
+        """[<p_a, p_b>] for the given polynomials, as C G C^T: C holds their
+        tensor Chebyshev-U coefficients and G is the Gram matrix of those slots."""
+        grids = [p.to_basis(CHEB_U).coeffs for p in polys]
+        nx = max([1] + [g.shape[0] for g in grids])
+        ny = max([1] + [g.shape[1] for g in grids])
+        C = np.zeros((len(grids), nx, ny))
+        for a, g in enumerate(grids):
+            C[a, : g.shape[0], : g.shape[1]] = g
+        C = C.reshape(len(grids), nx * ny)
+        return C @ self.gram([(i, j) for i in range(nx) for j in range(ny)]) @ C.T
+
     def gram(self, indices: list[tuple[int, int]]) -> np.ndarray:
         """Gram matrix of the tensor Chebyshev-U elements at the given
         (x-degree, y-degree) pairs."""
@@ -291,32 +314,28 @@ class MomentOracle:
         if cond > cond_cap:
             raise OracleUnreliableError(f"Gram matrix condition number {cond:.3e} exceeds {cond_cap:.1e}")
         nbasis = len(idx)
-        C = np.eye(nbasis)  # row k: coefficients of the k-th orthonormal poly
-        norms: list[float] = []
+        C = np.zeros((nbasis, nbasis))  # row k: coefficients of the k-th orthonormal poly
+        norms = np.empty(nbasis)
         for k in range(nbasis):
-            v = C[k].copy()
-            for _ in range(2):  # one reorthogonalization pass
-                for p in range(k):
-                    v -= (C[p] @ G @ v) * C[p]
+            v = np.zeros(nbasis)
+            v[k] = 1.0
+            Ck = C[:k]
+            for _ in range(2):  # classical Gram-Schmidt, applied twice (CGS2)
+                v -= Ck.T @ (Ck @ (G @ v))
             nrm2 = float(v @ G @ v)
             if nrm2 <= 1e-20:
                 raise OracleUnreliableError(f"pivot loss at slot {idx[k]}")
-            nrm = float(np.sqrt(nrm2))
-            C[k] = v / nrm
-            norms.append(nrm)
+            norms[k] = np.sqrt(nrm2)
+            C[k] = v / norms[k]
+        # row k is supported on the first k + 1 slots, so its grid spans their running maxima
+        ii, jj = np.array(idx).T
+        nx, ny = np.maximum.accumulate(ii) + 1, np.maximum.accumulate(jj) + 1
         system = OrthoSystem(ordering)
         for k, (i, j) in enumerate(idx):
-            grid = np.zeros((max(a for a, _ in idx[: k + 1]) + 1, max(b for _, b in idx[: k + 1]) + 1))
-            for pos, (a, b) in enumerate(idx):
-                if C[k, pos] != 0.0:
-                    if a >= grid.shape[0] or b >= grid.shape[1]:
-                        pad = np.zeros((max(grid.shape[0], a + 1), max(grid.shape[1], b + 1)))
-                        pad[: grid.shape[0], : grid.shape[1]] = grid
-                        grid = pad
-                    grid[a, b] += C[k, pos]
-            p = leading_sign_fix(BivariatePoly(CHEB_U, grid), (i, j))
-            system.entries.append(((i, j), p))
-            system.norms.append(norms[k])
+            grid = np.zeros((nx[k], ny[k]))
+            grid[ii[: k + 1], jj[: k + 1]] = C[k, : k + 1]
+            system.entries.append(((i, j), leading_sign_fix(BivariatePoly(CHEB_U, grid), (i, j))))
+            system.norms.append(float(norms[k]))
         return system
 
     # -- disk spill --------------------------------------------------------
@@ -332,7 +351,7 @@ class MomentOracle:
         if path is None or self._chebu_table is None:
             return
         mono_keys = np.array(sorted(self._mono), dtype=int).reshape(-1, 2)
-        mono_vals = np.array([self._mono[tuple(k)] for k in mono_keys], dtype=float).reshape(-1, 2)
+        mono_vals = np.array([self._mono[tuple(k)] for k in mono_keys], dtype=float).reshape(-1, 3)
         # write beside the target, then rename over it: a reader never sees half a file
         fd, tmp = tempfile.mkstemp(suffix=".npz.tmp", dir=os.path.dirname(path))
         try:
@@ -365,8 +384,8 @@ class MomentOracle:
         table, keys, vals = spill["chebu"], spill["mono_keys"], spill["mono_vals"]
         if table.ndim != 2 or table.shape[0] != table.shape[1] or not np.all(np.isfinite(table)):
             return
-        if keys.ndim != 2 or keys.shape[1:] != (2,) or vals.shape != keys.shape:
-            return
+        if keys.ndim != 2 or keys.shape[1:] != (2,) or vals.shape != (len(keys), 3):
+            return  # a spill without per-entry tols is malformed too
         if not float(spill["chebu_err"]) <= self.tol:
             return  # written at a looser tolerance: recompute
         self._chebu_table = table
@@ -374,7 +393,7 @@ class MomentOracle:
         self._chebu_err = float(spill["chebu_err"])
         self._chebu_resolution = int(spill["chebu_resolution"])
         for k, v in zip(keys, vals):
-            self._mono[(int(k[0]), int(k[1]))] = (float(v[0]), float(v[1]))
+            self._mono[(int(k[0]), int(k[1]))] = (float(v[0]), float(v[1]), float(v[2]))
 
 
 _ORACLES: OrderedDict[str, MomentOracle] = OrderedDict()

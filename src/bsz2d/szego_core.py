@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import CHEB_U, MONOMIAL, BivariatePoly, UnivariatePoly, u_index
+from .poly_core import CHEB_U, MONOMIAL, BivariatePoly, UnivariatePoly
 from .weights import UnsupportedWeightError, WeightSpec, tilde_expand
 
 
@@ -36,16 +36,19 @@ def norm_threshold(n_h: int) -> int:
 
 
 def build_qk(spec: WeightSpec, k: int) -> BivariatePoly:
-    """q_k assembled from the z-coefficients of the weight."""
+    """q_k assembled from the z-coefficients of the weight.
+
+    Row k - i of the x-by-y Chebyshev-U grid collects +h_i for i <= k, and
+    row i - k - 2 collects -h_i for i >= k + 2 (the folding U_{-n-2} = -U_n).
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    acc = BivariatePoly.zero(CHEB_U)
-    for i, hi in enumerate(spec.h):
-        ux = u_index(k - i)
-        if ux.is_zero or hi.is_zero:
-            continue
-        acc = acc + BivariatePoly.from_separable(ux, hi.to_basis(CHEB_U))
-    return acc
+    H = spec.h_chebu
+    up, down = H[: k + 1], H[k + 2 :]
+    grid = np.zeros((max(k + 1, len(down)), H.shape[1]))
+    grid[k + 1 - len(up) : k + 1] += up[::-1]
+    grid[: len(down)] -= down
+    return BivariatePoly(CHEB_U, grid)
 
 
 def build_tilde_ql(spec: WeightSpec, l: int) -> BivariatePoly:

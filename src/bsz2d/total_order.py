@@ -68,13 +68,12 @@ def build_total_vector(spec: WeightSpec, n: int, oracle: MomentOracle | None = N
 def _total_vector(spec: WeightSpec, n: int, orc: MomentOracle) -> OrthoSystem:
     k0 = total_threshold(spec)
     low = orc.gram_schmidt(TOTAL, n) if k0 > 0 else None
+    slot_of = {idx: pos for pos, idx in enumerate(low.indices())} if low is not None else {}
     out = OrthoSystem(TOTAL)
     for k in range(n + 1):
         idx = (k, n - k)
         if k < k0:
-            p = low.poly(idx)
-            all_idx = low.indices()
-            nrm = low.norms[all_idx.index(idx)] if low.norms else float("nan")
+            p, nrm = low.entries[slot_of[idx]][1], low.norms[slot_of[idx]]
         else:
             raw = _raw_total_component(spec, n, k)
             p, nrm = orc.normalized(raw, idx)
@@ -83,9 +82,8 @@ def _total_vector(spec: WeightSpec, n: int, orc: MomentOracle) -> OrthoSystem:
     return out
 
 
-def gram_deviation(spec: WeightSpec, system: OrthoSystem) -> float:
+def gram_deviation(spec: WeightSpec, system: OrthoSystem, oracle: MomentOracle | None = None) -> float:
     """Max deviation of the oracle Gram matrix of ``system`` from identity."""
-    orc = oracle_for(spec)
+    orc = oracle_for(spec) if oracle is None else oracle
     polys = [p for _, p in system.entries]
-    G = np.array([[orc.inner(p, q) for q in polys] for p in polys])
-    return float(np.max(np.abs(G - np.eye(len(polys))))) if polys else 0.0
+    return float(np.max(np.abs(orc.inner_matrix(polys) - np.eye(len(polys))))) if polys else 0.0

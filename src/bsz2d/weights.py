@@ -104,6 +104,16 @@ class WeightSpec:
             return self._h
         return _expand_factors(self._factors)
 
+    @cached_property
+    def h_chebu(self) -> np.ndarray:
+        """Read-only matrix whose row i holds h_i(y) in the Chebyshev-U basis."""
+        rows = [hi.to_basis(CHEB_U).coeffs for hi in self.h]
+        H = np.zeros((len(rows), max(len(r) for r in rows)))
+        for i, r in enumerate(rows):
+            H[i, : len(r)] = r
+        H.flags.writeable = False
+        return H
+
     @property
     def n_h(self) -> int:
         return len(self.h) - 1
@@ -221,7 +231,7 @@ def tilde_expand(spec: WeightSpec) -> WeightSpec:
     """
     if spec.variant != PRODUCT_OMEGA:
         raise UnsupportedWeightError("tilde expansion requires product structure")
-    return WeightSpec(factors=spec.factors)
+    return spec
 
 
 def omega_laurent(spec: WeightSpec) -> dict[tuple[int, int], float]:

@@ -8,11 +8,12 @@ from bsz2d import moment_oracle
 from bsz2d.moment_oracle import (
     AccuracyError,
     MomentOracle,
+    OracleUnreliableError,
     monomial_moment_matrix,
     oracle_for,
 )
-from bsz2d.ortho import LEX, TOTAL
-from bsz2d.poly_core import CHEB_U, BivariatePoly, u_index
+from bsz2d.ortho import LEX, REVLEX, TOTAL, index_sequence
+from bsz2d.poly_core import CHEB_U, MONOMIAL, BivariatePoly, u_index
 from bsz2d.weights import InvalidWeightError, chebyshev_spec, generic_spec, product_spec
 
 
@@ -132,6 +133,53 @@ class TestGramSchmidt:
         assert len(system.norms) == len(system.entries)
         assert all(v > 0 for v in system.norms)
 
+    @staticmethod
+    def _mgs_reference(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Textbook modified Gram-Schmidt with one reorthogonalization pass in
+        the G inner product: row k of C is the k-th orthonormal vector."""
+        C = np.eye(len(G))
+        norms = np.empty(len(G))
+        for k in range(len(G)):
+            v = C[k].copy()
+            for _ in range(2):
+                for p in range(k):
+                    v -= (C[p] @ G @ v) * C[p]
+            norms[k] = np.sqrt(v @ G @ v)
+            C[k] = v / norms[k]
+        return C, norms
+
+    @pytest.mark.parametrize("window", [(TOTAL, 12, None), (LEX, 8, 8), (REVLEX, 6, 8)], ids=str)
+    @pytest.mark.parametrize(
+        "spec",
+        [product_spec([0.5, -0.3]), generic_spec([[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]]), product_spec([0.9])],
+        ids=["product", "generic", "a=0.9"],
+    )
+    def test_matches_reorthogonalized_mgs(self, spec, window):
+        orc = oracle_for(spec)
+        system = orc.gram_schmidt(*window)
+        idx = index_sequence(*window)
+        C, norms = self._mgs_reference(orc.gram(idx))
+        ii, jj = np.array(idx).T
+        assert system.indices() == idx
+        for k, (_, p) in enumerate(system.entries):
+            grid = np.zeros((ii.max() + 1, jj.max() + 1))
+            grid[: p.coeffs.shape[0], : p.coeffs.shape[1]] = p.coeffs
+            assert np.max(np.abs(grid[ii, jj] - C[k])) < 1e-13
+            assert np.count_nonzero(grid) == np.count_nonzero(grid[ii, jj])  # nothing off the basis
+        assert np.max(np.abs(np.array(system.norms) - norms)) < 1e-13
+
+    def test_condition_cap_raises(self):
+        with pytest.raises(OracleUnreliableError):
+            MomentOracle(product_spec([0.5])).gram_schmidt(TOTAL, 3, cond_cap=1.0)
+
+
+def test_inner_matrix_matches_pairwise_inner():
+    orc = oracle_for(product_spec([0.5, -0.3]))
+    polys = [p for _, p in orc.gram_schmidt(LEX, 3, 4).entries]
+    polys += [BivariatePoly(MONOMIAL, [[0.5, 1.0], [0.0, -2.0]]), BivariatePoly.zero(CHEB_U)]
+    want = np.array([[orc.inner(p, q) for q in polys] for p in polys])
+    assert np.max(np.abs(orc.inner_matrix(polys) - want)) < 1e-14
+
 
 def test_doubly_hankel_structure():
     idx = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -189,8 +237,18 @@ class TestSpill:
             lambda d: d.update(chebu=np.where(np.eye(len(d["chebu"])) > 0, np.nan, d["chebu"])),
             lambda d: d.update(mono_vals=d["mono_vals"][:-1]),
             lambda d: d.update(mono_keys=d["mono_keys"].ravel()),
+            lambda d: d.update(mono_vals=d["mono_vals"][:, :2]),
         ],
-        ids=["no-err", "no-mono-vals", "chebu-1d", "chebu-not-square", "chebu-nan", "mono-lengths", "mono-keys-1d"],
+        ids=[
+            "no-err",
+            "no-mono-vals",
+            "chebu-1d",
+            "chebu-not-square",
+            "chebu-nan",
+            "mono-lengths",
+            "mono-keys-1d",
+            "mono-no-tol",
+        ],
     )
     def test_malformed_spill_is_recomputed(self, tmp_path, monkeypatch, corrupt):
         spec = product_spec([0.45])
@@ -222,6 +280,28 @@ class TestSpill:
         assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
         with np.load(path) as kept:
             assert np.array_equal(kept["chebu"], data["chebu"])
+
+
+class TestMonomialCache:
+    SPEC = product_spec([0.9])
+
+    def test_tighter_tol_is_not_served_a_looser_entry(self, monkeypatch):
+        orc = MomentOracle(self.SPEC)
+        _, loose_err = orc.moment_with_error(2, 2, tol=1e-3)
+        tight = orc.moment_with_error(2, 2, tol=1e-13)
+        assert loose_err > 1e-9 and tight[1] < 1e-13
+        assert tight == MomentOracle(self.SPEC).moment_with_error(2, 2, tol=1e-13)
+        # a looser request is served from the tighter entry, with no quadrature
+        monkeypatch.setattr(orc, "_converged_table", None)
+        assert orc.moment_with_error(2, 2, tol=1e-3) == tight
+        assert orc.moment_with_error(3, 1, tol=1e-13)[1] < 1e-13  # the whole table was refreshed
+
+    def test_spilled_entries_keep_their_tol(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
+        MomentOracle(self.SPEC).moment_with_error(2, 2, tol=1e-3)
+        reopened = MomentOracle(self.SPEC)
+        assert reopened._chebu_table is not None  # the spill was adopted
+        assert reopened.moment_with_error(2, 2, tol=1e-13)[1] < 1e-13
 
 
 def test_unstable_weight_is_rejected():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsz2d.moment_oracle import oracle_for
-from bsz2d.poly_core import CHEB_U, UnivariatePoly
+from bsz2d.poly_core import CHEB_U, BivariatePoly, UnivariatePoly, u_index
 from bsz2d.szego_core import (
     EliminationBreakdownError,
     build_qk,
@@ -56,6 +56,29 @@ class TestBuildQk:
         q0 = build_qk(product_spec([-a]), 0)  # h_2 U_{-2} folds to -a^2 U_0
         for x, y in [(0.3, 0.7), (-0.5, 0.2)]:
             assert q0(x, y) == pytest.approx(1.0 - a * a, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            product_spec([0.5, -0.3]),
+            product_spec([0.3, 0.2, -0.4]),
+            generic_spec([[1.0], [0.2, 0.3], [0.1, 0.05, 0.1], [0.05, 0.02], [0.03]]),
+        ],
+        ids=["two-factor", "three-factor", "generic-N4"],
+    )
+    def test_matches_the_defining_sum(self, spec):
+        # sum_i h_i(y) U_{k-i}(x), term by term; at k = 0, 1 the generic
+        # N_h = 4 spec folds h_2, h_3, h_4 onto lower rows
+        for k in range(7):
+            grid = np.zeros((k + spec.n_h + 1, spec.kappa + 1))
+            for i, hi in enumerate(spec.h):
+                ux = u_index(k - i).coeffs
+                c = hi.to_basis(CHEB_U).coeffs
+                grid[: len(ux), : len(c)] += np.outer(ux, c)
+            want = BivariatePoly(CHEB_U, grid)
+            got = build_qk(spec, k)
+            assert got.coeffs.shape == want.coeffs.shape
+            assert got.approx_eq(want, 1e-15)
 
     @given(st.floats(-0.8, 0.8).filter(lambda a: abs(a) > 0.05), st.integers(2, 6))
     @settings(max_examples=10, deadline=None)

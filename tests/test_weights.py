@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsz2d.poly_core import MONOMIAL, UnivariatePoly
+from bsz2d.poly_core import CHEB_U, MONOMIAL, UnivariatePoly
 from bsz2d.weights import (
     GENERIC_H,
     PRODUCT_OMEGA,
@@ -81,6 +81,17 @@ class TestGeneric:
         p = product_spec([0.4, -0.2])
         assert p.variant == PRODUCT_OMEGA
         assert tilde_expand(p) == p  # same factor parameters
+        assert tilde_expand(p) is p  # the spec itself, with its cached expansion
+
+    def test_h_chebu_is_a_read_only_copy_of_h(self):
+        for spec in (product_spec([0.5, -0.3]), generic_spec([[1.0], [-0.6, -1.0], [0.25, 0.3], [-0.1]])):
+            H = spec.h_chebu
+            assert H.shape[0] == spec.n_h + 1
+            for i, hi in enumerate(spec.h):
+                c = hi.to_basis(CHEB_U).coeffs
+                assert np.array_equal(H[i, : len(c)], c) and not np.any(H[i, len(c) :])
+            with pytest.raises(ValueError):
+                H[0, 0] = 2.0
 
 
 class TestLaurentViews:
