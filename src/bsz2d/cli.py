@@ -100,8 +100,7 @@ def total(ctx, weight, n, report):
 def lex(ctx, weight, n, m, revlex, report):
     """The full lex (or revlex) system on the n-by-m window, as JSON."""
     spec = _load_spec(weight)
-    oracle_for(spec, ctx.obj["tol"])
-    system = lex_system(spec, n, m, REVLEX if revlex else LEX)
+    system = lex_system(spec, n, m, REVLEX if revlex else LEX, oracle_for(spec, ctx.obj["tol"]))
     _emit(system.to_json(indent=2) + "\n", report)
 
 
@@ -115,16 +114,16 @@ def lex(ctx, weight, n, m, revlex, report):
 def recurrence(ctx, weight, ordering, n, m, report):
     """Recurrence blocks as CSV, plus a structure verdict."""
     spec = _load_spec(weight)
-    oracle_for(spec, ctx.obj["tol"])
+    orc = oracle_for(spec, ctx.obj["tol"])
     buf = io.StringIO()
     writer = csv.writer(buf)
     verdict: dict = {"ordering": ordering}
     if ordering == TOTAL:
-        blk = total_blocks(spec, n)
+        blk = total_blocks(spec, n, oracle=orc)
         for name, mat in (("A_x", blk.a_x), ("B_x", blk.b_x), ("A_y", blk.a_y), ("B_y", blk.b_y)):
             _matrix_csv(writer, name, mat)
         try:
-            srep = verify_total_structure(spec, n)
+            srep = verify_total_structure(spec, n, oracle=orc)
             verdict.update(ok=srep.ok, sizes=srep.sizes, violations=srep.violations,
                            seam={f"{i},{j}": v for (i, j), v in srep.seam.items()})
         except ValueError as exc:
@@ -132,11 +131,11 @@ def recurrence(ctx, weight, ordering, n, m, report):
     else:
         if m is None:
             raise click.UsageError("--m is required for lex/revlex recurrences")
-        blk = lex_blocks(spec, n, m, ordering=ordering)
+        blk = lex_blocks(spec, n, m, ordering=ordering, oracle=orc)
         _matrix_csv(writer, "A", blk.a)
         _matrix_csv(writer, "B", blk.b)
         try:
-            srep = verify_lex_structure(spec, n, m) if ordering == LEX else None
+            srep = verify_lex_structure(spec, n, m, oracle=orc) if ordering == LEX else None
             if srep is not None:
                 verdict.update(ok=srep.ok, sizes=srep.sizes, violations=srep.violations)
         except ValueError as exc:
@@ -187,16 +186,16 @@ def verify(ctx, weight, depth, report):
         checks.append({"name": name, "margin": float(margin), "tol": tol, "passed": margin <= tol})
 
     for n in range(depth + 1):
-        record(f"total orthonormality n={n}", gram_deviation(spec, build_total_vector(spec, n)), 1e-7)
+        record(f"total orthonormality n={n}", gram_deviation(spec, build_total_vector(spec, n, orc), orc), 1e-7)
     for n in range(1, depth):
-        record(f"three-term residual n={n}", total_blocks(spec, n).residual, 1e-7)
+        record(f"three-term residual n={n}", total_blocks(spec, n, oracle=orc).residual, 1e-7)
     window = min(depth, 4)
-    system = lex_system(spec, window, window)
+    system = lex_system(spec, window, window, oracle=orc)
     record(f"lex orthonormality {window}x{window}", gram_deviation(spec, system, orc), 1e-7)
     n0 = spec.n_h // 2
     for n in range(max(1, n0), min(depth - 1, n0 + 2) + 1):
         try:
-            srep = verify_total_structure(spec, n)
+            srep = verify_total_structure(spec, n, oracle=orc)
             record(f"total structure n={n}", max((abs(v[3]) for v in srep.violations), default=0.0), 1e-8)
         except ValueError:
             pass

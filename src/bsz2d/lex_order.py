@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moment_oracle import oracle_for
+from .moment_oracle import MomentOracle, oracle_for
 from .ortho import LEX, REVLEX, OrthoSystem
 from .poly_core import CHEB_U, MONOMIAL, BivariatePoly, LaurentPoly, mul, t_map, u_index
 from .szego_core import build_qk, build_tilde_ql, norm_threshold
@@ -306,7 +306,9 @@ def build_revlex(spec: WeightSpec, l: int, t: int, n: int) -> BivariatePoly:
 # ---------------------------------------------------------------------------
 
 
-def lex_system(spec: WeightSpec, n: int, m: int, ordering: str = LEX) -> OrthoSystem:
+def lex_system(
+    spec: WeightSpec, n: int, m: int, ordering: str = LEX, oracle: MomentOracle | None = None
+) -> OrthoSystem:
     """The full orthonormal system on Pi_{n,m} in lex (or revlex) order.
 
     Slots with a closed form use it; everything else falls back to oracle
@@ -315,7 +317,7 @@ def lex_system(spec: WeightSpec, n: int, m: int, ordering: str = LEX) -> OrthoSy
     """
     if ordering not in (LEX, REVLEX):
         raise ValueError("ordering must be lex or revlex")
-    orc = oracle_for(spec)
+    orc = oracle_for(spec) if oracle is None else oracle
     fallback = slot_of = None
     out = OrthoSystem(ordering)
     swap = ordering == REVLEX
@@ -323,7 +325,7 @@ def lex_system(spec: WeightSpec, n: int, m: int, ordering: str = LEX) -> OrthoSy
     for r in range(major + 1):
         for k in range(minor + 1):
             idx = (r, k) if not swap else (k, r)
-            hit = _closed_slot(spec, r, k, minor, swap)
+            hit = _closed_slot(spec, r, k, minor, swap, orc)
             if hit is None:
                 if fallback is None:
                     fallback = orc.gram_schmidt(ordering, n, m)
@@ -338,7 +340,7 @@ def lex_system(spec: WeightSpec, n: int, m: int, ordering: str = LEX) -> OrthoSy
 
 
 def _closed_slot(
-    spec: WeightSpec, r: int, k: int, m: int, swap: bool
+    spec: WeightSpec, r: int, k: int, m: int, swap: bool, oracle: MomentOracle | None = None
 ) -> tuple[BivariatePoly, float] | None:
     """Closed-form slot polynomial, or None when only the oracle can build it."""
     try:
@@ -363,7 +365,7 @@ def _closed_slot(
         idx = (k, r)
     else:
         idx = (r, k)
-    return oracle_for(spec).normalized(p, idx)
+    return (oracle_for(spec) if oracle is None else oracle).normalized(p, idx)
 
 
 def tilde_expandable(spec: WeightSpec) -> WeightSpec | None:

@@ -37,6 +37,13 @@ x^i y^j have identical leading index pairs in every ordering used here,
 the resulting system is the same one monomial Gram-Schmidt defines, but
 the Gram matrices stay well conditioned.
 
+Inner products under the full measure are c_f^T G c_g: c holds a
+polynomial's tensor Chebyshev-U coefficients, zero-padded to an s x s
+slot square, and G[i1, j1, i2, j2] = <U_i1(x) U_j1(y), U_i2(x) U_j2(y)>
+is a sum of moment-table entries over the linearization rule of
+``poly_core._lin``.  Each oracle keeps one read-only G, grown to exactly
+the largest s a request has needed: s^4 doubles, 166 KB at s = 12.
+
 Monomial moments are cached with the tolerance they converged at, and
 served only to requests at that tolerance or a looser one.
 """
@@ -52,7 +59,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .ortho import OrthoSystem, index_sequence, leading_sign_fix
-from .poly_core import CHEB_U, BivariatePoly, _lin, mul
+from .poly_core import CHEB_U, BivariatePoly, _lin
 from .weights import InvalidWeightError, WeightSpec, is_stable
 
 DEFAULT_TOL = 1e-11
@@ -88,14 +95,31 @@ def _cos_matrix(imax: int, theta: np.ndarray) -> np.ndarray:
     return np.cos(theta)[None, :] ** i * np.sin(theta)[None, :] ** 2
 
 
+def grid_size(polys: list[BivariatePoly]) -> int:
+    """The smallest s (at least 1) whose s x s slot square holds every
+    polynomial's coefficient grid; a basis change keeps a grid's shape."""
+    return max([1] + [max(p.coeffs.shape) for p in polys])
+
+
+def chebu_grids(polys: list[BivariatePoly], s: int) -> np.ndarray:
+    """The polynomials' tensor Chebyshev-U coefficients, zero-padded to
+    shape (len(polys), s, s)."""
+    C = np.zeros((len(polys), s, s))
+    for a, p in enumerate(polys):
+        g = p.coeffs if p.basis == CHEB_U else p.to_basis(CHEB_U).coeffs
+        C[a, : g.shape[0], : g.shape[1]] = g
+    return C
+
+
 class MomentOracle:
     """Per-spec moment cache and Gram-Schmidt engine.
 
     The oracle owns every cached result for its spec and tolerance: the
-    moment tables and, in ``_systems``, the Gram-Schmidt systems and the
-    total-degree vectors.  Thread access: the cache is read-mostly; a
-    missing table is computed under a lock so the first writer's value is
-    the one stored.
+    moment tables, the Gram block and, in ``_systems``, the Gram-Schmidt
+    systems and the total-degree vectors.  Thread access: the cache is
+    read-mostly; a missing table is computed under a lock so the first
+    writer's value is the one stored, and a larger Gram block replaces the
+    read-only one a caller may still hold.
     """
 
     def __init__(self, spec: WeightSpec, tol: float = DEFAULT_TOL, max_resolution: int = MAX_RESOLUTION):
@@ -113,6 +137,7 @@ class MomentOracle:
         self._chebu_err = 0.0
         self._chebu_resolution = 0
         self._mono: dict[tuple[int, int], tuple[float, float, float]] = {}  # (value, error, tol)
+        self._gram: np.ndarray | None = None
         self._systems: dict[tuple, OrthoSystem] = {}
         self._load_spill()
 
@@ -249,16 +274,26 @@ class MomentOracle:
         return float(np.dot(prod, vals))
 
     # -- inner products under the full measure ----------------------------
+    def gram_block(self, s: int) -> np.ndarray:
+        """The read-only Gram block of the tensor Chebyshev-U slots,
+        G[i1, j1, i2, j2] = <U_i1(x) U_j1(y), U_i2(x) U_j2(y)>, over the
+        S x S slot square, where S >= s is the largest size requested so far.
+
+        The block grows to exactly the size a request needs, never beyond
+        it: it holds S^4 doubles, 166 KB at S = 12.
+        """
+        with self._lock:
+            if self._gram is None or len(self._gram) < s:
+                L = _lin(s, s)
+                # H[i1, i2, j1, j2]: x-linearization against the rows of m1, y against its columns
+                H = np.tensordot(L @ self.chebu_table(2 * s - 2), L, axes=(2, 2))
+                G = np.ascontiguousarray(H.transpose(0, 2, 1, 3))
+                G.setflags(write=False)
+                self._gram = G
+            return self._gram
+
     def inner(self, f: BivariatePoly, g: BivariatePoly) -> float:
-        fu = f.to_basis(CHEB_U)
-        gu = g.to_basis(CHEB_U)
-        prod = mul(fu, gu)
-        if prod.is_zero:
-            return 0.0
-        smax = max(prod.coeffs.shape) - 1
-        m1 = self.chebu_table(smax)
-        c = prod.coeffs.astype(float)
-        return float(np.sum(c * m1[: c.shape[0], : c.shape[1]]))
+        return float(self.inner_matrix([f], [g])[0, 0])
 
     def norm(self, f: BivariatePoly) -> float:
         return float(np.sqrt(max(self.inner(f, f), 0.0)))
@@ -269,27 +304,23 @@ class MomentOracle:
             raise ValueError("cannot normalize the zero polynomial")
         return leading_sign_fix(f.to_basis(CHEB_U).scale(1.0 / nrm), leading), nrm
 
-    def inner_matrix(self, polys: list[BivariatePoly]) -> np.ndarray:
-        """[<p_a, p_b>] for the given polynomials, as C G C^T: C holds their
-        tensor Chebyshev-U coefficients and G is the Gram matrix of those slots."""
-        grids = [p.to_basis(CHEB_U).coeffs for p in polys]
-        nx = max([1] + [g.shape[0] for g in grids])
-        ny = max([1] + [g.shape[1] for g in grids])
-        C = np.zeros((len(grids), nx, ny))
-        for a, g in enumerate(grids):
-            C[a, : g.shape[0], : g.shape[1]] = g
-        C = C.reshape(len(grids), nx * ny)
-        return C @ self.gram([(i, j) for i in range(nx) for j in range(ny)]) @ C.T
+    def inner_matrix(self, polys: list[BivariatePoly], others: list[BivariatePoly] | None = None) -> np.ndarray:
+        """[<p, q>] for p in ``polys`` and q in ``others`` (default ``polys``),
+        as C_p G C_q^T: the rows of C hold the tensor Chebyshev-U coefficients
+        over the slot square of the Gram block G."""
+        others = polys if others is None else others
+        G = self.gram_block(max(grid_size(polys), grid_size(others)))
+        s = len(G)
+        C = chebu_grids(polys, s).reshape(len(polys), s * s)
+        D = C if others is polys else chebu_grids(others, s).reshape(len(others), s * s)
+        return C @ G.reshape(s * s, s * s) @ D.T
 
     def gram(self, indices: list[tuple[int, int]]) -> np.ndarray:
         """Gram matrix of the tensor Chebyshev-U elements at the given
         (x-degree, y-degree) pairs."""
         ii, jj = np.array(indices).T
-        nx, ny = int(ii.max()) + 1, int(jj.max()) + 1
-        m1 = self.chebu_table(2 * max(nx, ny) - 2)
-        # H[i1, i2, j1, j2] = <U_i1(x) U_j1(y), U_i2(x) U_j2(y)>
-        H = np.tensordot(_lin(nx, nx) @ m1[: 2 * nx - 1, : 2 * ny - 1], _lin(ny, ny), axes=(2, 2))
-        return H[ii[:, None], ii[None, :], jj[:, None], jj[None, :]]
+        G = self.gram_block(int(max(ii.max(), jj.max())) + 1)
+        return G[ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
 
     # -- Gram-Schmidt ------------------------------------------------------
     def gram_schmidt(self, ordering: str, n: int, m: int | None = None, cond_cap: float = 1e12) -> OrthoSystem:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moment_oracle import oracle_for
+from .moment_oracle import MomentOracle, chebu_grids, grid_size, oracle_for
 from .ortho import LEX, REVLEX, TOTAL, OrthoSystem
 from .poly_core import BivariatePoly, mul, u_index
 from .total_order import build_total_vector
@@ -44,14 +44,20 @@ def _y_poly() -> BivariatePoly:
     return BivariatePoly.from_separable(u_index(0), UnivariatePoly(CHEB_U, [0.0, 0.5]))
 
 
-def _pairing(spec: WeightSpec, mult: BivariatePoly, rows: OrthoSystem, cols: OrthoSystem) -> np.ndarray:
-    orc = oracle_for(spec)
-    out = np.zeros((len(rows.entries), len(cols.entries)))
-    for i, (_, p) in enumerate(rows.entries):
-        xp = mul(p, mult)
-        for j, (_, q) in enumerate(cols.entries):
-            out[i, j] = orc.inner(xp, q)
-    return out
+def _pairing(orc: MomentOracle, axis: int, rows: OrthoSystem, cols: OrthoSystem) -> np.ndarray:
+    """[<t p, q>] for p in ``rows`` and q in ``cols``, t = x (axis 0) or y (axis 1).
+
+    t U_i = (U_{i+1} + U_{i-1}) / 2 with U_{-1} = 0, so t acts on a coefficient
+    grid as the symmetric tridiagonal shift S along ``axis``, and the block is
+    the one product S C_rows G C_cols^T over the oracle's Gram block G.
+    """
+    ps, qs = [p for _, p in rows.entries], [q for _, q in cols.entries]
+    G = orc.gram_block(max(grid_size(ps) + 1, grid_size(qs)))  # t raises a degree by one
+    s = len(G)
+    S = 0.5 * (np.eye(s, k=1) + np.eye(s, k=-1))
+    C = chebu_grids(ps, s)
+    SC = (S @ C if axis == 0 else C @ S).reshape(len(ps), s * s)
+    return SC @ G.reshape(s * s, s * s) @ chebu_grids(qs, s).reshape(len(qs), s * s).T
 
 
 @dataclass
@@ -70,21 +76,26 @@ class BlockRecurrence:
     residual: float = 0.0
 
 
-def total_blocks(spec: WeightSpec, n: int, tol: float = 1e-7) -> BlockRecurrence:
-    """A_x, B_x, A_y, B_y at level n, with the three-term residual checked."""
+def total_blocks(
+    spec: WeightSpec, n: int, tol: float = 1e-7, oracle: MomentOracle | None = None
+) -> BlockRecurrence:
+    """A_x, B_x, A_y, B_y at level n, with the three-term residual checked.
+
+    The residual expands x P_n and y P_n by polynomial arithmetic, so it
+    checks the matrix-form blocks independently."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p_n = build_total_vector(spec, n)
-    p_up = build_total_vector(spec, n + 1)
-    p_dn = build_total_vector(spec, n - 1) if n > 0 else None
-    xp, yp = _x_poly(), _y_poly()
-    a_x = _pairing(spec, xp, p_n, p_up)
-    b_x = _pairing(spec, xp, p_n, p_n)
-    a_y = _pairing(spec, yp, p_n, p_up)
-    b_y = _pairing(spec, yp, p_n, p_n)
+    orc = oracle_for(spec) if oracle is None else oracle
+    p_n = build_total_vector(spec, n, orc)
+    p_up = build_total_vector(spec, n + 1, orc)
+    p_dn = build_total_vector(spec, n - 1, orc) if n > 0 else None
+    a_x = _pairing(orc, 0, p_n, p_up)
+    b_x = _pairing(orc, 0, p_n, p_n)
+    a_y = _pairing(orc, 1, p_n, p_up)
+    b_y = _pairing(orc, 1, p_n, p_n)
     res = 0.0
-    for mult, a, b in ((xp, a_x, b_x), (yp, a_y, b_y)):
-        a_prev = _pairing(spec, mult, p_dn, p_n) if p_dn is not None else None
+    for axis, mult, a, b in ((0, _x_poly(), a_x, b_x), (1, _y_poly(), a_y, b_y)):
+        a_prev = _pairing(orc, axis, p_dn, p_n) if p_dn is not None else None
         for i, (_, p) in enumerate(p_n.entries):
             acc = mul(p, mult)
             for j, (_, q) in enumerate(p_up.entries):
@@ -100,27 +111,35 @@ def total_blocks(spec: WeightSpec, n: int, tol: float = 1e-7) -> BlockRecurrence
     return BlockRecurrence(TOTAL, (n,), a_x=a_x, b_x=b_x, a_y=a_y, b_y=b_y, residual=res)
 
 
-def lex_blocks(spec: WeightSpec, n: int, m: int, tol: float = 1e-7, ordering: str = LEX) -> BlockRecurrence:
+def lex_blocks(
+    spec: WeightSpec,
+    n: int,
+    m: int,
+    tol: float = 1e-7,
+    ordering: str = LEX,
+    oracle: MomentOracle | None = None,
+) -> BlockRecurrence:
     """A_{n,m} and B_{n,m} (or the revlex mirror, where the roles of the
     variables and of n, m are exchanged)."""
+    orc = oracle_for(spec) if oracle is None else oracle
     if ordering == LEX:
         if n < 1:
             raise ValueError("need n >= 1 for A_{n,m}")
-        sys_hi = lex_system(spec, n, m, LEX).slice_first(n)
-        sys_lo = lex_system(spec, n - 1, m, LEX).slice_first(n - 1)
-        mult = _x_poly()
+        sys_hi = lex_system(spec, n, m, LEX, orc).slice_first(n)
+        sys_lo = lex_system(spec, n - 1, m, LEX, orc).slice_first(n - 1)
+        axis = 0
         size = m + 1
     elif ordering == REVLEX:
         if m < 1:
             raise ValueError("need m >= 1 for the revlex block")
-        sys_hi = lex_system(spec, n, m, REVLEX).slice_first(m)
-        sys_lo = lex_system(spec, n, m - 1, REVLEX).slice_first(m - 1)
-        mult = _y_poly()
+        sys_hi = lex_system(spec, n, m, REVLEX, orc).slice_first(m)
+        sys_lo = lex_system(spec, n, m - 1, REVLEX, orc).slice_first(m - 1)
+        axis = 1
         size = n + 1
     else:
         raise ValueError("ordering must be lex or revlex")
-    a = _pairing(spec, mult, sys_lo, sys_hi)
-    b = _pairing(spec, mult, sys_hi, sys_hi)
+    a = _pairing(orc, axis, sys_lo, sys_hi)
+    b = _pairing(orc, axis, sys_hi, sys_hi)
     if a.shape != (size, size) or b.shape != (size, size):
         raise ConstructionInconsistencyError("unexpected block shape")
     res = float(np.max(np.abs(b - b.T)))
@@ -150,7 +169,9 @@ def _check_zero(name: str, mat: np.ndarray, cells, tol: float, out: list):
             out.append((name, i, j, v))
 
 
-def verify_total_structure(spec: WeightSpec, n: int, tol: float = 1e-8) -> StructureReport:
+def verify_total_structure(
+    spec: WeightSpec, n: int, tol: float = 1e-8, oracle: MomentOracle | None = None
+) -> StructureReport:
     """Assert the frozen block patterns of the total-degree recurrence.
 
     With N the z-degree of the weight: A_y = diag(C_y, half-identity)
@@ -168,7 +189,7 @@ def verify_total_structure(spec: WeightSpec, n: int, tol: float = 1e-8) -> Struc
     d_x = (big_n + 1) // 2  # ceil(N/2)
     if n < c_y:
         raise ValueError(f"theorem applies for n >= {c_y}")
-    blocks = total_blocks(spec, n)
+    blocks = total_blocks(spec, n, oracle=oracle)
     bad: list[tuple[str, int, int, float]] = []
 
     a_y = blocks.a_y
@@ -220,7 +241,9 @@ def verify_total_structure(spec: WeightSpec, n: int, tol: float = 1e-8) -> Struc
     return StructureReport(not bad, sizes, bad, seam, blocks)
 
 
-def verify_lex_structure(spec: WeightSpec, n: int, m: int, tol: float = 1e-8) -> StructureReport:
+def verify_lex_structure(
+    spec: WeightSpec, n: int, m: int, tol: float = 1e-8, oracle: MomentOracle | None = None
+) -> StructureReport:
     """Assert the lex pattern A = diag(1/2 I_{m-kappa+1}, C), B = diag(0, D),
     and for product weights past 2 N_f the full collapse A = 1/2 I, B = 0."""
     kappa = spec.kappa
@@ -228,7 +251,7 @@ def verify_lex_structure(spec: WeightSpec, n: int, m: int, tol: float = 1e-8) ->
         raise ValueError(f"theorem applies for n >= {spec.n_h // 2 + 1}")
     if m < kappa:
         raise ValueError("window too narrow for the corner block")
-    blocks = lex_blocks(spec, n, m)
+    blocks = lex_blocks(spec, n, m, oracle=oracle)
     a, b = blocks.a, blocks.b
     cut = m - kappa + 1
     bad: list[tuple[str, int, int, float]] = []

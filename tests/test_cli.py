@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from bsz2d import moment_oracle
 from bsz2d.cli import main
+from bsz2d.weights import product_spec
 
 
 @pytest.fixture()
@@ -122,6 +125,27 @@ class TestExampleAndVerify:
         blob = json.loads(out.read_text())
         assert blob["ok"] is True
         assert blob["checks"]
+
+
+class TestTolerance:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["recurrence", "--ordering", "total", "--n", "2"],
+            ["recurrence", "--ordering", "lex", "--n", "3", "--m", "3"],
+            ["lex", "--n", "3", "--m", "3"],
+            ["verify", "--depth", "3"],
+        ],
+        ids=["recurrence-total", "recurrence-lex", "lex", "verify"],
+    )
+    def test_tol_reaches_the_library(self, runner, product_weight, monkeypatch, args):
+        monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
+        res = runner.invoke(main, ["--tol", "1e-6", args[0], "--weight", product_weight, *args[1:]])
+        assert res.exit_code == 0, res.output
+        spec = product_spec([-0.6])
+        keys = [k for k in moment_oracle._ORACLES if k.startswith(spec.fingerprint)]
+        assert keys == [f"{spec.fingerprint}:{1e-6:.3e}"]
+        assert moment_oracle._ORACLES[keys[0]].tol == 1e-6
 
 
 class TestErrors:

@@ -13,7 +13,7 @@ from bsz2d.moment_oracle import (
     oracle_for,
 )
 from bsz2d.ortho import LEX, REVLEX, TOTAL, index_sequence
-from bsz2d.poly_core import CHEB_U, MONOMIAL, BivariatePoly, u_index
+from bsz2d.poly_core import CHEB_U, MONOMIAL, BivariatePoly, mul, u_index
 from bsz2d.weights import InvalidWeightError, chebyshev_spec, generic_spec, product_spec
 
 
@@ -179,6 +179,56 @@ def test_inner_matrix_matches_pairwise_inner():
     polys += [BivariatePoly(MONOMIAL, [[0.5, 1.0], [0.0, -2.0]]), BivariatePoly.zero(CHEB_U)]
     want = np.array([[orc.inner(p, q) for q in polys] for p in polys])
     assert np.max(np.abs(orc.inner_matrix(polys) - want)) < 1e-14
+
+
+def _mul_inner(orc: MomentOracle, f: BivariatePoly, g: BivariatePoly) -> float:
+    """<f, g> by its definition: the Chebyshev-U coefficients of f g summed
+    against the moment table."""
+    prod = mul(f.to_basis(CHEB_U), g.to_basis(CHEB_U))
+    if prod.is_zero:
+        return 0.0
+    c = prod.coeffs
+    return float(np.sum(c * orc.chebu_table(max(c.shape) - 1)[: c.shape[0], : c.shape[1]]))
+
+
+class TestGramBlock:
+    @pytest.mark.parametrize(
+        "spec",
+        [product_spec([0.5, -0.3]), generic_spec([[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]]), product_spec([0.9])],
+        ids=["product", "generic", "a=0.9"],
+    )
+    def test_inner_products_match_the_product_definition(self, spec):
+        orc = MomentOracle(spec)
+        rng = np.random.default_rng(11)
+        polys = [BivariatePoly(CHEB_U, rng.standard_normal(shape)) for shape in [(5, 3), (2, 6), (1, 4), (7, 1)]]
+        polys += [BivariatePoly(MONOMIAL, [[0.5, 1.0], [0.0, -2.0]]), BivariatePoly.zero(CHEB_U)]
+        polys += [p for _, p in orc.gram_schmidt(LEX, 3, 4).entries]
+        want = np.array([[_mul_inner(orc, p, q) for q in polys] for p in polys])
+        norms = np.sqrt(np.diag(want))
+        scale = np.maximum(np.outer(norms, norms), 1e-300)  # rel to |p| |q|: most pairs are orthogonal
+        got = np.array([[orc.inner(p, q) for q in polys] for p in polys])
+        assert np.max(np.abs(got - want) / scale) < 1e-13
+        assert np.max(np.abs(orc.inner_matrix(polys) - want) / scale) < 1e-13
+        assert np.max(np.abs(orc.inner_matrix(polys[:4], polys[4:]) - want[:4, 4:]) / scale[:4, 4:]) < 1e-13
+        got_norms = np.array([orc.norm(p) for p in polys])
+        assert np.max(np.abs(got_norms - norms) / np.maximum(norms, 1e-300)) < 1e-13
+        assert orc.inner(polys[5], polys[0]) == 0.0
+
+    def test_block_is_read_only_and_grows_to_the_requested_size(self):
+        orc = MomentOracle(product_spec([0.5, -0.3]))
+        G = orc.gram_block(3)
+        assert G.shape == (3, 3, 3, 3)
+        assert not G.flags.writeable
+        with pytest.raises(ValueError):
+            G[0, 0, 0, 0] = 1.0
+        assert orc.gram_block(2) is G  # a smaller request reads the block it has
+        assert orc.gram_block(5).shape == (5, 5, 5, 5)
+        orc.inner(BivariatePoly(CHEB_U, np.ones((7, 2))), BivariatePoly(CHEB_U, np.ones((1, 3))))
+        assert orc.gram_block(1).shape == (7, 7, 7, 7)
+        orc.gram([(0, 0), (8, 1)])
+        assert orc.gram_block(1).shape == (9, 9, 9, 9)
+        m1 = orc.chebu_table(16)
+        assert orc.gram_block(9)[2, 1, 3, 0] == pytest.approx(sum(m1[s, 1] for s in (1, 3, 5)), abs=1e-15)
 
 
 def test_doubly_hankel_structure():

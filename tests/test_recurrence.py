@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from bsz2d.lex_order import lex_system
+from bsz2d.moment_oracle import oracle_for
 from bsz2d.ortho import LEX, REVLEX, TOTAL
+from bsz2d.poly_core import CHEB_U, BivariatePoly, mul
 from bsz2d.recurrence import (
     lex_blocks,
     mixed_action_deviation,
@@ -9,6 +12,7 @@ from bsz2d.recurrence import (
     verify_lex_structure,
     verify_total_structure,
 )
+from bsz2d.total_order import build_total_vector
 from bsz2d.weights import chebyshev_spec, generic_spec, product_spec
 
 SPEC1 = product_spec([-0.6])       # N_f = 1, N_h = 2
@@ -77,6 +81,48 @@ class TestLexBlocks:
             lex_blocks(SPEC1, 3, 0, ordering=REVLEX)
         with pytest.raises(ValueError):
             lex_blocks(SPEC1, 2, 2, ordering="total")
+
+
+X = BivariatePoly(CHEB_U, [[0.0], [0.5]])  # x = U_1(x) / 2
+Y = BivariatePoly(CHEB_U, [[0.0, 0.5]])
+EX2 = generic_spec([[1.0], [-0.4, -0.8], [0.16, 0.32], [-0.064]])  # (1 - 2bz)(1 - 2ayz + a^2 z^2), a = 0.4, b = 0.2
+
+
+def _pairwise(spec, t, rows, cols) -> np.ndarray:
+    """[<t p, q>] pair by pair: t p by polynomial multiplication, each inner
+    product as the Chebyshev-U coefficients of t p q against the moment table."""
+    m1 = oracle_for(spec).chebu_table(40)
+    out = np.zeros((len(rows.entries), len(cols.entries)))
+    for i, (_, p) in enumerate(rows.entries):
+        tp = mul(p, t)
+        for j, (_, q) in enumerate(cols.entries):
+            c = mul(tp, q).coeffs
+            out[i, j] = np.sum(c * m1[: c.shape[0], : c.shape[1]])
+    return out
+
+
+class TestMatrixFormBlocks:
+    @pytest.mark.parametrize("spec", [product_spec([-0.45]), EX2, product_spec([0.5, -0.3])], ids=["ex1", "ex2", "ex4"])
+    def test_total_blocks_match_pairwise_products(self, spec):
+        for n in range(9):
+            blk = total_blocks(spec, n)
+            p_n, p_up = build_total_vector(spec, n), build_total_vector(spec, n + 1)
+            for got, t, cols in ((blk.a_x, X, p_up), (blk.b_x, X, p_n), (blk.a_y, Y, p_up), (blk.b_y, Y, p_n)):
+                assert np.max(np.abs(got - _pairwise(spec, t, p_n, cols))) < 1e-13
+
+    @pytest.mark.parametrize("spec", [product_spec([0.5, -0.3]), SPEC_CUBIC], ids=["product", "generic"])
+    @pytest.mark.parametrize("n, m", [(3, 3), (4, 5), (5, 2)])
+    def test_lex_blocks_match_pairwise_products(self, spec, n, m):
+        blk = lex_blocks(spec, n, m)
+        hi = lex_system(spec, n, m, LEX).slice_first(n)
+        lo = lex_system(spec, n - 1, m, LEX).slice_first(n - 1)
+        assert np.max(np.abs(blk.a - _pairwise(spec, X, lo, hi))) < 1e-13
+        assert np.max(np.abs(blk.b - _pairwise(spec, X, hi, hi))) < 1e-13
+        blk = lex_blocks(spec, n, m, ordering=REVLEX)
+        hi = lex_system(spec, n, m, REVLEX).slice_first(m)
+        lo = lex_system(spec, n, m - 1, REVLEX).slice_first(m - 1)
+        assert np.max(np.abs(blk.a - _pairwise(spec, Y, lo, hi))) < 1e-13
+        assert np.max(np.abs(blk.b - _pairwise(spec, Y, hi, hi))) < 1e-13
 
 
 class TestStructureReports:
