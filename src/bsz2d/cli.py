@@ -68,13 +68,13 @@ def main(ctx, tol):
 def moments(ctx, weight, max_degree, report):
     """Monomial moments of the probability-normalized measure, as CSV."""
     spec = _load_spec(weight)
-    orc = oracle_for(spec, ctx.obj["tol"])
+    table = oracle_for(spec, ctx.obj["tol"]).moment_table(max_degree)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["i", "j", "moment"])
     for i in range(max_degree + 1):
         for j in range(max_degree + 1):
-            writer.writerow([i, j, f"{orc.moment(i, j):.17g}"])
+            writer.writerow([i, j, f"{table[i, j]:.17g}"])
     _emit(buf.getvalue(), report)
 
 
@@ -158,11 +158,12 @@ def recurrence(ctx, weight, ordering, n, m, report):
 @click.option("--b2", type=float, default=None)
 @click.option("--depth", default=5, show_default=True)
 @click.option("--report", type=click.Path(), default=None)
-def example(example_id, a, b, a1, a2, b1, b2, depth, report):
+@click.pass_context
+def example(ctx, example_id, a, b, a1, a2, b1, b2, depth, report):
     """Run the regression suite for a registered example."""
     given = {k: v for k, v in dict(a=a, b=b, a1=a1, a2=a2, b1=b1, b2=b2).items() if v is not None}
     try:
-        rep = run_regression(example_id, depth, **given)
+        rep = run_regression(example_id, depth, tol=ctx.obj["tol"], **given)
     except TypeError as exc:
         raise click.UsageError(f"bad parameters for {example_id}: {exc}")
     text = json.dumps(rep.to_dict(), indent=2) + "\n"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moment_oracle import oracle_for
+from .moment_oracle import DEFAULT_TOL, oracle_for
 from .poly_core import CHEB_U, MONOMIAL, UnivariatePoly
 from .recurrence import lex_blocks, total_blocks, verify_total_structure
 from .szego_core import build_qk
@@ -166,43 +166,45 @@ class Report:
         }
 
 
-def run_regression(example_id: str, depth: int = 5, **params) -> Report:
+def run_regression(example_id: str, depth: int = 5, tol: float = DEFAULT_TOL, **params) -> Report:
     """Build systems to ``depth``, extract blocks, compare with the known
-    closed forms; failures land in the report, nothing raises."""
+    closed forms; failures land in the report, nothing raises.  Every
+    quadrature runs on one oracle at ``tol``."""
     if depth > 8:
         raise ValueError("depth is capped at 8")
     spec = EXAMPLES[example_id](**params)
     rep = Report(example_id, dict(params))
-    tol = 1e-8
+    orc = oracle_for(spec, tol)
+    gate = 1e-8
 
     for n in range(depth + 1):
-        system = build_total_vector(spec, n)
-        rep.add(f"total orthonormality n={n}", "independent quadrature", gram_deviation(spec, system), 1e-7)
+        system = build_total_vector(spec, n, orc)
+        rep.add(f"total orthonormality n={n}", "independent quadrature", gram_deviation(spec, system, orc), 1e-7)
 
-    blocks = {n: total_blocks(spec, n) for n in range(depth)}
+    blocks = {n: total_blocks(spec, n, oracle=orc) for n in range(depth)}
     if example_id == "ex1":
         a = params["a"]
         for n in range(1, depth):
             blk = blocks[n]
-            rep.add(f"A_x n={n}", "section 5.1 display", float(np.max(np.abs(blk.a_x - ex1_a_x(a, n)))), tol)
-            rep.add(f"A_y n={n}", "section 5.1 display", float(np.max(np.abs(blk.a_y - half_identity(n)))), tol)
-            rep.add(f"B_x=0 n={n}", "section 5.1 text", float(np.max(np.abs(blk.b_x))), tol)
-            rep.add(f"B_y=0 n={n}", "section 5.1 text", float(np.max(np.abs(blk.b_y))), tol)
+            rep.add(f"A_x n={n}", "section 5.1 display", float(np.max(np.abs(blk.a_x - ex1_a_x(a, n)))), gate)
+            rep.add(f"A_y n={n}", "section 5.1 display", float(np.max(np.abs(blk.a_y - half_identity(n)))), gate)
+            rep.add(f"B_x=0 n={n}", "section 5.1 text", float(np.max(np.abs(blk.b_x))), gate)
+            rep.add(f"B_y=0 n={n}", "section 5.1 text", float(np.max(np.abs(blk.b_y))), gate)
         if depth >= 3 and a != 0:
-            blk_l = lex_blocks(spec, 3, 3)
-            rep.add("lex collapse A", "section 4 collapse theorem", float(np.max(np.abs(blk_l.a - 0.5 * np.eye(4)))), tol)
-            rep.add("lex collapse B", "section 4 collapse theorem", float(np.max(np.abs(blk_l.b))), tol)
+            blk_l = lex_blocks(spec, 3, 3, oracle=orc)
+            rep.add("lex collapse A", "section 4 collapse theorem", float(np.max(np.abs(blk_l.a - 0.5 * np.eye(4)))), gate)
+            rep.add("lex collapse B", "section 4 collapse theorem", float(np.max(np.abs(blk_l.b))), gate)
     elif example_id == "ex2":
         a, b = params["a"], params["b"]
-        rep.add("B_x0", "section 5.2 display", float(abs(blocks[0].b_x[0, 0] - b)), tol)
-        rep.add("B_y0", "section 5.2 display", float(abs(blocks[0].b_y[0, 0] - a * b)), tol)
+        rep.add("B_x0", "section 5.2 display", float(abs(blocks[0].b_x[0, 0] - b)), gate)
+        rep.add("B_y0", "section 5.2 display", float(abs(blocks[0].b_y[0, 0] - a * b)), gate)
         if depth >= 2:
-            rep.add("B_x1", "section 5.2 display", float(np.max(np.abs(blocks[1].b_x - ex2_b_x1(a, b)))), tol)
+            rep.add("B_x1", "section 5.2 display", float(np.max(np.abs(blocks[1].b_x - ex2_b_x1(a, b)))), gate)
         for n in range(2, depth):
             want = np.zeros((n + 1, n + 1))
             want[:2, :2] = ex2_b_x1(a, b)
-            rep.add(f"B_x n={n}", "section 5.2 block display", float(np.max(np.abs(blocks[n].b_x - want))), tol)
-            rep.add(f"B_y=0 n={n}", "section 5.2 text", float(np.max(np.abs(blocks[n].b_y))), tol)
+            rep.add(f"B_x n={n}", "section 5.2 block display", float(np.max(np.abs(blocks[n].b_x - want))), gate)
+            rep.add(f"B_y=0 n={n}", "section 5.2 text", float(np.max(np.abs(blocks[n].b_y))), gate)
         if a != 0:
             q3 = build_qk(spec, 3)
             want = np.zeros_like(q3.coeffs)
@@ -210,7 +212,6 @@ def run_regression(example_id: str, depth: int = 5, **params) -> Report:
                 cz = hi.to_basis(CHEB_U).coeffs
                 want[i, : len(cz)] = cz
             rep.add("q_3 closed form", "section 5.2 display", float(np.max(np.abs(q3.coeffs - want))), 1e-14)
-        orc = oracle_for(spec)
         marg = max(
             abs(orc.univariate_moment(0, y) - ex2_marginal(a, b, y)) / ex2_marginal(a, b, y)
             for y in (-0.8, 0.0, 0.5)
@@ -218,7 +219,6 @@ def run_regression(example_id: str, depth: int = 5, **params) -> Report:
         rep.add("marginal mass", "section 5.2 integral", marg, 1e-9)
     elif example_id == "ex4":
         a1, a2 = params["a1"], params["a2"]
-        orc = oracle_for(spec)
         marg = max(
             abs(orc.univariate_moment(0, y) - ex4_marginal(a1, a2, y)) / ex4_marginal(a1, a2, y)
             for y in (-0.8, 0.0, 0.5)
@@ -227,21 +227,21 @@ def run_regression(example_id: str, depth: int = 5, **params) -> Report:
         if depth >= 2 and a1 * a2 != 0:
             # the marginal weight is even in y; its Bernstein-Szego factor is
             # 1 - a1 a2 w^2, so the k = 0 component is U_n - a1 a2 U_{n-2}
-            p = build_total_vector(spec, depth).poly((0, depth))
+            p = build_total_vector(spec, depth, orc).poly((0, depth))
             c = p.coeffs[0]
             ratio = c[depth - 2] / c[depth]
-            rep.add("V-type k=0 ratio", "section 5.4 V_n (index corrected)", float(abs(ratio + a1 * a2)), tol)
-            rep.add("V-type k=0 parity", "section 5.4 V_n (index corrected)", float(abs(c[depth - 1] / c[depth])), tol)
-            blk_l = lex_blocks(spec, 5, 5)
-            rep.add("lex collapse A", "section 4 collapse theorem", float(np.max(np.abs(blk_l.a - 0.5 * np.eye(6)))), tol)
-            rep.add("lex collapse B", "section 4 collapse theorem", float(np.max(np.abs(blk_l.b))), tol)
+            rep.add("V-type k=0 ratio", "section 5.4 V_n (index corrected)", float(abs(ratio + a1 * a2)), gate)
+            rep.add("V-type k=0 parity", "section 5.4 V_n (index corrected)", float(abs(c[depth - 1] / c[depth])), gate)
+            blk_l = lex_blocks(spec, 5, 5, oracle=orc)
+            rep.add("lex collapse A", "section 4 collapse theorem", float(np.max(np.abs(blk_l.a - 0.5 * np.eye(6)))), gate)
+            rep.add("lex collapse B", "section 4 collapse theorem", float(np.max(np.abs(blk_l.b))), gate)
 
     n0 = spec.n_h // 2
     for n in range(max(1, n0), min(depth, n0 + 3) + 1):
         try:
-            srep = verify_total_structure(spec, n)
+            srep = verify_total_structure(spec, n, oracle=orc)
             worst = max((abs(v[3]) for v in srep.violations), default=0.0)
-            rep.add(f"total structure n={n}", "section 4 block pattern", worst, tol)
+            rep.add(f"total structure n={n}", "section 4 block pattern", worst, gate)
         except ValueError:
             pass
     return rep

@@ -44,8 +44,15 @@ is a sum of moment-table entries over the linearization rule of
 ``poly_core._lin``.  Each oracle keeps one read-only G, grown to exactly
 the largest s a request has needed: s^4 doubles, 166 KB at s = 12.
 
-Monomial moments are cached with the tolerance they converged at, and
-served only to requests at that tolerance or a looser one.
+Monomial moments are not integrated separately.  x^i = sum_c M[c, i] U_c(x)
+with M exact, nonnegative and every column summing to at most 1 (J. C.
+Mason and D. C. Handscomb, Chebyshev Polynomials, 2003), so the monomial
+table is M^T m1 M and a slice moment is M^T u(y): their errors are no
+larger than the Chebyshev-U ones.  Every cache belongs to one oracle,
+that is to one (spec fingerprint, tol) pair.  A per-call tol looser than
+the oracle's is served from its table; a tighter one raises ValueError,
+since only ``oracle_for(spec, tol)`` can honour it.  Slice moments are
+not cached: each call runs its own 1-D ladder at the tol it is given.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ import tempfile
 import threading
 import zipfile
 from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,7 +75,7 @@ MAX_RESOLUTION = 2**14
 MAX_ORACLES = 8
 _START_RESOLUTION = 128
 _CHUNK_BYTES = 2**21  # bytes of weights evaluated in one theta-row chunk of a table
-_SPILL_KEYS = ("chebu", "mass", "chebu_err", "chebu_resolution", "mono_keys", "mono_vals")
+_SPILL_KEYS = ("chebu", "mass", "chebu_err", "chebu_resolution")
 
 
 class AccuracyError(RuntimeError):
@@ -89,10 +97,20 @@ def _sin_matrix(smax: int, theta: np.ndarray) -> np.ndarray:
     return np.sin((s + 1) * theta[None, :]) * np.sin(theta)[None, :]
 
 
-def _cos_matrix(imax: int, theta: np.ndarray) -> np.ndarray:
-    """Rows i = 0..imax of cos^i(theta) sin^2(theta)."""
-    i = np.arange(imax + 1)[:, None]
-    return np.cos(theta)[None, :] ** i * np.sin(theta)[None, :] ** 2
+@lru_cache(maxsize=64)
+def _mono_to_chebu(k: int) -> np.ndarray:
+    """M[c, i] with x^i = sum_c M[c, i] U_c(x), for i, c <= k.
+
+    Column i is x times column i - 1, by x U_c = (U_{c+1} + U_{c-1}) / 2
+    with U_{-1} = 0.  The entries are exact dyadic rationals.  The tables
+    are small, cached and read-only."""
+    M = np.zeros((k + 1, k + 1))
+    M[0, 0] = 1.0
+    for i in range(1, k + 1):
+        M[1:, i] = M[:-1, i - 1] / 2
+        M[:-1, i] += M[1:, i - 1] / 2
+    M.setflags(write=False)
+    return M
 
 
 def grid_size(polys: list[BivariatePoly]) -> int:
@@ -136,7 +154,6 @@ class MomentOracle:
         self._mass = 1.0
         self._chebu_err = 0.0
         self._chebu_resolution = 0
-        self._mono: dict[tuple[int, int], tuple[float, float, float]] = {}  # (value, error, tol)
         self._gram: np.ndarray | None = None
         self._systems: dict[tuple, OrthoSystem] = {}
         self._load_spill()
@@ -161,9 +178,9 @@ class MomentOracle:
         scale = 4.0 * (2.0 * np.pi / resolution) ** 2 / np.pi**2
         return scale * (AW @ B.T)
 
-    def _converged_table(self, make_rows, tol: float) -> tuple[np.ndarray, np.ndarray, float, int]:
+    def _converged_table(self, make_rows) -> tuple[np.ndarray, float, int]:
         """The first table whose increment over the previous doubling is below
-        tol; returns (table, previous table, increment, resolution)."""
+        the oracle's tol; returns (table, increment, resolution)."""
         resolution = _START_RESOLUTION
         prev = self._table_at(make_rows, resolution)
         err = float("inf")
@@ -172,12 +189,12 @@ class MomentOracle:
             if resolution > self.max_resolution:
                 raise AccuracyError(
                     f"no convergence below resolution {self.max_resolution} "
-                    f"(last increment {err:.3e}, tol {tol:.3e})"
+                    f"(last increment {err:.3e}, tol {self.tol:.3e})"
                 )
             cur = self._table_at(make_rows, resolution)
             err = float(np.max(np.abs(cur - prev) / (1.0 + np.abs(cur))))
-            if err < tol:
-                return cur, prev, err, resolution
+            if err < self.tol:
+                return cur, err, resolution
             prev = cur
 
     # -- Chebyshev-U moments ---------------------------------------------
@@ -191,7 +208,7 @@ class MomentOracle:
             if self._chebu_table is None or self._chebu_table.shape[0] <= smax:
                 size = max(smax, 63)
                 make = lambda th: (_sin_matrix(size, th), _sin_matrix(size, th))
-                table, _, err, res = self._converged_table(make, self.tol)
+                table, err, res = self._converged_table(make)
                 self._mass = float(table[0, 0])
                 self._chebu_table = table / self._mass
                 self._chebu_err, self._chebu_resolution = err, res
@@ -205,42 +222,41 @@ class MomentOracle:
         return self._mass
 
     # -- monomial moments -------------------------------------------------
+    def moment_table(self, k: int) -> np.ndarray:
+        """integral of x^i y^j dmu for i, j <= k, as M^T m1 M."""
+        M = _mono_to_chebu(k)
+        return M.T @ self.chebu_table(k) @ M
+
     def moment_with_error(self, i: int, j: int, tol: float | None = None) -> tuple[float, float]:
+        """The moment of x^i y^j and the increment of the Chebyshev-U table
+        it is derived from, which bounds its error."""
         if i < 0 or j < 0:
             raise ValueError("moment exponents must be nonnegative")
-        tol = self.tol if tol is None else tol
-        with self._lock:
-            hit = self._mono.get((i, j))
-            if hit is None or hit[2] > tol:  # missing, or converged at a looser tol
-                mass = self.mass
-                imax = max(i, j, 8)
-                make = lambda th: (_cos_matrix(imax, th), _cos_matrix(imax, th))
-                table, prev, _, _ = self._converged_table(make, tol)
-                table = table / mass
-                errs = np.abs(table - prev / mass)
-                for a in range(imax + 1):
-                    for b in range(imax + 1):
-                        have = self._mono.get((a, b))
-                        if have is None or have[2] > tol:  # keep entries at least as tight
-                            self._mono[(a, b)] = (float(table[a, b]), float(errs[a, b]), tol)
-                self._save_spill()
-                hit = self._mono[(i, j)]
-            return hit[:2]
+        if tol is not None and tol < self.tol:
+            raise ValueError(f"tol {tol:.3e} is tighter than this oracle's {self.tol:.3e}; use oracle_for(spec, tol)")
+        return float(self.moment_table(max(i, j))[i, j]), self._chebu_err
 
     def moment(self, i: int, j: int, tol: float | None = None) -> float:
         return self.moment_with_error(i, j, tol)[0]
 
     # -- univariate slice measure ----------------------------------------
-    def _uni_values(self, rows_of, y: float, tol: float) -> np.ndarray:
+    def univariate_moment(self, i: int, y: float, tol: float | None = None) -> float:
+        """integral of x^i dmu_y(x), as M^T u(y)."""
+        return float(_mono_to_chebu(i)[:, i] @ self.univariate_chebu_moments(i, y, tol))
+
+    def univariate_chebu_moments(self, smax: int, y: float, tol: float | None = None) -> np.ndarray:
+        """integral of U_s(x) dmu_y(x) for s = 0..smax."""
+        if abs(y) > 1.0:
+            raise ValueError("need |y| <= 1")
+        tol = self.tol if tol is None else tol
         resolution = _START_RESOLUTION
 
         def run(res: int) -> np.ndarray:
             th = _interior_grid(res)
             w = 1.0 / self.spec.h_abs2(th, y)
-            A = rows_of(th)
             # dmu_y carries no 2/pi prefactor: 1/2 * trapezoid over [0, 2pi),
             # which is twice the sum over the interior half grid
-            return (2.0 * np.pi / res) * (A @ w)
+            return (2.0 * np.pi / res) * (_sin_matrix(smax, th) @ w)
 
         prev = run(resolution)
         while True:
@@ -251,19 +267,6 @@ class MomentOracle:
             if float(np.max(np.abs(cur - prev) / (1.0 + np.abs(cur)))) < tol:
                 return cur
             prev = cur
-
-    def univariate_moment(self, i: int, y: float, tol: float | None = None) -> float:
-        """integral of x^i dmu_y(x)."""
-        if abs(y) > 1.0:
-            raise ValueError("need |y| <= 1")
-        tol = self.tol if tol is None else tol
-        vals = self._uni_values(lambda th: _cos_matrix(i, th), y, tol)
-        return float(vals[i])
-
-    def univariate_chebu_moments(self, smax: int, y: float, tol: float | None = None) -> np.ndarray:
-        """integral of U_s(x) dmu_y(x) for s = 0..smax."""
-        tol = self.tol if tol is None else tol
-        return self._uni_values(lambda th: _sin_matrix(smax, th), y, tol)
 
     def slice_inner(self, fx: np.ndarray, gx: np.ndarray, y: float) -> float:
         """integral of f(x) g(x) dmu_y(x) for Chebyshev-U coefficient vectors."""
@@ -381,8 +384,6 @@ class MomentOracle:
         path = self._spill_path()
         if path is None or self._chebu_table is None:
             return
-        mono_keys = np.array(sorted(self._mono), dtype=int).reshape(-1, 2)
-        mono_vals = np.array([self._mono[tuple(k)] for k in mono_keys], dtype=float).reshape(-1, 3)
         # write beside the target, then rename over it: a reader never sees half a file
         fd, tmp = tempfile.mkstemp(suffix=".npz.tmp", dir=os.path.dirname(path))
         try:
@@ -393,8 +394,6 @@ class MomentOracle:
                     mass=self._mass,
                     chebu_err=self._chebu_err,
                     chebu_resolution=self._chebu_resolution,
-                    mono_keys=mono_keys,
-                    mono_vals=mono_vals,
                 )
             os.replace(tmp, path)
         except BaseException:
@@ -412,19 +411,15 @@ class MomentOracle:
                 spill = {key: data[key] for key in _SPILL_KEYS}
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
             return
-        table, keys, vals = spill["chebu"], spill["mono_keys"], spill["mono_vals"]
+        table = spill["chebu"]
         if table.ndim != 2 or table.shape[0] != table.shape[1] or not np.all(np.isfinite(table)):
             return
-        if keys.ndim != 2 or keys.shape[1:] != (2,) or vals.shape != (len(keys), 3):
-            return  # a spill without per-entry tols is malformed too
         if not float(spill["chebu_err"]) <= self.tol:
             return  # written at a looser tolerance: recompute
         self._chebu_table = table
         self._mass = float(spill["mass"])
         self._chebu_err = float(spill["chebu_err"])
         self._chebu_resolution = int(spill["chebu_resolution"])
-        for k, v in zip(keys, vals):
-            self._mono[(int(k[0]), int(k[1]))] = (float(v[0]), float(v[1]), float(v[2]))
 
 
 _ORACLES: OrderedDict[str, MomentOracle] = OrderedDict()
@@ -449,11 +444,11 @@ def oracle_for(spec: WeightSpec, tol: float = DEFAULT_TOL) -> MomentOracle:
 
 
 def moment(spec: WeightSpec, i: int, j: int, tol: float = DEFAULT_TOL) -> float:
-    return oracle_for(spec).moment(i, j, tol)
+    return oracle_for(spec, tol).moment(i, j)
 
 
 def univariate_moment(spec: WeightSpec, i: int, y: float, tol: float = DEFAULT_TOL) -> float:
-    return oracle_for(spec).univariate_moment(i, y, tol)
+    return oracle_for(spec, tol).univariate_moment(i, y)
 
 
 def gram_schmidt(spec: WeightSpec, ordering: str, n: int, m: int | None = None) -> OrthoSystem:
@@ -463,10 +458,6 @@ def gram_schmidt(spec: WeightSpec, ordering: str, n: int, m: int | None = None) 
 def monomial_moment_matrix(spec: WeightSpec, indices: list[tuple[int, int]]) -> np.ndarray:
     """Moment matrix over monomials x^i y^j; entry depends only on the
     exponent sums, which is the doubly Hankel structure."""
-    oracle = oracle_for(spec)
-    n = len(indices)
-    M = np.empty((n, n))
-    for a, (ia, ja) in enumerate(indices):
-        for b, (ib, jb) in enumerate(indices):
-            M[a, b] = oracle.moment(ia + ib, ja + jb)
-    return M
+    ii, jj = np.array(indices).T
+    table = oracle_for(spec).moment_table(2 * int(max(ii.max(), jj.max())))
+    return table[ii[:, None] + ii[None, :], jj[:, None] + jj[None, :]]

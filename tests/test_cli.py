@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from bsz2d import moment_oracle
 from bsz2d.cli import main
+from bsz2d.examples_suite import EXAMPLES
 from bsz2d.weights import product_spec
 
 
@@ -128,6 +129,12 @@ class TestExampleAndVerify:
 
 
 class TestTolerance:
+    @staticmethod
+    def _assert_one_oracle_at(spec, tol):
+        keys = [k for k in moment_oracle._ORACLES if k.startswith(spec.fingerprint)]
+        assert keys == [f"{spec.fingerprint}:{tol:.3e}"]
+        assert moment_oracle._ORACLES[keys[0]].tol == tol
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -135,17 +142,21 @@ class TestTolerance:
             ["recurrence", "--ordering", "lex", "--n", "3", "--m", "3"],
             ["lex", "--n", "3", "--m", "3"],
             ["verify", "--depth", "3"],
+            ["moments", "--max-degree", "3"],
         ],
-        ids=["recurrence-total", "recurrence-lex", "lex", "verify"],
+        ids=["recurrence-total", "recurrence-lex", "lex", "verify", "moments"],
     )
     def test_tol_reaches_the_library(self, runner, product_weight, monkeypatch, args):
         monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
         res = runner.invoke(main, ["--tol", "1e-6", args[0], "--weight", product_weight, *args[1:]])
         assert res.exit_code == 0, res.output
-        spec = product_spec([-0.6])
-        keys = [k for k in moment_oracle._ORACLES if k.startswith(spec.fingerprint)]
-        assert keys == [f"{spec.fingerprint}:{1e-6:.3e}"]
-        assert moment_oracle._ORACLES[keys[0]].tol == 1e-6
+        self._assert_one_oracle_at(product_spec([-0.6]), 1e-6)
+
+    def test_tol_reaches_example(self, runner, monkeypatch):
+        monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
+        res = runner.invoke(main, ["--tol", "1e-6", "example", "--id", "ex1", "--a", "0.3", "--depth", "3"])
+        assert res.exit_code == 0, res.output
+        self._assert_one_oracle_at(EXAMPLES["ex1"](a=0.3), 1e-6)
 
 
 class TestErrors:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -272,7 +273,7 @@ class TestSpill:
 
     def _spill(self, tmp_path, monkeypatch, spec):
         monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
-        MomentOracle(spec).moment(1, 1)  # fills the chebU and the monomial tables
+        MomentOracle(spec).moment(1, 1)  # fills and spills the chebU table
         (path,) = tmp_path.iterdir()
         with np.load(path) as data:
             return path, dict(data)
@@ -281,24 +282,11 @@ class TestSpill:
         "corrupt",
         [
             lambda d: d.pop("chebu_err"),
-            lambda d: d.pop("mono_vals"),
             lambda d: d.update(chebu=d["chebu"][0]),
             lambda d: d.update(chebu=d["chebu"][:, :-1]),
             lambda d: d.update(chebu=np.where(np.eye(len(d["chebu"])) > 0, np.nan, d["chebu"])),
-            lambda d: d.update(mono_vals=d["mono_vals"][:-1]),
-            lambda d: d.update(mono_keys=d["mono_keys"].ravel()),
-            lambda d: d.update(mono_vals=d["mono_vals"][:, :2]),
         ],
-        ids=[
-            "no-err",
-            "no-mono-vals",
-            "chebu-1d",
-            "chebu-not-square",
-            "chebu-nan",
-            "mono-lengths",
-            "mono-keys-1d",
-            "mono-no-tol",
-        ],
+        ids=["no-err", "chebu-1d", "chebu-not-square", "chebu-nan"],
     )
     def test_malformed_spill_is_recomputed(self, tmp_path, monkeypatch, corrupt):
         spec = product_spec([0.45])
@@ -309,6 +297,16 @@ class TestSpill:
         reopened = MomentOracle(spec)
         assert reopened._chebu_table is None  # the spill was not adopted
         assert np.max(np.abs(reopened.chebu_table(4) - want)) < 1e-14
+
+    def test_old_spill_with_monomial_keys_is_adopted(self, tmp_path, monkeypatch):
+        # the four chebU fields mean what they meant; the monomial entries are ignored
+        spec = product_spec([0.45])
+        path, data = self._spill(tmp_path, monkeypatch, spec)
+        np.savez(path, **data, mono_keys=np.array([[1, 1]]), mono_vals=np.array([[0.5, 1e-12, 1e-11]]))
+        reopened = MomentOracle(spec, max_resolution=64)  # can only succeed by reading the spill
+        assert reopened._chebu_table is not None
+        assert np.array_equal(reopened.chebu_table(4), data["chebu"][:5, :5])
+        assert reopened.moment(1, 1) == pytest.approx(data["chebu"][1, 1] / 4, abs=1e-15)
 
     def test_truncated_spill_is_recomputed(self, tmp_path, monkeypatch):
         spec = product_spec([0.45])
@@ -326,32 +324,103 @@ class TestSpill:
 
         monkeypatch.setattr(np, "savez", broken_savez)
         with pytest.raises(OSError):
-            MomentOracle(spec).moment(12, 0)  # beyond the spilled monomial table: computes and saves
+            MomentOracle(spec).chebu_table(70)  # beyond the spilled 64-row table: computes and saves
         assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
         with np.load(path) as kept:
             assert np.array_equal(kept["chebu"], data["chebu"])
 
 
-class TestMonomialCache:
+class TestTolContract:
     SPEC = product_spec([0.9])
 
-    def test_tighter_tol_is_not_served_a_looser_entry(self, monkeypatch):
-        orc = MomentOracle(self.SPEC)
-        _, loose_err = orc.moment_with_error(2, 2, tol=1e-3)
-        tight = orc.moment_with_error(2, 2, tol=1e-13)
-        assert loose_err > 1e-9 and tight[1] < 1e-13
-        assert tight == MomentOracle(self.SPEC).moment_with_error(2, 2, tol=1e-13)
-        # a looser request is served from the tighter entry, with no quadrature
-        monkeypatch.setattr(orc, "_converged_table", None)
-        assert orc.moment_with_error(2, 2, tol=1e-3) == tight
-        assert orc.moment_with_error(3, 1, tol=1e-13)[1] < 1e-13  # the whole table was refreshed
+    def test_tighter_tol_raises(self):
+        orc = MomentOracle(self.SPEC, tol=1e-6)
+        with pytest.raises(ValueError, match=r"oracle_for\(spec, tol\)"):
+            orc.moment_with_error(2, 2, tol=1e-13)
+        with pytest.raises(ValueError):
+            orc.moment(1, 0, tol=1e-7)
 
-    def test_spilled_entries_keep_their_tol(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
-        MomentOracle(self.SPEC).moment_with_error(2, 2, tol=1e-3)
-        reopened = MomentOracle(self.SPEC)
-        assert reopened._chebu_table is not None  # the spill was adopted
-        assert reopened.moment_with_error(2, 2, tol=1e-13)[1] < 1e-13
+    def test_looser_tol_is_served_from_the_table(self, monkeypatch):
+        orc = MomentOracle(self.SPEC)
+        want = orc.moment_with_error(2, 2)
+        assert want[1] == orc._chebu_err < 1e-11
+        monkeypatch.setattr(orc, "_table_at", None)  # any new quadrature would fail
+        assert orc.moment_with_error(2, 2, tol=1e-3) == want
+        assert orc.moment(3, 1, tol=1e-6) == orc.moment_table(3)[3, 1]
+
+    def test_module_helper_builds_the_oracle_at_its_tol(self, monkeypatch):
+        monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
+        moment_oracle.moment(self.SPEC, 2, 2, tol=1e-13)
+        assert [o.tol for o in moment_oracle._ORACLES.values()] == [1e-13]
+
+
+def _cos_matrix(imax: int, theta: np.ndarray) -> np.ndarray:
+    """Rows i = 0..imax of cos^i(theta) sin^2(theta)."""
+    return np.cos(theta)[None, :] ** np.arange(imax + 1)[:, None] * np.sin(theta)[None, :] ** 2
+
+
+def _trapezoid_moments(spec, k: int) -> np.ndarray:
+    """integral of x^i y^j dmu for i, j <= k, straight from the definition:
+    the trapezoid rule on the full grid [0, 2 pi)^2 with rows
+    cos^i(theta) sin^2(theta) and the complex |h(e^{i theta}, y)|^2,
+    normalized by the (0, 0) entry.  Chunked over theta rows so R = 4096
+    stays small."""
+
+    def at(res):
+        th = 2.0 * np.pi * np.arange(res) / res
+        A = _cos_matrix(k, th)
+        AW = np.zeros((k + 1, res))
+        for lo in range(0, res, 256):
+            W = 1.0 / np.abs(spec.h_eval(np.exp(1j * th[lo : lo + 256, None]), np.cos(th)[None, :])) ** 2
+            AW += A[:, lo : lo + 256] @ W
+        T = AW @ A.T
+        return T / T[0, 0]
+
+    return _ladder(at)
+
+
+def _trapezoid_slice_moments(spec, k: int, y: float) -> np.ndarray:
+    """integral of x^i dmu_y(x) for i <= k: half the trapezoid sum over
+    [0, 2 pi) of cos^i(theta) sin^2(theta) / |h(e^{i theta}, y)|^2."""
+
+    def at(res):
+        th = 2.0 * np.pi * np.arange(res) / res
+        return (np.pi / res) * (_cos_matrix(k, th) @ (1.0 / np.abs(spec.h_eval(np.exp(1j * th), y)) ** 2))
+
+    return _ladder(at)
+
+
+def _ladder(at, tol: float = 1e-14) -> np.ndarray:
+    """at(R) for the first doubling of R whose increment, relative to
+    1 + |value|, is below tol."""
+    res, prev = 128, at(128)
+    while res < 2**14:
+        res *= 2
+        cur = at(res)
+        if np.max(np.abs(cur - prev) / (1.0 + np.abs(cur))) < tol:
+            return cur
+        prev = cur
+    raise AssertionError("reference quadrature did not converge")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        product_spec([0.5, -0.3]),
+        product_spec([0.9]),
+        product_spec([0.978]),
+        product_spec([0.4, 0.3, -0.5]),
+        generic_spec([[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]]),
+    ],
+    ids=["two-factor", "a=0.9", "a=0.978", "three-factor", "generic"],
+)
+def test_derived_moments_match_direct_trapezoid(spec):
+    orc = MomentOracle(spec)
+    assert np.max(np.abs(orc.moment_table(8) - _trapezoid_moments(spec, 8))) < 1e-13
+    for y in (-0.8, 0.1, 0.6):
+        got = np.array([orc.univariate_moment(i, y) for i in range(5)])
+        want = _trapezoid_slice_moments(spec, 4, y)  # the slice mass reaches 36 at a = 0.978
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-13
 
 
 def test_unstable_weight_is_rejected():
