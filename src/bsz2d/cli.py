@@ -87,7 +87,7 @@ def total(ctx, weight, n, report):
     """The total-degree orthonormal vector P_n, as JSON."""
     spec = _load_spec(weight)
     system = build_total_vector(spec, n, oracle_for(spec, ctx.obj["tol"]))
-    _emit(system.to_json(indent=2) + "\n", report)
+    _emit(system.to_json() + "\n", report)
 
 
 @main.command()
@@ -101,7 +101,7 @@ def lex(ctx, weight, n, m, revlex, report):
     """The full lex (or revlex) system on the n-by-m window, as JSON."""
     spec = _load_spec(weight)
     system = lex_system(spec, n, m, REVLEX if revlex else LEX, oracle_for(spec, ctx.obj["tol"]))
-    _emit(system.to_json(indent=2) + "\n", report)
+    _emit(system.to_json() + "\n", report)
 
 
 @main.command()
@@ -143,7 +143,7 @@ def recurrence(ctx, weight, ordering, n, m, report):
     click.echo(buf.getvalue(), nl=False)
     if report:
         with open(report, "w") as fh:
-            json.dump(verdict, fh, indent=2)
+            json.dump(verdict, fh)
     if verdict.get("ok") is False:
         sys.exit(1)
 
@@ -166,7 +166,7 @@ def example(ctx, example_id, a, b, a1, a2, b1, b2, depth, report):
         rep = run_regression(example_id, depth, tol=ctx.obj["tol"], **given)
     except TypeError as exc:
         raise click.UsageError(f"bad parameters for {example_id}: {exc}")
-    text = json.dumps(rep.to_dict(), indent=2) + "\n"
+    text = json.dumps(rep.to_dict()) + "\n"
     _emit(text, report)
     if not rep.ok:
         sys.exit(1)
@@ -200,7 +200,7 @@ def verify(ctx, weight, depth, report):
             record(f"total structure n={n}", max((abs(v[3]) for v in srep.violations), default=0.0), 1e-8)
         except ValueError:
             pass
-    text = json.dumps({"weight": weight, "checks": checks, "ok": all(c["passed"] for c in checks)}, indent=2) + "\n"
+    text = json.dumps({"weight": weight, "checks": checks, "ok": all(c["passed"] for c in checks)}) + "\n"
     _emit(text, report)
     if not all(c["passed"] for c in checks):
         sys.exit(1)

@@ -433,9 +433,7 @@ def laurent_from_separable(zc: Mapping[int, float], wc: Mapping[int, float]) -> 
 
 
 def poly_to_dict(p: BivariatePoly | UnivariatePoly) -> dict:
-    if isinstance(p, UnivariatePoly):
-        return {"basis": p.basis, "coeffs": [float(c) for c in p.coeffs]}
-    return {"basis": p.basis, "coeffs": [[float(c) for c in row] for row in p.coeffs]}
+    return {"basis": p.basis, "coeffs": p.coeffs.tolist()}
 
 
 def poly_from_dict(d: dict) -> BivariatePoly | UnivariatePoly:
