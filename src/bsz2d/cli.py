@@ -118,28 +118,34 @@ def recurrence(ctx, weight, ordering, n, m, report):
     buf = io.StringIO()
     writer = csv.writer(buf)
     verdict: dict = {"ordering": ordering}
+    # a structure check computes the blocks itself; they are computed here
+    # only when the check does not apply to this level or window
     if ordering == TOTAL:
-        blk = total_blocks(spec, n, oracle=orc)
-        for name, mat in (("A_x", blk.a_x), ("B_x", blk.b_x), ("A_y", blk.a_y), ("B_y", blk.b_y)):
-            _matrix_csv(writer, name, mat)
         try:
             srep = verify_total_structure(spec, n, oracle=orc)
+            blk = srep.blocks
             verdict.update(ok=srep.ok, sizes=srep.sizes, violations=srep.violations,
                            seam={f"{i},{j}": v for (i, j), v in srep.seam.items()})
         except ValueError as exc:
+            blk = total_blocks(spec, n, oracle=orc)
             verdict.update(ok=None, note=str(exc))
+        for name, mat in (("A_x", blk.a_x), ("B_x", blk.b_x), ("A_y", blk.a_y), ("B_y", blk.b_y)):
+            _matrix_csv(writer, name, mat)
     else:
         if m is None:
             raise click.UsageError("--m is required for lex/revlex recurrences")
-        blk = lex_blocks(spec, n, m, ordering=ordering, oracle=orc)
+        blk = None
+        if ordering == LEX:
+            try:
+                srep = verify_lex_structure(spec, n, m, oracle=orc)
+                blk = srep.blocks
+                verdict.update(ok=srep.ok, sizes=srep.sizes, violations=srep.violations)
+            except ValueError as exc:
+                verdict.update(ok=None, note=str(exc))
+        if blk is None:
+            blk = lex_blocks(spec, n, m, ordering=ordering, oracle=orc)
         _matrix_csv(writer, "A", blk.a)
         _matrix_csv(writer, "B", blk.b)
-        try:
-            srep = verify_lex_structure(spec, n, m, oracle=orc) if ordering == LEX else None
-            if srep is not None:
-                verdict.update(ok=srep.ok, sizes=srep.sizes, violations=srep.violations)
-        except ValueError as exc:
-            verdict.update(ok=None, note=str(exc))
     click.echo(buf.getvalue(), nl=False)
     if report:
         with open(report, "w") as fh:

@@ -100,6 +100,23 @@ class TestRecurrence:
         A = np.array([[float(v) for v in rows[a_start + i]] for i in range(4)])
         assert np.max(np.abs(A - 0.5 * np.eye(4))) < 1e-8
 
+    def test_lex_windows_built_once(self, runner, product_weight, monkeypatch):
+        from bsz2d import recurrence
+
+        windows = []
+        real = recurrence.lex_system
+
+        def counting(spec, n, m, *args, **kwargs):
+            windows.append((n, m))
+            return real(spec, n, m, *args, **kwargs)
+
+        monkeypatch.setattr(recurrence, "lex_system", counting)
+        res = runner.invoke(
+            main, ["recurrence", "--weight", product_weight, "--ordering", "lex", "--n", "3", "--m", "3"]
+        )
+        assert res.exit_code == 0, res.output
+        assert sorted(windows) == [(2, 3), (3, 3)]  # the structure check's blocks are the ones printed
+
     def test_lex_requires_m(self, runner, product_weight):
         res = runner.invoke(main, ["recurrence", "--weight", product_weight, "--ordering", "lex", "--n", "3"])
         assert res.exit_code == 2
