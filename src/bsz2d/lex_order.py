@@ -12,6 +12,13 @@ provided: a nullspace solve that kills every forbidden tensor-Chebyshev
 slot (the production path), and the step-by-step Laurent elimination
 that determines the same combination by repeatedly cancelling the
 w^{-(m+1)} term of the tracked leading image.
+
+Every term above is one polynomial times one U_k, so a slot is built in
+coefficient space: ``poly_core.u_band`` applies the banded product by
+U_k along one axis to the grid of q_r or q~_l.  ``lex_system`` builds
+the grids of all closed-form slots of a window, normalizes them together
+with one diag(C G C^T) over the oracle's Gram block G, and makes one
+polynomial per slot.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ import numpy as np
 
 from .moment_oracle import MomentOracle, oracle_for
 from .ortho import LEX, REVLEX, OrthoSystem
-from .poly_core import CHEB_U, MONOMIAL, BivariatePoly, LaurentPoly, mul, t_map, u_index
-from .szego_core import build_qk, build_tilde_ql, norm_threshold
+from .poly_core import CHEB_U, MONOMIAL, BivariatePoly, LaurentPoly, t_map, u_band
+from .szego_core import norm_threshold, qk_grid, tilde_ql_grid
 from .weights import PRODUCT_OMEGA, WeightSpec, homogeneous_corner, omega_laurent
 
 
@@ -59,7 +66,17 @@ def high_band_range(spec: WeightSpec, m: int) -> range:
 # ---------------------------------------------------------------------------
 
 
-def build_lex_low(spec: WeightSpec, r: int, k: int, normalize: bool = True) -> BivariatePoly:
+def _stack(grids: list[np.ndarray]) -> np.ndarray:
+    """The grids zero-padded into one (len(grids), imax, jmax) array."""
+    out = np.zeros((len(grids), max(g.shape[0] for g in grids), max(g.shape[1] for g in grids)))
+    for a, g in enumerate(grids):
+        out[a, : g.shape[0], : g.shape[1]] = g
+    return out
+
+
+def build_lex_low(
+    spec: WeightSpec, r: int, k: int, normalize: bool = True, oracle: MomentOracle | None = None
+) -> BivariatePoly:
     """q_r(x, y) U_k(y), unit norm: the lex slot (r, k) whenever k <= m - kappa.
 
     Independent of the window bound m, so a slot survives window growth
@@ -74,10 +91,10 @@ def build_lex_low(spec: WeightSpec, r: int, k: int, normalize: bool = True) -> B
         pass  # boundary case, accepted
     elif r < r_min:
         raise ValueError(f"low-band closed form needs r >= {r_min} (N_h = {spec.n_h})")
-    p = mul(build_qk(spec, r), BivariatePoly.from_separable(u_index(0), u_index(k)))
+    p = BivariatePoly(CHEB_U, u_band(qk_grid(spec, r), k, 1))
     if not normalize:
         return p
-    unit, _ = oracle_for(spec).normalized(p, (r, k))
+    unit, _ = (oracle_for(spec) if oracle is None else oracle).normalized(p, (r, k))
     return unit
 
 
@@ -86,22 +103,28 @@ def build_lex_low(spec: WeightSpec, r: int, k: int, normalize: bool = True) -> B
 # ---------------------------------------------------------------------------
 
 
-def _high_band_terms(spec: WeightSpec, r: int, k: int, m: int) -> list[BivariatePoly]:
-    """The 2J candidate products of the high-band combination, a-terms first."""
+def _high_band_grids(spec: WeightSpec, r: int, k: int, m: int) -> np.ndarray:
+    """The grids of the 2J candidate products of the high-band combination,
+    a-terms first, stacked by ``_stack``."""
     n_f = spec.n_f
     if not (m - n_f < k <= m):
         raise ValueError(f"high band covers {m - n_f} < k <= {m}")
     if not (r >= 2 * n_f and m >= 2 * n_f):
         raise ValueError(f"need r, m >= 2 N_f = {2 * n_f}")
     steps = k - (m - n_f)
-    terms = []
-    for j in range(steps):
-        uy = BivariatePoly.from_separable(u_index(0), u_index(k - j))
-        terms.append(mul(build_qk(spec, r + j), uy))
-    for j in range(steps):
-        ux = BivariatePoly.from_separable(u_index(r + k - m - 1 - j), u_index(0))
-        terms.append(mul(build_tilde_ql(spec, m + 1 + j), ux))
-    return terms
+    terms = [u_band(qk_grid(spec, r + j), k - j, 1) for j in range(steps)]
+    terms += [u_band(tilde_ql_grid(spec, m + 1 + j), r + k - m - 1 - j, 0) for j in range(steps)]
+    return _stack(terms)
+
+
+def _forbidden_rows(grids: np.ndarray, r: int, k: int, m: int) -> np.ndarray:
+    """The rows [grid[i, j] for each grid] at every slot (i, j) that is out of
+    window (j > m) or lex-greater than (r, k), in row-major slot order,
+    except those that are zero in every grid."""
+    i = np.arange(grids.shape[1])[:, None]
+    j = np.arange(grids.shape[2])[None, :]
+    rows = grids[:, (j > m) | (i > r) | ((i == r) & (j > k))].T
+    return rows[np.any(rows != 0.0, axis=1)]
 
 
 def high_band_coefficients(
@@ -113,23 +136,17 @@ def high_band_coefficients(
     Returns the nullspace vector (a_0..a_{J-1}, b_0..b_{J-1}) and the
     candidate terms.  The nullspace must be one-dimensional.
     """
-    terms = _high_band_terms(spec, r, k, m)
-    imax = max(t.coeffs.shape[0] for t in terms)
-    jmax = max(t.coeffs.shape[1] for t in terms)
-    grids = np.zeros((len(terms), imax, jmax))
-    for t_i, t in enumerate(terms):
-        si, sj = t.coeffs.shape
-        grids[t_i, :si, :sj] = t.coeffs
-    rows = []
-    for i in range(imax):
-        for j in range(jmax):
-            forbidden = j > m or i > r or (i == r and j > k)
-            if forbidden and np.any(grids[:, i, j] != 0.0):
-                rows.append(grids[:, i, j])
-    M = np.array(rows) if rows else np.zeros((0, len(terms)))
-    _, s, Vt = np.linalg.svd(M) if M.size else (None, np.zeros(0), np.eye(len(terms)))
+    grids = _high_band_grids(spec, r, k, m)
+    return _null_vector(grids, r, k, m, svd_ratio), [BivariatePoly(CHEB_U, g) for g in grids]
+
+
+def _null_vector(grids: np.ndarray, r: int, k: int, m: int, svd_ratio: float = 1e-8) -> np.ndarray:
+    """The combination of the stacked term grids that kills every forbidden slot."""
+    M = _forbidden_rows(grids, r, k, m)
+    n_terms = len(grids)
+    _, s, Vt = np.linalg.svd(M) if M.size else (None, np.zeros(0), np.eye(n_terms))
     smax = s[0] if len(s) else 0.0
-    null_dim = len(terms) - len(s) + int(np.sum(s <= svd_ratio * smax)) if smax > 0 else len(terms)
+    null_dim = n_terms - len(s) + int(np.sum(s <= svd_ratio * smax)) if smax > 0 else n_terms
     if null_dim != 1:
         raise DegenerateWindowError(
             f"nullspace dimension {null_dim} at slot (r, k, m) = ({r}, {k}, {m})"
@@ -137,21 +154,21 @@ def high_band_coefficients(
     v = Vt[-1]
     if abs(v[0]) < 1e-10 * np.max(np.abs(v)):
         raise AnomalousSolutionError(f"leading combination weight a_0 ~ 0 at ({r}, {k}, {m})")
-    return v, terms
+    return v
 
 
-def _high_band_sum(spec: WeightSpec, r: int, k: int, m: int) -> BivariatePoly:
-    """The solved high-band combination at lex slot (r, k), un-normalized."""
-    v, terms = high_band_coefficients(spec, r, k, m)
-    p = BivariatePoly.zero(CHEB_U)
-    for c, t in zip(v, terms):
-        p = p + t.scale(float(c))
-    return p
+def _high_band_sum(spec: WeightSpec, r: int, k: int, m: int) -> np.ndarray:
+    """The grid of the solved high-band combination at lex slot (r, k), un-normalized."""
+    grids = _high_band_grids(spec, r, k, m)
+    return np.tensordot(_null_vector(grids, r, k, m), grids, axes=1)
 
 
-def build_lex_high(spec: WeightSpec, r: int, k: int, m: int) -> BivariatePoly:
+def build_lex_high(
+    spec: WeightSpec, r: int, k: int, m: int, oracle: MomentOracle | None = None
+) -> BivariatePoly:
     """Unit-norm high-band polynomial at lex slot (r, k) on a width-m window."""
-    unit, _ = oracle_for(spec).normalized(_high_band_sum(spec, r, k, m), (r, k))
+    p = BivariatePoly(CHEB_U, _high_band_sum(spec, r, k, m))
+    unit, _ = (oracle_for(spec) if oracle is None else oracle).normalized(p, (r, k))
     return unit
 
 
@@ -165,16 +182,12 @@ Atom = tuple[str, int, int]
 
 
 def _realize(spec: WeightSpec, atoms: dict[Atom, float]) -> BivariatePoly:
-    p = BivariatePoly.zero(CHEB_U)
-    for (kind, alpha, beta), c in atoms.items():
-        if c == 0.0:
-            continue
-        if kind == "q":
-            t = mul(build_qk(spec, alpha), BivariatePoly.from_separable(u_index(0), u_index(beta)))
-        else:
-            t = mul(build_tilde_ql(spec, beta), BivariatePoly.from_separable(u_index(alpha), u_index(0)))
-        p = p + t.scale(c)
-    return p
+    grids = [
+        c * (u_band(qk_grid(spec, alpha), beta, 1) if kind == "q" else u_band(tilde_ql_grid(spec, beta), alpha, 0))
+        for (kind, alpha, beta), c in atoms.items()
+        if c != 0.0
+    ]
+    return BivariatePoly(CHEB_U, _stack(grids).sum(0)) if grids else BivariatePoly.zero(CHEB_U)
 
 
 def _combine(a: dict[Atom, float], b: dict[Atom, float], cb: float) -> dict[Atom, float]:
@@ -274,10 +287,12 @@ def eliminate(spec: WeightSpec, r: int, k: int, m: int, tol: float = 1e-12) -> E
     return state
 
 
-def build_lex_high_recursion(spec: WeightSpec, r: int, k: int, m: int) -> BivariatePoly:
+def build_lex_high_recursion(
+    spec: WeightSpec, r: int, k: int, m: int, oracle: MomentOracle | None = None
+) -> BivariatePoly:
     """Same slot as :func:`build_lex_high`, via the elimination recursion."""
     state = eliminate(spec, r, k, m)
-    unit, _ = oracle_for(spec).normalized(state.s_poly(), (r, k))
+    unit, _ = (oracle_for(spec) if oracle is None else oracle).normalized(state.s_poly(), (r, k))
     return unit
 
 
@@ -286,18 +301,20 @@ def build_lex_high_recursion(spec: WeightSpec, r: int, k: int, m: int) -> Bivari
 # ---------------------------------------------------------------------------
 
 
-def build_revlex(spec: WeightSpec, l: int, t: int, n: int) -> BivariatePoly:
+def build_revlex(
+    spec: WeightSpec, l: int, t: int, n: int, oracle: MomentOracle | None = None
+) -> BivariatePoly:
     """Revlex slot (l, t) on a window with x-bound n: the lex construction
     applied to the reflected weight, variables exchanged afterwards."""
     from .weights import tilde_expand
 
     reflected = tilde_expand(spec)
     if l <= n - reflected.kappa:
-        p = build_lex_low(reflected, t, l, normalize=False)
+        grid = build_lex_low(reflected, t, l, normalize=False).coeffs
     else:
-        p = _high_band_sum(reflected, t, l, n)
-    p = p.swap_xy()
-    unit, _ = oracle_for(spec).normalized(p, (l, t))
+        grid = _high_band_sum(reflected, t, l, n)
+    p = BivariatePoly(CHEB_U, grid.T)
+    unit, _ = (oracle_for(spec) if oracle is None else oracle).normalized(p, (l, t))
     return unit
 
 
@@ -313,59 +330,74 @@ def lex_system(
 
     Slots with a closed form use it; everything else falls back to oracle
     Gram-Schmidt.  Both routes produce the same polynomials, so the
-    output is consistent regardless of the split.
+    output is consistent regardless of the split.  The closed-form grids
+    are normalized together, with one diag(C G C^T) over the oracle's Gram
+    block G.
     """
     if ordering not in (LEX, REVLEX):
         raise ValueError("ordering must be lex or revlex")
     orc = oracle_for(spec) if oracle is None else oracle
-    fallback = slot_of = None
-    out = OrthoSystem(ordering)
     swap = ordering == REVLEX
     major, minor = (n, m) if not swap else (m, n)
-    for r in range(major + 1):
-        for k in range(minor + 1):
-            idx = (r, k) if not swap else (k, r)
-            hit = _closed_slot(spec, r, k, minor, swap, orc)
-            if hit is None:
-                if fallback is None:
-                    fallback = orc.gram_schmidt(ordering, n, m)
-                    slot_of = {key: pos for pos, key in enumerate(fallback.indices())}
-                p = fallback.entries[slot_of[idx]][1]
-                nrm = fallback.norms[slot_of[idx]]
-            else:
-                p, nrm = hit
-            out.entries.append((idx, p))
-            out.norms.append(float(nrm))
+    base = tilde_expandable(spec) if swap else spec
+    slots = [((r, k) if not swap else (k, r), r, k) for r in range(major + 1) for k in range(minor + 1)]
+    closed = {}
+    if base is not None:
+        for idx, r, k in slots:
+            grid = _closed_grid(base, r, k, minor)
+            if grid is not None:
+                closed[idx] = grid.T if swap else grid
+    units = _normalize_grids(orc, closed) if closed else {}
+    fallback = slot_of = None
+    out = OrthoSystem(ordering)
+    for idx, _, _ in slots:
+        if idx in units:
+            p, nrm = units[idx]
+        else:
+            if fallback is None:
+                fallback = orc.gram_schmidt(ordering, n, m)
+                slot_of = {key: pos for pos, key in enumerate(fallback.indices())}
+            p, nrm = fallback.entries[slot_of[idx]][1], fallback.norms[slot_of[idx]]
+        out.entries.append((idx, p))
+        out.norms.append(float(nrm))
     return out
 
 
-def _closed_slot(
-    spec: WeightSpec, r: int, k: int, m: int, swap: bool, oracle: MomentOracle | None = None
-) -> tuple[BivariatePoly, float] | None:
-    """Closed-form slot polynomial, or None when only the oracle can build it."""
-    try:
-        base = tilde_expandable(spec) if swap else spec
-        if base is None:
+def _closed_grid(base: WeightSpec, r: int, k: int, m: int) -> np.ndarray | None:
+    """Grid of the closed-form lex slot (r, k) of ``base`` on a width-m
+    window, un-normalized, or None when only the oracle can build it."""
+    if k <= m - base.kappa and r >= norm_threshold(base.n_h):
+        return u_band(qk_grid(base, r), k, 1)
+    if base.variant == PRODUCT_OMEGA and m - base.n_f < k <= m and r >= 2 * base.n_f and m >= 2 * base.n_f:
+        try:
+            return _high_band_sum(base, r, k, m)
+        except (ValueError, DegenerateWindowError):
             return None
-        if k <= m - base.kappa and r >= norm_threshold(base.n_h):
-            p = build_lex_low(base, r, k, normalize=False)
-        elif (
-            base.variant == PRODUCT_OMEGA
-            and m - base.n_f < k <= m
-            and r >= 2 * base.n_f
-            and m >= 2 * base.n_f
-        ):
-            p = _high_band_sum(base, r, k, m)
-        else:
-            return None
-    except (ValueError, DegenerateWindowError):
-        return None
-    if swap:
-        p = p.swap_xy()
-        idx = (k, r)
-    else:
-        idx = (r, k)
-    return (oracle_for(spec) if oracle is None else oracle).normalized(p, idx)
+    return None
+
+
+def _normalize_grids(
+    orc: MomentOracle, grids: dict[tuple[int, int], np.ndarray]
+) -> dict[tuple[int, int], tuple[BivariatePoly, float]]:
+    """(unit-norm polynomial, norm divided out) for each grid, keyed by its
+    leading slot, where the polynomial's coefficient is made positive.  The
+    squared norms are the diagonal of C G C^T, one row of C per grid."""
+    stack = _stack(list(grids.values()))
+    G = orc.gram_block(max(stack.shape[1:]))
+    s = len(G)
+    C = np.zeros((len(stack), s, s))
+    C[:, : stack.shape[1], : stack.shape[2]] = stack
+    C = C.reshape(len(stack), s * s)
+    norms = np.sqrt(np.maximum(((C @ G.reshape(s * s, s * s)) * C).sum(1), 0.0))
+    if np.any(norms == 0.0):
+        raise ValueError("cannot normalize the zero polynomial")
+    out = {}
+    for ((i, j), g), nrm in zip(grids.items(), norms):
+        unit = g * (1.0 / nrm)
+        if i < unit.shape[0] and j < unit.shape[1] and unit[i, j] < 0.0:
+            unit = -unit
+        out[(i, j)] = (BivariatePoly(CHEB_U, unit), float(nrm))
+    return out
 
 
 def tilde_expandable(spec: WeightSpec) -> WeightSpec | None:

@@ -193,6 +193,19 @@ def _lin(na: int, nb: int) -> np.ndarray:
     return L
 
 
+def u_band(c: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """The coefficient grid of (grid c) * U_k, with U_k in x (axis 0) or y (axis 1).
+
+    U_a U_k is a sum of U_b over a band of b, so the product applies the 0/1
+    band ``_lin(n, k + 1)[:, k, :]`` along one axis: the banded
+    multiplication operator of the ultraspherical method (S. Olver and
+    A. Townsend, SIAM Review 55, 2013).  The result is not trimmed."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    band = _lin(c.shape[axis], k + 1)[:, k, :]
+    return band.T @ c if axis == 0 else c @ band
+
+
 @dataclass(frozen=True)
 class BivariatePoly:
     """Coefficient grid over basis_i(x) * basis_j(y); entry (i, j) is the

@@ -22,7 +22,7 @@ import numpy as np
 
 from .moment_oracle import MomentOracle, chebu_grids, grid_size, oracle_for
 from .ortho import LEX, REVLEX, TOTAL, OrthoSystem
-from .poly_core import BivariatePoly, mul, u_index
+from .poly_core import CHEB_U, BivariatePoly, u_band
 from .total_order import build_total_vector
 from .lex_order import lex_system
 from .weights import PRODUCT_OMEGA, WeightSpec
@@ -30,18 +30,6 @@ from .weights import PRODUCT_OMEGA, WeightSpec
 
 class ConstructionInconsistencyError(RuntimeError):
     """The three-term residual of the built systems exceeds tolerance."""
-
-
-def _x_poly() -> BivariatePoly:
-    from .poly_core import CHEB_U, UnivariatePoly
-
-    return BivariatePoly.from_separable(UnivariatePoly(CHEB_U, [0.0, 0.5]), u_index(0))
-
-
-def _y_poly() -> BivariatePoly:
-    from .poly_core import CHEB_U, UnivariatePoly
-
-    return BivariatePoly.from_separable(u_index(0), UnivariatePoly(CHEB_U, [0.0, 0.5]))
 
 
 def _pairing(orc: MomentOracle, axis: int, rows: OrthoSystem, cols: OrthoSystem) -> np.ndarray:
@@ -81,8 +69,9 @@ def total_blocks(
 ) -> BlockRecurrence:
     """A_x, B_x, A_y, B_y at level n, with the three-term residual checked.
 
-    The residual expands x P_n and y P_n by polynomial arithmetic, so it
-    checks the matrix-form blocks independently."""
+    The residual expands x P_n and y P_n by polynomial arithmetic, with
+    t = U_1(t) / 2 applied as a one-axis band, so it checks the matrix-form
+    blocks independently."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     orc = oracle_for(spec) if oracle is None else oracle
@@ -94,10 +83,10 @@ def total_blocks(
     a_y = _pairing(orc, 1, p_n, p_up)
     b_y = _pairing(orc, 1, p_n, p_n)
     res = 0.0
-    for axis, mult, a, b in ((0, _x_poly(), a_x, b_x), (1, _y_poly(), a_y, b_y)):
+    for axis, a, b in ((0, a_x, b_x), (1, a_y, b_y)):
         a_prev = _pairing(orc, axis, p_dn, p_n) if p_dn is not None else None
         for i, (_, p) in enumerate(p_n.entries):
-            acc = mul(p, mult)
+            acc = BivariatePoly(CHEB_U, 0.5 * u_band(p.coeffs, 1, axis))
             for j, (_, q) in enumerate(p_up.entries):
                 acc = acc + q.scale(-a[i, j])
             for j, (_, q) in enumerate(p_n.entries):
@@ -281,7 +270,7 @@ def verify_lex_structure(
     return StructureReport(not bad, sizes, bad, {}, blocks)
 
 
-def mixed_action_deviation(spec: WeightSpec, n: int) -> float:
+def mixed_action_deviation(spec: WeightSpec, n: int, oracle: MomentOracle | None = None) -> float:
     """Deviation between the two block expansions of (xy) P_n.
 
     Expanding xy P_n through the x-recurrence then y, or y then x, gives
@@ -291,7 +280,8 @@ def mixed_action_deviation(spec: WeightSpec, n: int) -> float:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    blk = {lev: total_blocks(spec, lev) for lev in (n - 1, n, n + 1)}
+    orc = oracle_for(spec) if oracle is None else oracle
+    blk = {lev: total_blocks(spec, lev, oracle=orc) for lev in (n - 1, n, n + 1)}
     ax, bx = blk[n].a_x, blk[n].b_x
     ay, by = blk[n].a_y, blk[n].b_y
     ax1, ay1 = blk[n + 1].a_x, blk[n + 1].a_y

@@ -35,11 +35,12 @@ def norm_threshold(n_h: int) -> int:
     return max(0, n_h // 2)
 
 
-def build_qk(spec: WeightSpec, k: int) -> BivariatePoly:
-    """q_k assembled from the z-coefficients of the weight.
+def qk_grid(spec: WeightSpec, k: int) -> np.ndarray:
+    """The x-by-y Chebyshev-U coefficient grid of q_k, from the z-coefficients
+    of the weight.
 
-    Row k - i of the x-by-y Chebyshev-U grid collects +h_i for i <= k, and
-    row i - k - 2 collects -h_i for i >= k + 2 (the folding U_{-n-2} = -U_n).
+    Row k - i collects +h_i for i <= k, and row i - k - 2 collects -h_i for
+    i >= k + 2 (the folding U_{-n-2} = -U_n).  The grid is not trimmed.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -48,13 +49,23 @@ def build_qk(spec: WeightSpec, k: int) -> BivariatePoly:
     grid = np.zeros((max(k + 1, len(down)), H.shape[1]))
     grid[k + 1 - len(up) : k + 1] += up[::-1]
     grid[: len(down)] -= down
-    return BivariatePoly(CHEB_U, grid)
+    return grid
+
+
+def tilde_ql_grid(spec: WeightSpec, l: int) -> np.ndarray:
+    """The grid of q~_l: q_l of the reflected weight, variables exchanged
+    (product specs)."""
+    return qk_grid(tilde_expand(spec), l).T
+
+
+def build_qk(spec: WeightSpec, k: int) -> BivariatePoly:
+    """q_k as a polynomial; see :func:`qk_grid`."""
+    return BivariatePoly(CHEB_U, qk_grid(spec, k))
 
 
 def build_tilde_ql(spec: WeightSpec, l: int) -> BivariatePoly:
     """Mirror family with the roles of x and y exchanged (product specs)."""
-    tilde = tilde_expand(spec)
-    return build_qk(tilde, l).swap_xy()
+    return BivariatePoly(CHEB_U, tilde_ql_grid(spec, l))
 
 
 def qk_norm_closed(spec: WeightSpec, k: int):

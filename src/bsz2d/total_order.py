@@ -12,46 +12,14 @@ import numpy as np
 
 from .moment_oracle import MomentOracle, oracle_for
 from .ortho import TOTAL, OrthoSystem
-from .poly_core import BivariatePoly, mul, u_index
-from .szego_core import build_qk, low_band_threshold
+from .poly_core import CHEB_U, BivariatePoly, u_band
+from .szego_core import low_band_threshold, qk_grid
 from .weights import WeightSpec
 
 
 def total_threshold(spec: WeightSpec) -> int:
     """First k whose total-degree component has the closed product form."""
     return low_band_threshold(spec.n_h)
-
-
-def build_total_component(spec: WeightSpec, n: int, k: int) -> BivariatePoly:
-    """Unit-norm component of P_n with leading monomial x^k y^{n-k}.
-
-    Only valid at or above the closed-form threshold; the normalization
-    constant always comes from quadrature.
-    """
-    k0 = total_threshold(spec)
-    if not (k0 <= k <= n):
-        raise ValueError(f"need {k0} <= k <= {n}; use build_total_low below the threshold")
-    p = _raw_total_component(spec, n, k)
-    orc = oracle_for(spec)
-    unit, _ = orc.normalized(p, (k, n - k))
-    return unit
-
-
-def _raw_total_component(spec: WeightSpec, n: int, k: int) -> BivariatePoly:
-    """q_k(x, y) U_{n-k}(y), un-normalized."""
-    uy = BivariatePoly.from_separable(u_index(0), u_index(n - k))
-    return mul(build_qk(spec, k), uy)
-
-
-def build_total_low(spec: WeightSpec, n: int, k: int) -> BivariatePoly:
-    """Unit-norm component below the closed-form threshold, from oracle
-    Gram-Schmidt against all smaller monomials in the total-degree order."""
-    k0 = total_threshold(spec)
-    if not (0 <= k < k0):
-        raise ValueError(f"build_total_low handles 0 <= k < {k0}")
-    orc = oracle_for(spec)
-    system = orc.gram_schmidt(TOTAL, n)
-    return system.poly((k, n - k))
 
 
 def build_total_vector(spec: WeightSpec, n: int, oracle: MomentOracle | None = None) -> OrthoSystem:
@@ -75,7 +43,7 @@ def _total_vector(spec: WeightSpec, n: int, orc: MomentOracle) -> OrthoSystem:
         if k < k0:
             p, nrm = low.entries[slot_of[idx]][1], low.norms[slot_of[idx]]
         else:
-            raw = _raw_total_component(spec, n, k)
+            raw = BivariatePoly(CHEB_U, u_band(qk_grid(spec, k), n - k, 1))  # q_k(x, y) U_{n-k}(y)
             p, nrm = orc.normalized(raw, idx)
         out.entries.append((idx, p))
         out.norms.append(float(nrm))

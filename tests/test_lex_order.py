@@ -1,7 +1,12 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+from bsz2d import moment_oracle
 from bsz2d.lex_order import (
+    _forbidden_rows,
+    _high_band_grids,
     build_lex_high,
     build_lex_high_recursion,
     build_lex_low,
@@ -15,10 +20,80 @@ from bsz2d.lex_order import (
 )
 from bsz2d.moment_oracle import oracle_for
 from bsz2d.ortho import LEX, REVLEX
-from bsz2d.weights import generic_spec, product_spec
+from bsz2d.poly_core import CHEB_U, BivariatePoly, mul, u_index
+from bsz2d.szego_core import build_qk, build_tilde_ql, norm_threshold
+from bsz2d.weights import PRODUCT_OMEGA, generic_spec, product_spec
 
 SPEC1 = product_spec([-0.6])        # N_f = 1, N_h = 2, kappa = 1
 SPEC2 = product_spec([0.5, -0.3])   # N_f = 2, N_h = 4, kappa = 2
+SPEC3 = product_spec([0.4, 0.3, -0.5])  # N_f = 3
+SPEC_CUBIC = generic_spec([[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]])
+
+
+def _loop_forbidden_rows(grids: np.ndarray, r: int, k: int, m: int) -> np.ndarray:
+    """The high-band matrix M, slot by slot in row-major order."""
+    rows = []
+    for i in range(grids.shape[1]):
+        for j in range(grids.shape[2]):
+            forbidden = j > m or i > r or (i == r and j > k)
+            if forbidden and np.any(grids[:, i, j] != 0.0):
+                rows.append(grids[:, i, j])
+    return np.array(rows) if rows else np.zeros((0, len(grids)))
+
+
+def _reference_terms(spec, r, k, m) -> list[BivariatePoly]:
+    """The high-band candidate products, each by a general two-axis product."""
+    steps = k - (m - spec.n_f)
+    terms = [mul(build_qk(spec, r + j), BivariatePoly.from_separable(u_index(0), u_index(k - j))) for j in range(steps)]
+    for j in range(steps):
+        ux = BivariatePoly.from_separable(u_index(r + k - m - 1 - j), u_index(0))
+        terms.append(mul(build_tilde_ql(spec, m + 1 + j), ux))
+    return terms
+
+
+def _pad(polys: list[BivariatePoly]) -> np.ndarray:
+    out = np.zeros((len(polys), max(p.coeffs.shape[0] for p in polys), max(p.coeffs.shape[1] for p in polys)))
+    for a, p in enumerate(polys):
+        out[a, : p.coeffs.shape[0], : p.coeffs.shape[1]] = p.coeffs
+    return out
+
+
+def _reference_slot(spec, r, k, m) -> BivariatePoly | None:
+    """The closed-form lex slot (r, k), un-normalized, by general products
+    and the looped high-band matrix; None where the oracle builds it."""
+    if k <= m - spec.kappa and r >= norm_threshold(spec.n_h):
+        return mul(build_qk(spec, r), BivariatePoly.from_separable(u_index(0), u_index(k)))
+    if not (spec.variant == PRODUCT_OMEGA and m - spec.n_f < k <= m and r >= 2 * spec.n_f and m >= 2 * spec.n_f):
+        return None
+    terms = _reference_terms(spec, r, k, m)
+    M = _loop_forbidden_rows(_pad(terms), r, k, m)
+    _, sv, Vt = np.linalg.svd(M)
+    if len(terms) - len(sv) + int(np.sum(sv <= 1e-8 * sv[0])) != 1:
+        return None
+    p = BivariatePoly.zero(CHEB_U)
+    for c, t in zip(Vt[-1], terms):
+        p = p + t.scale(float(c))
+    return p
+
+
+def _reference_system(spec, n, m, ordering):
+    """(index, polynomial, norm) per slot, each closed-form slot normalized
+    on its own; the rest from oracle Gram-Schmidt."""
+    orc = oracle_for(spec)
+    swap = ordering == REVLEX
+    major, minor = (m, n) if swap else (n, m)
+    out = []
+    for r in range(major + 1):
+        for k in range(minor + 1):
+            idx = (k, r) if swap else (r, k)
+            p = _reference_slot(spec, r, k, minor) if spec.variant == PRODUCT_OMEGA or not swap else None
+            if p is None:
+                system = orc.gram_schmidt(ordering, n, m)
+                pos = system.indices().index(idx)
+                out.append((idx, system.entries[pos][1], system.norms[pos]))
+            else:
+                out.append((idx, *orc.normalized(p.swap_xy() if swap else p, idx)))
+    return out
 
 
 class TestBands:
@@ -72,6 +147,22 @@ class TestHighBand:
         v, terms = high_band_coefficients(SPEC2, 5, 5, 5)
         assert len(terms) == 2 * 2  # J = 2 a-terms plus J b-terms
         assert abs(v[0]) > 1e-6 * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("spec, slots", [
+        (SPEC1, [(2, 3, 3), (4, 5, 5), (6, 4, 4)]),
+        (SPEC2, [(4, 4, 4), (5, 4, 5), (5, 5, 5), (6, 5, 6), (7, 7, 7)]),
+        (SPEC3, [(6, 4, 6), (6, 5, 6), (6, 6, 6), (8, 7, 8)]),
+        (product_spec([0.9]), [(3, 5, 5), (7, 7, 7)]),
+    ])
+    def test_masked_matrix_matches_loop(self, spec, slots):
+        for r, k, m in slots:
+            grids = _high_band_grids(spec, r, k, m)
+            M = _forbidden_rows(grids, r, k, m)
+            assert M.shape[0] > 0
+            assert np.array_equal(M, _loop_forbidden_rows(grids, r, k, m))
+            ref = _loop_forbidden_rows(_pad(_reference_terms(spec, r, k, m)), r, k, m)
+            assert M.shape == ref.shape
+            assert np.max(np.abs(M - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_kills_forbidden_slots(self):
         v, terms = high_band_coefficients(SPEC2, 4, 5, 5)
@@ -136,6 +227,17 @@ class TestSystems:
             assert idx == idx2
             assert p.approx_eq(q, 1e-7)
 
+    @pytest.mark.parametrize("ordering", [LEX, REVLEX])
+    @pytest.mark.parametrize("spec", [SPEC2, SPEC3, product_spec([0.9]), SPEC_CUBIC], ids=["f2", "f3", "a09", "generic"])
+    def test_lex_system_matches_per_slot_reference(self, spec, ordering):
+        for n, m in [(3, 3), (5, 7), (6, 4), (8, 8)]:
+            got = lex_system(spec, n, m, ordering)
+            ref = _reference_system(spec, n, m, ordering)
+            assert got.indices() == [idx for idx, _, _ in ref]
+            for (_, p), nrm, (_, q, want) in zip(got.entries, got.norms, ref):
+                assert p.approx_eq(q, 1e-13 * max(1.0, np.max(np.abs(q.coeffs))))
+                assert abs(nrm - want) <= 1e-13 * want
+
     def test_bad_ordering(self):
         with pytest.raises(ValueError):
             lex_system(SPEC1, 2, 2, ordering="total")
@@ -145,6 +247,26 @@ class TestSystems:
         pure = orc.gram_schmidt(REVLEX, 4, 4)
         for l, t, n in [(0, 2, 3), (1, 3, 3), (4, 4, 4)]:
             assert build_revlex(SPEC2, l, t, n).approx_eq(pure.poly((l, t)), 1e-7)
+
+
+class TestExplicitOracle:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda spec, orc: build_lex_low(spec, 3, 1, oracle=orc),
+            lambda spec, orc: build_lex_high(spec, 5, 5, 5, oracle=orc),
+            lambda spec, orc: build_lex_high_recursion(spec, 5, 5, 5, oracle=orc),
+            lambda spec, orc: build_revlex(spec, 4, 4, 4, oracle=orc),
+        ],
+        ids=["low", "high", "recursion", "revlex"],
+    )
+    def test_no_default_tol_oracle(self, monkeypatch, build):
+        monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
+        spec = product_spec([0.45, -0.35])
+        orc = oracle_for(spec, 1e-6)
+        p = build(spec, orc)
+        assert orc.norm(p) == pytest.approx(1.0, abs=1e-12)
+        assert list(moment_oracle._ORACLES) == [f"{spec.fingerprint}:{1e-6:.3e}"]
 
 
 class TestConnection:

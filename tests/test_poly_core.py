@@ -19,6 +19,7 @@ from bsz2d.poly_core import (
     poly_from_json,
     poly_to_json,
     t_map,
+    u_band,
     u_index,
 )
 
@@ -92,6 +93,25 @@ class TestBivariate:
                 assert prod(x, y) == pytest.approx(a(x, y) * b(x, y), rel=1e-12, abs=1e-12)
             mono = mul(a.to_basis(MONOMIAL), b.to_basis(MONOMIAL))
             assert mono.to_basis(CHEB_U).approx_eq(prod, 1e-10)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_u_band_matches_mul(self, k):
+        rng = np.random.default_rng(100 + k)
+        for shape in [(5, 3), (1, 6), (7, 1), (2, 2)]:
+            c = rng.normal(size=shape)
+            for axis, uk in ((0, BivariatePoly.from_separable(u_index(k), u_index(0))),
+                             (1, BivariatePoly.from_separable(u_index(0), u_index(k)))):
+                got = u_band(c, k, axis)
+                want = list(shape)
+                want[axis] += k
+                assert got.shape == tuple(want)
+                ref = mul(BivariatePoly(CHEB_U, c), uk)
+                assert BivariatePoly(CHEB_U, got).approx_eq(ref, 1e-14 * np.max(np.abs(ref.coeffs)))
+        for axis in (0, 1):
+            assert not np.any(u_band(np.zeros((3, 4)), k, axis))
+            assert BivariatePoly(CHEB_U, u_band(np.zeros((0, 0)), k, axis)).is_zero
+        with pytest.raises(ValueError):
+            u_band(np.ones((2, 2)), -1, 0)
 
     @given(st.integers(0, 5), st.integers(0, 5), st.floats(-0.9, 0.9))
     @settings(max_examples=40, deadline=None)

@@ -1,6 +1,9 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+from bsz2d import moment_oracle
 from bsz2d.lex_order import lex_system
 from bsz2d.moment_oracle import oracle_for
 from bsz2d.ortho import LEX, REVLEX, TOTAL
@@ -164,3 +167,10 @@ class TestMixedAction:
     def test_guard(self):
         with pytest.raises(ValueError):
             mixed_action_deviation(SPEC1, 0)
+
+    def test_explicit_oracle(self, monkeypatch):
+        monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
+        spec = product_spec([0.45, -0.35])
+        orc = oracle_for(spec, 1e-6)
+        assert mixed_action_deviation(spec, 3, oracle=orc) < 1e-7
+        assert list(moment_oracle._ORACLES) == [f"{spec.fingerprint}:{1e-6:.3e}"]

@@ -3,13 +3,7 @@ import pytest
 
 from bsz2d.moment_oracle import oracle_for
 from bsz2d.ortho import TOTAL
-from bsz2d.total_order import (
-    build_total_component,
-    build_total_low,
-    build_total_vector,
-    gram_deviation,
-    total_threshold,
-)
+from bsz2d.total_order import build_total_vector, gram_deviation, total_threshold
 from bsz2d.weights import chebyshev_spec, generic_spec, product_spec
 
 SPEC1 = product_spec([-0.6])           # N_h = 2, threshold 0
@@ -30,22 +24,18 @@ class TestComponents:
         orc = oracle_for(SPEC2)
         for n in range(1, 5):
             system = orc.gram_schmidt(TOTAL, n)
+            vector = build_total_vector(SPEC2, n)
             for k in range(total_threshold(SPEC2), n + 1):
-                closed = build_total_component(SPEC2, n, k)
-                assert closed.approx_eq(system.poly((k, n - k)), 1e-7)
+                assert vector.poly((k, n - k)).approx_eq(system.poly((k, n - k)), 1e-7)
 
     def test_low_matches_oracle_by_construction(self):
-        p = build_total_low(SPEC2, 3, 0)
         orc = oracle_for(SPEC2)
+        system = orc.gram_schmidt(TOTAL, 3)
+        p = build_total_vector(SPEC2, 3).poly((0, 3))  # k = 0 is below the threshold
+        assert p.approx_eq(system.poly((0, 3)), 0.0)
         assert orc.norm(p) == pytest.approx(1.0, abs=1e-8)
 
     def test_range_guards(self):
-        with pytest.raises(ValueError):
-            build_total_component(SPEC2, 3, 0)  # below threshold
-        with pytest.raises(ValueError):
-            build_total_component(SPEC2, 3, 4)  # k > n
-        with pytest.raises(ValueError):
-            build_total_low(SPEC2, 3, 1)  # at/above threshold
         with pytest.raises(ValueError):
             build_total_vector(SPEC1, -1)
 
