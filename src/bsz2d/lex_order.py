@@ -61,11 +61,6 @@ def high_band_range(spec: WeightSpec, m: int) -> range:
     return range(m - spec.n_f + 1, m + 1)
 
 
-# ---------------------------------------------------------------------------
-# Low band
-# ---------------------------------------------------------------------------
-
-
 def _stack(grids: list[np.ndarray]) -> np.ndarray:
     """The grids zero-padded into one (len(grids), imax, jmax) array."""
     out = np.zeros((len(grids), max(g.shape[0] for g in grids), max(g.shape[1] for g in grids)))
@@ -74,9 +69,12 @@ def _stack(grids: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def build_lex_low(
-    spec: WeightSpec, r: int, k: int, normalize: bool = True, oracle: MomentOracle | None = None
-) -> BivariatePoly:
+# ---------------------------------------------------------------------------
+# Low band
+# ---------------------------------------------------------------------------
+
+
+def build_lex_low(spec: WeightSpec, r: int, k: int, oracle: MomentOracle | None = None) -> BivariatePoly:
     """q_r(x, y) U_k(y), unit norm: the lex slot (r, k) whenever k <= m - kappa.
 
     Independent of the window bound m, so a slot survives window growth
@@ -92,8 +90,6 @@ def build_lex_low(
     elif r < r_min:
         raise ValueError(f"low-band closed form needs r >= {r_min} (N_h = {spec.n_h})")
     p = BivariatePoly(CHEB_U, u_band(qk_grid(spec, r), k, 1))
-    if not normalize:
-        return p
     unit, _ = (oracle_for(spec) if oracle is None else oracle).normalized(p, (r, k))
     return unit
 
@@ -304,17 +300,15 @@ def build_lex_high_recursion(
 def build_revlex(
     spec: WeightSpec, l: int, t: int, n: int, oracle: MomentOracle | None = None
 ) -> BivariatePoly:
-    """Revlex slot (l, t) on a window with x-bound n: the lex construction
-    applied to the reflected weight, variables exchanged afterwards."""
+    """Revlex slot (l, t) on a window with x-bound n: the closed-form lex slot
+    (t, l) of the reflected weight, variables exchanged afterwards.  Raises
+    ValueError where ``lex_system`` would fall back to the oracle."""
     from .weights import tilde_expand
 
-    reflected = tilde_expand(spec)
-    if l <= n - reflected.kappa:
-        grid = build_lex_low(reflected, t, l, normalize=False).coeffs
-    else:
-        grid = _high_band_sum(reflected, t, l, n)
-    p = BivariatePoly(CHEB_U, grid.T)
-    unit, _ = (oracle_for(spec) if oracle is None else oracle).normalized(p, (l, t))
+    grid = _closed_grid(tilde_expand(spec), t, l, n)
+    if grid is None:
+        raise ValueError(f"revlex slot ({l}, {t}) on x-bound {n} has no closed form")
+    unit, _ = (oracle_for(spec) if oracle is None else oracle).normalized(BivariatePoly(CHEB_U, grid.T), (l, t))
     return unit
 
 
@@ -382,12 +376,12 @@ def _normalize_grids(
     """(unit-norm polynomial, norm divided out) for each grid, keyed by its
     leading slot, where the polynomial's coefficient is made positive.  The
     squared norms are the diagonal of C G C^T, one row of C per grid."""
-    stack = _stack(list(grids.values()))
-    G = orc.gram_block(max(stack.shape[1:]))
+    G = orc.gram_block(max(max(g.shape) for g in grids.values()))
     s = len(G)
-    C = np.zeros((len(stack), s, s))
-    C[:, : stack.shape[1], : stack.shape[2]] = stack
-    C = C.reshape(len(stack), s * s)
+    C = np.zeros((len(grids), s, s))
+    for a, g in enumerate(grids.values()):
+        C[a, : g.shape[0], : g.shape[1]] = g
+    C = C.reshape(len(grids), s * s)
     norms = np.sqrt(np.maximum(((C @ G.reshape(s * s, s * s)) * C).sum(1), 0.0))
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize the zero polynomial")

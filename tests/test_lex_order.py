@@ -247,6 +247,8 @@ class TestSystems:
         pure = orc.gram_schmidt(REVLEX, 4, 4)
         for l, t, n in [(0, 2, 3), (1, 3, 3), (4, 4, 4)]:
             assert build_revlex(SPEC2, l, t, n).approx_eq(pure.poly((l, t)), 1e-7)
+        with pytest.raises(ValueError):
+            build_revlex(SPEC2, 0, 0, 3)  # lex_system builds this slot by Gram-Schmidt
 
 
 class TestExplicitOracle:
