@@ -85,8 +85,8 @@ class OrthoSystem:
             "norms": [float(v) for v in self.norms],
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @staticmethod
     def from_dict(d: dict) -> "OrthoSystem":
