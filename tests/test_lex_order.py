@@ -44,7 +44,10 @@ def _loop_forbidden_rows(grids: np.ndarray, r: int, k: int, m: int) -> np.ndarra
 def _reference_terms(spec, r, k, m) -> list[BivariatePoly]:
     """The high-band candidate products, each by a general two-axis product."""
     steps = k - (m - spec.n_f)
-    terms = [mul(build_qk(spec, r + j), BivariatePoly.from_separable(u_index(0), u_index(k - j))) for j in range(steps)]
+    terms = []
+    for j in range(steps):
+        uy = BivariatePoly.from_separable(u_index(0), u_index(k - j))
+        terms.append(mul(build_qk(spec, r + j), uy))
     for j in range(steps):
         ux = BivariatePoly.from_separable(u_index(r + k - m - 1 - j), u_index(0))
         terms.append(mul(build_tilde_ql(spec, m + 1 + j), ux))
@@ -228,7 +231,9 @@ class TestSystems:
             assert p.approx_eq(q, 1e-7)
 
     @pytest.mark.parametrize("ordering", [LEX, REVLEX])
-    @pytest.mark.parametrize("spec", [SPEC2, SPEC3, product_spec([0.9]), SPEC_CUBIC], ids=["f2", "f3", "a09", "generic"])
+    @pytest.mark.parametrize(
+        "spec", [SPEC2, SPEC3, product_spec([0.9]), SPEC_CUBIC], ids=["f2", "f3", "a09", "generic"]
+    )
     def test_lex_system_matches_per_slot_reference(self, spec, ordering):
         for n, m in [(3, 3), (5, 7), (6, 4), (8, 8)]:
             got = lex_system(spec, n, m, ordering)
