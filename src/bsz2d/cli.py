@@ -3,6 +3,8 @@
 Subcommands: moments, total, lex, recurrence, example, verify.  Matrices
 and moment tables are emitted as CSV, polynomials and reports as JSON.
 Exit codes: 0 success, 1 assertion failure, 2 usage or config error.
+Bad input (a malformed weight config, a negative degree or window bound,
+an out-of-range example parameter or depth) exits 2 with a usage message.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .total_order import build_total_vector, gram_deviation
 from .weights import InvalidWeightError, WeightSpec, is_stable, spec_from_config
 
 
+_NONNEG = click.IntRange(min=0)
+
+
 def _load_spec(path: str) -> WeightSpec:
     try:
         with open(path) as fh:
@@ -33,7 +38,7 @@ def _load_spec(path: str) -> WeightSpec:
         if not report.stable:
             raise InvalidWeightError(f"weight is not stable (min root modulus {report.min_modulus:.6f})")
         return spec
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise click.UsageError(f"cannot load weight config {path}: {exc}")
 
 
@@ -62,7 +67,7 @@ def main(ctx, tol):
 
 @main.command()
 @click.option("--weight", required=True, type=click.Path())
-@click.option("--max-degree", default=6, show_default=True)
+@click.option("--max-degree", default=6, show_default=True, type=_NONNEG)
 @click.option("--report", type=click.Path(), default=None)
 @click.pass_context
 def moments(ctx, weight, max_degree, report):
@@ -80,7 +85,7 @@ def moments(ctx, weight, max_degree, report):
 
 @main.command()
 @click.option("--weight", required=True, type=click.Path())
-@click.option("--n", required=True, type=int)
+@click.option("--n", required=True, type=_NONNEG)
 @click.option("--report", type=click.Path(), default=None)
 @click.pass_context
 def total(ctx, weight, n, report):
@@ -92,8 +97,8 @@ def total(ctx, weight, n, report):
 
 @main.command()
 @click.option("--weight", required=True, type=click.Path())
-@click.option("--n", required=True, type=int)
-@click.option("--m", required=True, type=int)
+@click.option("--n", required=True, type=_NONNEG)
+@click.option("--m", required=True, type=_NONNEG)
 @click.option("--revlex", is_flag=True, default=False)
 @click.option("--report", type=click.Path(), default=None)
 @click.pass_context
@@ -107,8 +112,8 @@ def lex(ctx, weight, n, m, revlex, report):
 @main.command()
 @click.option("--weight", required=True, type=click.Path())
 @click.option("--ordering", type=click.Choice([TOTAL, LEX, REVLEX]), default=TOTAL, show_default=True)
-@click.option("--n", required=True, type=int)
-@click.option("--m", type=int, default=None)
+@click.option("--n", required=True, type=_NONNEG)
+@click.option("--m", type=_NONNEG, default=None)
 @click.option("--report", type=click.Path(), default=None, help="Write the structure verdict JSON here.")
 @click.pass_context
 def recurrence(ctx, weight, ordering, n, m, report):
@@ -143,7 +148,10 @@ def recurrence(ctx, weight, ordering, n, m, report):
             except ValueError as exc:
                 verdict.update(ok=None, note=str(exc))
         if blk is None:
-            blk = lex_blocks(spec, n, m, ordering=ordering, oracle=orc)
+            try:
+                blk = lex_blocks(spec, n, m, ordering=ordering, oracle=orc)
+            except ValueError as exc:  # a window too small for a block
+                raise click.UsageError(str(exc))
         _matrix_csv(writer, "A", blk.a)
         _matrix_csv(writer, "B", blk.b)
     click.echo(buf.getvalue(), nl=False)
@@ -162,7 +170,7 @@ def recurrence(ctx, weight, ordering, n, m, report):
 @click.option("--a2", type=float, default=None)
 @click.option("--b1", type=float, default=None)
 @click.option("--b2", type=float, default=None)
-@click.option("--depth", default=5, show_default=True)
+@click.option("--depth", default=5, show_default=True, type=_NONNEG)
 @click.option("--report", type=click.Path(), default=None)
 @click.pass_context
 def example(ctx, example_id, a, b, a1, a2, b1, b2, depth, report):
@@ -170,7 +178,7 @@ def example(ctx, example_id, a, b, a1, a2, b1, b2, depth, report):
     given = {k: v for k, v in dict(a=a, b=b, a1=a1, a2=a2, b1=b1, b2=b2).items() if v is not None}
     try:
         rep = run_regression(example_id, depth, tol=ctx.obj["tol"], **given)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise click.UsageError(f"bad parameters for {example_id}: {exc}")
     text = json.dumps(rep.to_dict()) + "\n"
     _emit(text, report)
@@ -180,7 +188,7 @@ def example(ctx, example_id, a, b, a1, a2, b1, b2, depth, report):
 
 @main.command()
 @click.option("--weight", required=True, type=click.Path())
-@click.option("--depth", default=5, show_default=True)
+@click.option("--depth", default=5, show_default=True, type=_NONNEG)
 @click.option("--report", type=click.Path(), default=None)
 @click.pass_context
 def verify(ctx, weight, depth, report):

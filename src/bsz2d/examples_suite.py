@@ -24,7 +24,7 @@ from .poly_core import CHEB_U, MONOMIAL, UnivariatePoly
 from .recurrence import lex_blocks, total_blocks, verify_total_structure
 from .szego_core import build_qk
 from .total_order import build_total_vector, gram_deviation
-from .weights import WeightSpec, chebyshev_spec, generic_spec, product_spec
+from .weights import WeightSpec, _expand_z, chebyshev_spec, generic_spec, product_spec
 
 
 def ex1(a: float) -> WeightSpec:
@@ -36,8 +36,7 @@ def ex1(a: float) -> WeightSpec:
 def ex2(a: float, b: float) -> WeightSpec:
     if not (abs(a) < 1 and abs(b) < 0.5):
         raise ValueError("need |a| < 1 and |b| < 1/2")
-    rows = _z_product([[[1.0]], [[1.0], [-2.0 * b]], [[1.0], [0.0, -2.0 * a], [a * a]]])
-    return generic_spec(rows)
+    return generic_spec(_expand_z([[[1.0], [-2.0 * b]], [[1.0, 0.0], [0.0, -2.0 * a], [a * a, 0.0]]]))
 
 
 def ex4(a1: float, a2: float) -> WeightSpec:
@@ -50,30 +49,7 @@ def ex4(a1: float, a2: float) -> WeightSpec:
 def remark_n4(b1: float, b2: float, a: float) -> WeightSpec:
     if not (abs(b1) < 1 and abs(b2) < 1 and abs(a) < 1):
         raise ValueError("need |b1|, |b2|, |a| < 1")
-    rows = _z_product(
-        [[[1.0], [-b1]], [[1.0], [-b2]], [[1.0], [0.0, -2.0 * a], [a * a]]]
-    )
-    return generic_spec(rows)
-
-
-def _z_product(factors: list[list[list[float]]]) -> list[list[float]]:
-    """Multiply polynomials in z whose coefficients are y-polynomials
-    (each given as a list of y-monomial coefficient lists)."""
-    acc = [[1.0]]
-    for fac in factors:
-        new = [[0.0] for _ in range(len(acc) + len(fac) - 1)]
-        for i, p in enumerate(acc):
-            for j, q in enumerate(fac):
-                conv = np.convolve(p, q)
-                tgt = new[i + j]
-                if len(tgt) < len(conv):
-                    tgt.extend([0.0] * (len(conv) - len(tgt)))
-                for t, v in enumerate(conv):
-                    tgt[t] += float(v)
-        acc = new
-    while len(acc) > 1 and all(v == 0.0 for v in acc[-1]):
-        acc.pop()
-    return acc
+    return generic_spec(_expand_z([[[1.0], [-b1]], [[1.0], [-b2]], [[1.0, 0.0], [0.0, -2.0 * a], [a * a, 0.0]]]))
 
 
 EXAMPLES = {"ex1": ex1, "ex2": ex2, "ex4": ex4, "remark_n4": remark_n4}
@@ -170,8 +146,8 @@ def run_regression(example_id: str, depth: int = 5, tol: float = DEFAULT_TOL, **
     """Build systems to ``depth``, extract blocks, compare with the known
     closed forms; failures land in the report, nothing raises.  Every
     quadrature runs on one oracle at ``tol``."""
-    if depth > 8:
-        raise ValueError("depth is capped at 8")
+    if not 0 <= depth <= 8:
+        raise ValueError("depth must lie in 0..8")
     spec = EXAMPLES[example_id](**params)
     rep = Report(example_id, dict(params))
     orc = oracle_for(spec, tol)

@@ -16,9 +16,9 @@ w^{-(m+1)} term of the tracked leading image.
 Every term above is one polynomial times one U_k, so a slot is built in
 coefficient space: ``poly_core.u_band`` applies the banded product by
 U_k along one axis to the grid of q_r or q~_l.  ``lex_system`` builds
-the grids of all closed-form slots of a window, normalizes them together
-with one diag(C G C^T) over the oracle's Gram block G, and makes one
-polynomial per slot.
+the grids of all closed-form slots of a window and hands them to
+``MomentOracle.assemble``, which normalizes them together and fills the
+other slots from one oracle Gram-Schmidt system.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .moment_oracle import MomentOracle, oracle_for
 from .ortho import LEX, REVLEX, OrthoSystem
-from .poly_core import CHEB_U, MONOMIAL, BivariatePoly, LaurentPoly, t_map, u_band
+from .poly_core import CHEB_U, MONOMIAL, BivariatePoly, LaurentPoly, _padded, t_map, u_band
 from .szego_core import norm_threshold, qk_grid, tilde_ql_grid
 from .weights import PRODUCT_OMEGA, WeightSpec, homogeneous_corner, omega_laurent
 
@@ -59,14 +59,6 @@ def low_band_max_k(spec: WeightSpec, m: int) -> int:
 def high_band_range(spec: WeightSpec, m: int) -> range:
     """High-band slots m - N_f < k <= m (product weights only)."""
     return range(m - spec.n_f + 1, m + 1)
-
-
-def _stack(grids: list[np.ndarray]) -> np.ndarray:
-    """The grids zero-padded into one (len(grids), imax, jmax) array."""
-    out = np.zeros((len(grids), max(g.shape[0] for g in grids), max(g.shape[1] for g in grids)))
-    for a, g in enumerate(grids):
-        out[a, : g.shape[0], : g.shape[1]] = g
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +93,7 @@ def build_lex_low(spec: WeightSpec, r: int, k: int, oracle: MomentOracle | None 
 
 def _high_band_grids(spec: WeightSpec, r: int, k: int, m: int) -> np.ndarray:
     """The grids of the 2J candidate products of the high-band combination,
-    a-terms first, stacked by ``_stack``."""
+    a-terms first, zero-padded into one array."""
     n_f = spec.n_f
     if not (m - n_f < k <= m):
         raise ValueError(f"high band covers {m - n_f} < k <= {m}")
@@ -110,7 +102,7 @@ def _high_band_grids(spec: WeightSpec, r: int, k: int, m: int) -> np.ndarray:
     steps = k - (m - n_f)
     terms = [u_band(qk_grid(spec, r + j), k - j, 1) for j in range(steps)]
     terms += [u_band(tilde_ql_grid(spec, m + 1 + j), r + k - m - 1 - j, 0) for j in range(steps)]
-    return _stack(terms)
+    return _padded(terms)
 
 
 def _forbidden_rows(grids: np.ndarray, r: int, k: int, m: int) -> np.ndarray:
@@ -183,7 +175,7 @@ def _realize(spec: WeightSpec, atoms: dict[Atom, float]) -> BivariatePoly:
         for (kind, alpha, beta), c in atoms.items()
         if c != 0.0
     ]
-    return BivariatePoly(CHEB_U, _stack(grids).sum(0)) if grids else BivariatePoly.zero(CHEB_U)
+    return BivariatePoly(CHEB_U, _padded(grids).sum(0)) if grids else BivariatePoly.zero(CHEB_U)
 
 
 def _combine(a: dict[Atom, float], b: dict[Atom, float], cb: float) -> dict[Atom, float]:
@@ -221,9 +213,6 @@ class EliminationState:
 
     def s_poly(self) -> BivariatePoly:
         return _realize(self.spec, self.s_atoms)
-
-    def st_poly(self) -> BivariatePoly:
-        return _realize(self.spec, self.st_atoms)
 
     def s_image(self) -> LaurentPoly:
         return t_map(self.s_poly())
@@ -324,12 +313,12 @@ def lex_system(
 
     Slots with a closed form use it; everything else falls back to oracle
     Gram-Schmidt.  Both routes produce the same polynomials, so the
-    output is consistent regardless of the split.  The closed-form grids
-    are normalized together, with one diag(C G C^T) over the oracle's Gram
-    block G.
+    output is consistent regardless of the split.
     """
     if ordering not in (LEX, REVLEX):
         raise ValueError("ordering must be lex or revlex")
+    if n < 0 or m < 0:
+        raise ValueError("window bounds n and m must be nonnegative")
     orc = oracle_for(spec) if oracle is None else oracle
     swap = ordering == REVLEX
     major, minor = (n, m) if not swap else (m, n)
@@ -341,20 +330,7 @@ def lex_system(
             grid = _closed_grid(base, r, k, minor)
             if grid is not None:
                 closed[idx] = grid.T if swap else grid
-    units = _normalize_grids(orc, closed) if closed else {}
-    fallback = slot_of = None
-    out = OrthoSystem(ordering)
-    for idx, _, _ in slots:
-        if idx in units:
-            p, nrm = units[idx]
-        else:
-            if fallback is None:
-                fallback = orc.gram_schmidt(ordering, n, m)
-                slot_of = {key: pos for pos, key in enumerate(fallback.indices())}
-            p, nrm = fallback.entries[slot_of[idx]][1], fallback.norms[slot_of[idx]]
-        out.entries.append((idx, p))
-        out.norms.append(float(nrm))
-    return out
+    return orc.assemble(ordering, [idx for idx, _, _ in slots], closed, n, m)
 
 
 def _closed_grid(base: WeightSpec, r: int, k: int, m: int) -> np.ndarray | None:
@@ -368,30 +344,6 @@ def _closed_grid(base: WeightSpec, r: int, k: int, m: int) -> np.ndarray | None:
         except (ValueError, DegenerateWindowError):
             return None
     return None
-
-
-def _normalize_grids(
-    orc: MomentOracle, grids: dict[tuple[int, int], np.ndarray]
-) -> dict[tuple[int, int], tuple[BivariatePoly, float]]:
-    """(unit-norm polynomial, norm divided out) for each grid, keyed by its
-    leading slot, where the polynomial's coefficient is made positive.  The
-    squared norms are the diagonal of C G C^T, one row of C per grid."""
-    G = orc.gram_block(max(max(g.shape) for g in grids.values()))
-    s = len(G)
-    C = np.zeros((len(grids), s, s))
-    for a, g in enumerate(grids.values()):
-        C[a, : g.shape[0], : g.shape[1]] = g
-    C = C.reshape(len(grids), s * s)
-    norms = np.sqrt(np.maximum(((C @ G.reshape(s * s, s * s)) * C).sum(1), 0.0))
-    if np.any(norms == 0.0):
-        raise ValueError("cannot normalize the zero polynomial")
-    out = {}
-    for ((i, j), g), nrm in zip(grids.items(), norms):
-        unit = g * (1.0 / nrm)
-        if i < unit.shape[0] and j < unit.shape[1] and unit[i, j] < 0.0:
-            unit = -unit
-        out[(i, j)] = (BivariatePoly(CHEB_U, unit), float(nrm))
-    return out
 
 
 def tilde_expandable(spec: WeightSpec) -> WeightSpec | None:

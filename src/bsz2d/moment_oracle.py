@@ -37,6 +37,12 @@ x^i y^j have identical leading index pairs in every ordering used here,
 the resulting system is the same one monomial Gram-Schmidt defines, but
 the Gram matrices stay well conditioned.
 
+Every system the library builds is put together by ``assemble``.  The
+slots with a closed form arrive as Chebyshev-U grids and are normalized
+in one batch by ``normalize``, whose squared norms are the diagonal of
+C G C^T and which makes each leading coefficient positive; every other
+slot is read from one Gram-Schmidt system of the same ordering.
+
 Inner products under the full measure are c_f^T G c_g: c holds a
 polynomial's tensor Chebyshev-U coefficients, zero-padded to an s x s
 slot square, and G[i1, j1, i2, j2] = <U_i1(x) U_j1(y), U_i2(x) U_j2(y)>
@@ -62,17 +68,17 @@ import tempfile
 import threading
 import zipfile
 from collections import OrderedDict
-from functools import lru_cache
 
 import numpy as np
 
-from .ortho import OrthoSystem, index_sequence, leading_sign_fix
-from .poly_core import CHEB_U, BivariatePoly, _lin
+from .ortho import OrthoSystem, index_sequence
+from .poly_core import CHEB_U, BivariatePoly, _lin, _mono_to_chebu, _padded, _trim2
 from .weights import InvalidWeightError, WeightSpec, is_stable
 
 DEFAULT_TOL = 1e-11
 MAX_RESOLUTION = 2**14
 MAX_ORACLES = 8
+COND_CAP = 1e12  # largest Gram condition number Gram-Schmidt accepts
 _START_RESOLUTION = 128
 _CHUNK_BYTES = 2**21  # bytes of weights evaluated in one theta-row chunk of a table
 _SPILL_KEYS = ("chebu", "mass", "chebu_err", "chebu_resolution")
@@ -97,22 +103,6 @@ def _sin_matrix(smax: int, theta: np.ndarray) -> np.ndarray:
     return np.sin((s + 1) * theta[None, :]) * np.sin(theta)[None, :]
 
 
-@lru_cache(maxsize=64)
-def _mono_to_chebu(k: int) -> np.ndarray:
-    """M[c, i] with x^i = sum_c M[c, i] U_c(x), for i, c <= k.
-
-    Column i is x times column i - 1, by x U_c = (U_{c+1} + U_{c-1}) / 2
-    with U_{-1} = 0.  The entries are exact dyadic rationals.  The tables
-    are small, cached and read-only."""
-    M = np.zeros((k + 1, k + 1))
-    M[0, 0] = 1.0
-    for i in range(1, k + 1):
-        M[1:, i] = M[:-1, i - 1] / 2
-        M[:-1, i] += M[1:, i - 1] / 2
-    M.setflags(write=False)
-    return M
-
-
 def grid_size(polys: list[BivariatePoly]) -> int:
     """The smallest s (at least 1) whose s x s slot square holds every
     polynomial's coefficient grid; a basis change keeps a grid's shape."""
@@ -122,11 +112,7 @@ def grid_size(polys: list[BivariatePoly]) -> int:
 def chebu_grids(polys: list[BivariatePoly], s: int) -> np.ndarray:
     """The polynomials' tensor Chebyshev-U coefficients, zero-padded to
     shape (len(polys), s, s)."""
-    C = np.zeros((len(polys), s, s))
-    for a, p in enumerate(polys):
-        g = p.coeffs if p.basis == CHEB_U else p.to_basis(CHEB_U).coeffs
-        C[a, : g.shape[0], : g.shape[1]] = g
-    return C
+    return _padded([p.coeffs if p.basis == CHEB_U else p.to_basis(CHEB_U).coeffs for p in polys], (s, s))
 
 
 class MomentOracle:
@@ -302,10 +288,30 @@ class MomentOracle:
         return float(np.sqrt(max(self.inner(f, f), 0.0)))
 
     def normalized(self, f: BivariatePoly, leading: tuple[int, int]) -> tuple[BivariatePoly, float]:
-        nrm = self.norm(f)
-        if nrm == 0.0:
+        return self.normalize({leading: f.to_basis(CHEB_U).coeffs})[leading]
+
+    def normalize(
+        self, grids: dict[tuple[int, int], np.ndarray]
+    ) -> dict[tuple[int, int], tuple[BivariatePoly, float]]:
+        """(unit-norm polynomial, norm divided out) for each Chebyshev-U grid,
+        keyed by its leading slot, where the polynomial's coefficient is made
+        positive.  The squared norms are the diagonal of C G C^T, one row of
+        C per grid."""
+        # trimmed, a grid grows the oracle's shared Gram block only as far as its polynomial reaches
+        grids = {idx: _trim2(g) for idx, g in grids.items()}
+        G = self.gram_block(max([1] + [max(g.shape) for g in grids.values()]))
+        s = len(G)
+        C = _padded(list(grids.values()), (s, s)).reshape(len(grids), s * s)
+        norms = np.sqrt(np.maximum(((C @ G.reshape(s * s, s * s)) * C).sum(1), 0.0))
+        if np.any(norms == 0.0):
             raise ValueError("cannot normalize the zero polynomial")
-        return leading_sign_fix(f.to_basis(CHEB_U).scale(1.0 / nrm), leading), nrm
+        out = {}
+        for ((i, j), g), nrm in zip(grids.items(), norms):
+            unit = g * (1.0 / nrm)
+            if i < unit.shape[0] and j < unit.shape[1] and unit[i, j] < 0.0:
+                unit = -unit
+            out[(i, j)] = (BivariatePoly(CHEB_U, unit), float(nrm))
+        return out
 
     def inner_matrix(self, polys: list[BivariatePoly], others: list[BivariatePoly] | None = None) -> np.ndarray:
         """[<p, q>] for p in ``polys`` and q in ``others`` (default ``polys``),
@@ -326,11 +332,26 @@ class MomentOracle:
         return G[ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
 
     # -- Gram-Schmidt ------------------------------------------------------
-    def gram_schmidt(self, ordering: str, n: int, m: int | None = None, cond_cap: float = 1e12) -> OrthoSystem:
+    def gram_schmidt(self, ordering: str, n: int, m: int | None = None) -> OrthoSystem:
         """Orthonormal system over the requested index range, built purely
         from quadrature moments.  This is the universal oracle the closed
         forms are compared against."""
-        return self._memo((ordering, n, m), lambda: self._orthonormalize(ordering, n, m, cond_cap))
+        return self._memo((ordering, n, m), lambda: self._orthonormalize(ordering, n, m))
+
+    def assemble(
+        self, ordering: str, slots: list[tuple[int, int]], closed: dict, n: int, m: int | None = None
+    ) -> OrthoSystem:
+        """The orthonormal system over ``slots``, in their order.  A slot in
+        ``closed`` is its closed-form Chebyshev-U grid, normalized with the
+        others in one batch; every other slot is read from
+        ``gram_schmidt(ordering, n, m)``, which is asked for at most once."""
+        units = self.normalize(closed)
+        rest = [idx for idx in slots if idx not in units]
+        if rest:
+            fallback = self.gram_schmidt(ordering, n, m)
+            pos = {idx: k for k, idx in enumerate(fallback.indices())}
+            units.update({idx: (fallback.entries[pos[idx]][1], fallback.norms[pos[idx]]) for idx in rest})
+        return OrthoSystem(ordering, [(idx, units[idx][0]) for idx in slots], [float(units[idx][1]) for idx in slots])
 
     def _memo(self, key: tuple, build) -> OrthoSystem:
         """The system cached under ``key``, built on a miss (first writer wins)."""
@@ -341,12 +362,12 @@ class MomentOracle:
         with self._lock:
             return self._systems.setdefault(key, system)
 
-    def _orthonormalize(self, ordering: str, n: int, m: int | None, cond_cap: float) -> OrthoSystem:
+    def _orthonormalize(self, ordering: str, n: int, m: int | None) -> OrthoSystem:
         idx = index_sequence(ordering, n, m)
         G = self.gram(idx)
         cond = float(np.linalg.cond(G))
-        if cond > cond_cap:
-            raise OracleUnreliableError(f"Gram matrix condition number {cond:.3e} exceeds {cond_cap:.1e}")
+        if cond > COND_CAP:
+            raise OracleUnreliableError(f"Gram matrix condition number {cond:.3e} exceeds {COND_CAP:.1e}")
         nbasis = len(idx)
         C = np.zeros((nbasis, nbasis))  # row k: coefficients of the k-th orthonormal poly
         norms = np.empty(nbasis)
@@ -361,14 +382,15 @@ class MomentOracle:
                 raise OracleUnreliableError(f"pivot loss at slot {idx[k]}")
             norms[k] = np.sqrt(nrm2)
             C[k] = v / norms[k]
-        # row k is supported on the first k + 1 slots, so its grid spans their running maxima
+        # row k is supported on the first k + 1 slots, so its grid spans their running
+        # maxima; its own slot holds C[k, k] = 1 / norms[k] > 0, so no sign fix is needed
         ii, jj = np.array(idx).T
         nx, ny = np.maximum.accumulate(ii) + 1, np.maximum.accumulate(jj) + 1
         system = OrthoSystem(ordering)
         for k, (i, j) in enumerate(idx):
             grid = np.zeros((nx[k], ny[k]))
             grid[ii[: k + 1], jj[: k + 1]] = C[k, : k + 1]
-            system.entries.append(((i, j), leading_sign_fix(BivariatePoly(CHEB_U, grid), (i, j))))
+            system.entries.append(((i, j), BivariatePoly(CHEB_U, grid)))
             system.norms.append(float(norms[k]))
         return system
 
@@ -422,7 +444,7 @@ class MomentOracle:
         self._chebu_resolution = int(spill["chebu_resolution"])
 
 
-_ORACLES: OrderedDict[str, MomentOracle] = OrderedDict()
+_ORACLES: OrderedDict[tuple[str, float], MomentOracle] = OrderedDict()
 _ORACLES_LOCK = threading.Lock()
 
 
@@ -432,7 +454,7 @@ def oracle_for(spec: WeightSpec, tol: float = DEFAULT_TOL) -> MomentOracle:
     At most MAX_ORACLES are kept; the least recently used one is dropped,
     and with it every table and system cached for its spec.
     """
-    key = f"{spec.fingerprint}:{tol:.3e}"
+    key = (spec.fingerprint, float(tol))  # the exact tol: a rounded one could serve a looser oracle
     with _ORACLES_LOCK:
         if key in _ORACLES:
             _ORACLES.move_to_end(key)
@@ -454,10 +476,3 @@ def univariate_moment(spec: WeightSpec, i: int, y: float, tol: float = DEFAULT_T
 def gram_schmidt(spec: WeightSpec, ordering: str, n: int, m: int | None = None) -> OrthoSystem:
     return oracle_for(spec).gram_schmidt(ordering, n, m)
 
-
-def monomial_moment_matrix(spec: WeightSpec, indices: list[tuple[int, int]]) -> np.ndarray:
-    """Moment matrix over monomials x^i y^j; entry depends only on the
-    exponent sums, which is the doubly Hankel structure."""
-    ii, jj = np.array(indices).T
-    table = oracle_for(spec).moment_table(2 * int(max(ii.max(), jj.max())))
-    return table[ii[:, None] + ii[None, :], jj[:, None] + jj[None, :]]

@@ -96,11 +96,3 @@ class OrthoSystem:
         sys.norms = list(d.get("norms", []))
         return sys
 
-
-def leading_sign_fix(p: BivariatePoly, idx: tuple[int, int]) -> BivariatePoly:
-    """Flip the sign so the coefficient at the leading basis slot is positive."""
-    i, j = idx
-    c = p.coeffs
-    if i < c.shape[0] and j < c.shape[1] and float(c[i, j]) < 0.0:
-        return p.scale(-1.0)
-    return p

@@ -12,11 +12,8 @@ tensor by ``_lin``.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
@@ -58,19 +55,30 @@ def chebu_to_monomial_matrix(n: int) -> np.ndarray:
     return T
 
 
-def _chebu_from_monomial_1d(m: np.ndarray) -> np.ndarray:
-    """Back-substitution against the (upper triangular) U-to-monomial matrix."""
-    n = len(m) - 1
-    if n < 0:
-        return m.copy()
-    T = chebu_to_monomial_matrix(n)
-    c = m.astype(float)
-    out = np.zeros(n + 1)
-    for i in range(n, -1, -1):
-        ci = c[i] / T[i, i]
-        out[i] = ci
-        if ci != 0:
-            c[: i + 1] = c[: i + 1] - ci * T[: i + 1, i]
+@lru_cache(maxsize=64)
+def _mono_to_chebu(k: int) -> np.ndarray:
+    """M[c, i] with x^i = sum_c M[c, i] U_c(x), for i, c <= k.
+
+    Column i is x times column i - 1, by x U_c = (U_{c+1} + U_{c-1}) / 2
+    with U_{-1} = 0.  The entries are exact dyadic rationals.  The tables
+    are small, cached and read-only."""
+    M = np.zeros((k + 1, k + 1))
+    M[0, 0] = 1.0
+    for i in range(1, k + 1):
+        M[1:, i] = M[:-1, i - 1] / 2
+        M[:-1, i] += M[1:, i - 1] / 2
+    M.setflags(write=False)
+    return M
+
+
+def _padded(grids: list[np.ndarray], shape: tuple[int, int] | None = None) -> np.ndarray:
+    """The 2-D grids zero-padded into one (len(grids), *shape) array; the
+    shape defaults to the largest extent of the grids on each axis."""
+    if shape is None:
+        shape = (max(g.shape[0] for g in grids), max(g.shape[1] for g in grids))
+    out = np.zeros((len(grids), *shape))
+    for a, g in enumerate(grids):
+        out[a, : g.shape[0], : g.shape[1]] = g
     return out
 
 
@@ -80,7 +88,7 @@ def _convert1(coeffs: np.ndarray, src: str, dst: str) -> np.ndarray:
     if src == CHEB_U and dst == MONOMIAL:
         return chebu_to_monomial_matrix(len(coeffs) - 1) @ coeffs
     if src == MONOMIAL and dst == CHEB_U:
-        return _chebu_from_monomial_1d(coeffs)
+        return _mono_to_chebu(len(coeffs) - 1) @ coeffs
     raise ValueError(f"unknown basis pair {src!r} -> {dst!r}")
 
 
@@ -270,10 +278,6 @@ class BivariatePoly:
             return BivariatePoly.zero(px.basis)
         return BivariatePoly(px.basis, np.outer(px.coeffs, py.coeffs))
 
-    @staticmethod
-    def const(c, basis: str = CHEB_U) -> "BivariatePoly":
-        return BivariatePoly(basis, np.array([[c]], dtype=float))
-
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "BivariatePoly"):
         if self.basis != other.basis:
@@ -309,9 +313,7 @@ class BivariatePoly:
             Ty = chebu_to_monomial_matrix(ny - 1)
             return BivariatePoly(MONOMIAL, Tx @ self.coeffs @ Ty.T)
         if self.basis == MONOMIAL and basis == CHEB_U:
-            mid = np.stack([_chebu_from_monomial_1d(self.coeffs[:, j]) for j in range(ny)], axis=1)
-            out = np.stack([_chebu_from_monomial_1d(mid[i, :]) for i in range(nx)], axis=0)
-            return BivariatePoly(CHEB_U, out)
+            return BivariatePoly(CHEB_U, _mono_to_chebu(nx - 1) @ self.coeffs @ _mono_to_chebu(ny - 1).T)
         raise ValueError(f"unknown basis pair {self.basis!r} -> {basis!r}")
 
     def swap_xy(self) -> "BivariatePoly":
@@ -422,24 +424,6 @@ def t_map(p: BivariatePoly) -> LaurentPoly:
     return LaurentPoly(out)
 
 
-def laurent_substitute_half(mono_coeffs) -> dict[int, float]:
-    """Laurent expansion of p((u + 1/u)/2) from monomial coefficients of p."""
-    out: dict[int, float] = {}
-    for k, c in enumerate(mono_coeffs):
-        c = float(c)
-        if c == 0.0:
-            continue
-        s = c / 2.0**k
-        for j in range(k + 1):
-            e = k - 2 * j
-            out[e] = out.get(e, 0.0) + s * math.comb(k, j)
-    return {e: v for e, v in out.items() if v != 0.0}
-
-
-def laurent_from_separable(zc: Mapping[int, float], wc: Mapping[int, float]) -> LaurentPoly:
-    return LaurentPoly({(a, b): va * vb for a, va in zc.items() for b, vb in wc.items() if va * vb != 0.0})
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
@@ -458,10 +442,3 @@ def poly_from_dict(d: dict) -> BivariatePoly | UnivariatePoly:
         return BivariatePoly(d["basis"], np.zeros((0, 0)))
     return UnivariatePoly(d["basis"], np.asarray(coeffs, dtype=float))
 
-
-def poly_to_json(p) -> str:
-    return json.dumps(poly_to_dict(p))
-
-
-def poly_from_json(s: str):
-    return poly_from_dict(json.loads(s))

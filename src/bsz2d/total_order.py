@@ -4,6 +4,8 @@ For k at or above the threshold ceil((N-2)/2) the component of leading
 monomial x^k y^{n-k} is the closed form q_k(x, y) U_{n-k}(y), normalized
 under the probability-normalized measure.  Below the threshold no closed
 form exists in general and the component comes from oracle Gram-Schmidt.
+``MomentOracle.assemble`` does both: it normalizes the closed components
+in one batch and reads the others from one Gram-Schmidt system.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from .moment_oracle import MomentOracle, oracle_for
 from .ortho import TOTAL, OrthoSystem
-from .poly_core import CHEB_U, BivariatePoly, u_band
+from .poly_core import u_band
 from .szego_core import low_band_threshold, qk_grid
 from .weights import WeightSpec
 
@@ -34,20 +36,9 @@ def build_total_vector(spec: WeightSpec, n: int, oracle: MomentOracle | None = N
 
 
 def _total_vector(spec: WeightSpec, n: int, orc: MomentOracle) -> OrthoSystem:
-    k0 = total_threshold(spec)
-    low = orc.gram_schmidt(TOTAL, n) if k0 > 0 else None
-    slot_of = {idx: pos for pos, idx in enumerate(low.indices())} if low is not None else {}
-    out = OrthoSystem(TOTAL)
-    for k in range(n + 1):
-        idx = (k, n - k)
-        if k < k0:
-            p, nrm = low.entries[slot_of[idx]][1], low.norms[slot_of[idx]]
-        else:
-            raw = BivariatePoly(CHEB_U, u_band(qk_grid(spec, k), n - k, 1))  # q_k(x, y) U_{n-k}(y)
-            p, nrm = orc.normalized(raw, idx)
-        out.entries.append((idx, p))
-        out.norms.append(float(nrm))
-    return out
+    # q_k(x, y) U_{n-k}(y) from the threshold on; the oracle builds the rest
+    closed = {(k, n - k): u_band(qk_grid(spec, k), n - k, 1) for k in range(total_threshold(spec), n + 1)}
+    return orc.assemble(TOTAL, [(k, n - k) for k in range(n + 1)], closed, n)
 
 
 def gram_deviation(spec: WeightSpec, system: OrthoSystem, oracle: MomentOracle | None = None) -> float:

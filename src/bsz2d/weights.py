@@ -102,7 +102,8 @@ class WeightSpec:
     def h(self) -> tuple[UnivariatePoly, ...]:
         if self._h is not None:
             return self._h
-        return _expand_factors(self._factors)
+        # h(z, y) = prod_i (1 + 2 a_i y z + a_i^2 z^2)
+        return _expand_z([[1.0, 0.0], [0.0, 2.0 * a], [a * a, 0.0]] for a in self._factors)
 
     @cached_property
     def h_chebu(self) -> np.ndarray:
@@ -178,25 +179,21 @@ class WeightSpec:
         return f"WeightSpec(generic N_h={self.n_h})"
 
 
-def _expand_factors(factors: tuple[float, ...]) -> tuple[UnivariatePoly, ...]:
-    """h(z, y) = prod_i (1 + 2 a_i y z + a_i^2 z^2) as z-coefficient rows.
-
-    Rows are y-monomial coefficient vectors, convolved factor by factor.
-    """
-    rows = [np.array([1.0])]  # h = 1
-    for a in factors:
-        fac = [np.array([1.0]), np.array([0.0, 2.0 * a]), np.array([a * a])]
-        new = [np.zeros(1) for _ in range(len(rows) + 2)]
-        for i, r in enumerate(rows):
-            for j, f in enumerate(fac):
-                conv = np.convolve(r, f)
-                tgt = new[i + j]
-                if len(tgt) < len(conv):
-                    tgt = np.concatenate([tgt, np.zeros(len(conv) - len(tgt))])
-                tgt[: len(conv)] += conv
-                new[i + j] = tgt
-        rows = new
-    return tuple(UnivariatePoly(MONOMIAL, r) for r in rows)
+def _expand_z(factors) -> tuple[UnivariatePoly, ...]:
+    """The z-coefficients h_0, h_1, ... of a product of polynomials in z
+    whose coefficients are polynomials in y.  Row i of a factor holds the
+    y-monomial coefficients of its z^i term; trailing zero rows of the
+    product are dropped, so a vanishing top coefficient lowers N_h."""
+    acc = np.ones((1, 1))
+    for fac in factors:
+        fac = np.atleast_2d(np.asarray(fac, dtype=float))
+        out = np.zeros((len(acc) + len(fac) - 1, acc.shape[1] + fac.shape[1] - 1))
+        for i, j in np.ndindex(len(acc), len(fac)):
+            out[i + j] += np.convolve(acc[i], fac[j])
+        acc = out
+    while len(acc) > 1 and not np.any(acc[-1]):
+        acc = acc[:-1]
+    return tuple(UnivariatePoly(MONOMIAL, r) for r in acc)
 
 
 def product_spec(a: list[float]) -> WeightSpec:

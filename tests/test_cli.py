@@ -148,9 +148,7 @@ class TestExampleAndVerify:
 class TestTolerance:
     @staticmethod
     def _assert_one_oracle_at(spec, tol):
-        keys = [k for k in moment_oracle._ORACLES if k.startswith(spec.fingerprint)]
-        assert keys == [f"{spec.fingerprint}:{tol:.3e}"]
-        assert moment_oracle._ORACLES[keys[0]].tol == tol
+        assert [o.tol for o in moment_oracle._ORACLES.values() if o.spec == spec] == [tol]
 
     @pytest.mark.parametrize(
         "args",
@@ -186,3 +184,28 @@ class TestErrors:
         path.write_text(json.dumps({"generic_h": [[1.0], [-2.0]]}))
         res = runner.invoke(main, ["moments", "--weight", str(path)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["total", "--weight", "{scalar}", "--n", "2"],
+            ["total", "--weight", "{weight}", "--n", "-1"],
+            ["recurrence", "--weight", "{weight}", "--n", "-1"],
+            ["moments", "--weight", "{weight}", "--max-degree", "-1"],
+            ["lex", "--weight", "{weight}", "--n", "-1", "--m", "2"],
+            ["verify", "--weight", "{weight}", "--depth", "-1"],
+            ["recurrence", "--weight", "{weight}", "--ordering", "lex", "--n", "0", "--m", "2"],
+            ["example", "--id", "ex1", "--a", "0.3", "--depth", "9"],
+            ["example", "--id", "ex1", "--a", "1.5"],
+        ],
+        ids=["scalar-product", "total-n", "recurrence-n", "moments-degree", "lex-n", "verify-depth",
+             "lex-recurrence-n0", "example-depth", "example-a"],
+    )
+    def test_bad_input_is_a_usage_error(self, runner, product_weight, tmp_path, args):
+        scalar = tmp_path / "scalar.json"
+        scalar.write_text(json.dumps({"product": 0.5}))
+        args = [a.format(weight=product_weight, scalar=scalar) for a in args]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # a usage message, not a traceback
+        assert "Error" in res.output

@@ -50,6 +50,22 @@ class TestSpecBuilders:
             want = (1 - 0.3 * z) * (1 + 0.2 * z) * (1 - 0.8 * y * z + 0.16 * z * z)
             assert spec.h_eval(z, y) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "build,n_h,fingerprint",
+        [
+            (lambda: ex2(0.6, 0.0), 2, "db8a3eb6b9e635df5707061f359bc37990abe3a7"),
+            (lambda: ex2(0.0, 0.0), 0, "b754811e5a7ab43dfdd5f8ac25f4d6f902cbcadd"),
+            (lambda: remark_n4(0.0, 0.0, 0.5), 2, "3b3d3643936e371adb365e0eb7b0172e71f5391c"),
+            (lambda: remark_n4(0.3, 0.0, 0.0), 1, "7886e1121d96757f5aab111e4ed1f7fcf068c7d9"),
+        ],
+        ids=["ex2-b0", "ex2-a0-b0", "remark_n4-b0", "remark_n4-a0"],
+    )
+    def test_degenerate_factors_drop_top_rows(self, build, n_h, fingerprint):
+        # a vanishing factor coefficient leaves zero top z-rows, which must not count toward N_h
+        spec = build()
+        assert spec.n_h == n_h
+        assert spec.fingerprint == fingerprint
+
 
 class TestRegression:
     @pytest.mark.parametrize(
@@ -81,6 +97,8 @@ class TestRegression:
     def test_depth_cap(self):
         with pytest.raises(ValueError):
             run_regression("ex1", 9, a=0.3)
+        with pytest.raises(ValueError):
+            run_regression("ex1", -1, a=0.3)
 
     def test_margins_are_finite(self):
         rep = run_regression("ex1", 3, a=0.3)

@@ -18,7 +18,7 @@ from bsz2d.lex_order import (
     lex_system,
     low_band_max_k,
 )
-from bsz2d.moment_oracle import oracle_for
+from bsz2d.moment_oracle import MomentOracle, oracle_for
 from bsz2d.ortho import LEX, REVLEX
 from bsz2d.poly_core import CHEB_U, BivariatePoly, mul, u_index
 from bsz2d.szego_core import build_qk, build_tilde_ql, norm_threshold
@@ -247,6 +247,21 @@ class TestSystems:
         with pytest.raises(ValueError):
             lex_system(SPEC1, 2, 2, ordering="total")
 
+    @pytest.mark.parametrize("n,m", [(-1, 2), (2, -1)])
+    def test_negative_bounds(self, n, m):
+        with pytest.raises(ValueError, match="nonnegative"):
+            lex_system(SPEC1, n, m)
+
+    @pytest.mark.parametrize("ordering", [LEX, REVLEX])
+    @pytest.mark.parametrize("spec", [SPEC2, SPEC3, SPEC_CUBIC], ids=["f2", "f3", "generic"])
+    def test_one_assembly_pass(self, oracle_calls, spec, ordering):
+        # closed slots are normalized in one batch, and the fallback is one Gram-Schmidt run
+        orc = MomentOracle(spec)
+        for n, m in [(3, 3), (5, 7), (8, 8)]:
+            lex_system(spec, n, m, ordering, orc)
+            assert oracle_calls["normalized"] == 0 and oracle_calls["gram_schmidt"] <= 1
+            oracle_calls.clear()
+
     def test_build_revlex_slots(self):
         orc = oracle_for(SPEC2)
         pure = orc.gram_schmidt(REVLEX, 4, 4)
@@ -273,7 +288,7 @@ class TestExplicitOracle:
         orc = oracle_for(spec, 1e-6)
         p = build(spec, orc)
         assert orc.norm(p) == pytest.approx(1.0, abs=1e-12)
-        assert list(moment_oracle._ORACLES) == [f"{spec.fingerprint}:{1e-6:.3e}"]
+        assert [o.tol for o in moment_oracle._ORACLES.values()] == [1e-6]
 
 
 class TestConnection:

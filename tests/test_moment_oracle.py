@@ -10,7 +10,6 @@ from bsz2d.moment_oracle import (
     AccuracyError,
     MomentOracle,
     OracleUnreliableError,
-    monomial_moment_matrix,
     oracle_for,
 )
 from bsz2d.ortho import LEX, REVLEX, TOTAL, index_sequence
@@ -77,6 +76,11 @@ class TestGeneralOracle:
             orc.moment(-1, 0)
         with pytest.raises(ValueError):
             orc.univariate_moment(0, 1.5)
+
+    def test_normalized_zero_polynomial_raises(self):
+        # a fresh oracle has no Gram block yet; the zero grid still needs a 1 x 1 one
+        with pytest.raises(ValueError, match="cannot normalize the zero polynomial"):
+            MomentOracle(product_spec([0.3])).normalized(BivariatePoly.zero(CHEB_U), (0, 0))
 
     def test_normalized_leading_sign(self):
         orc = oracle_for(product_spec([0.3]))
@@ -169,9 +173,17 @@ class TestGramSchmidt:
             assert np.count_nonzero(grid) == np.count_nonzero(grid[ii, jj])  # nothing off the basis
         assert np.max(np.abs(np.array(system.norms) - norms)) < 1e-13
 
-    def test_condition_cap_raises(self):
+    def test_condition_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(moment_oracle, "COND_CAP", 1.0)
         with pytest.raises(OracleUnreliableError):
-            MomentOracle(product_spec([0.5])).gram_schmidt(TOTAL, 3, cond_cap=1.0)
+            MomentOracle(product_spec([0.5])).gram_schmidt(TOTAL, 3)
+
+    @pytest.mark.parametrize("window", [(TOTAL, 12), (LEX, 8, 8), (REVLEX, 6, 8)], ids=["total", "lex", "revlex"])
+    def test_leading_coefficient_positive(self, window):
+        # C[k, k] = 1 / norm > 0 by construction, so no sign fix is applied
+        system = oracle_for(product_spec([0.5, -0.3])).gram_schmidt(*window)
+        for (i, j), p in system.entries:
+            assert p.coeffs[i, j] > 0.0
 
 
 def test_inner_matrix_matches_pairwise_inner():
@@ -234,7 +246,9 @@ class TestGramBlock:
 
 def test_doubly_hankel_structure():
     idx = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    M = monomial_moment_matrix(product_spec([-0.5]), idx)
+    ii, jj = np.array(idx).T
+    # the moment matrix over monomials x^i y^j, read from the table by exponent sums
+    M = oracle_for(product_spec([-0.5])).moment_table(2)[ii[:, None] + ii[None, :], jj[:, None] + jj[None, :]]
     assert M == pytest.approx(M.T)
     # entries depend only on the exponent sums
     assert M[1, 2] == pytest.approx(M[3, 0])  # both are moment(1, 1)
@@ -347,6 +361,14 @@ class TestTolContract:
         monkeypatch.setattr(orc, "_table_at", None)  # any new quadrature would fail
         assert orc.moment_with_error(2, 2, tol=1e-3) == want
         assert orc.moment(3, 1, tol=1e-6) == orc.moment_table(3)[3, 1]
+
+    def test_nearby_tol_gets_its_own_oracle(self, monkeypatch):
+        # both tols print as 1.000e-11; each request gets an oracle at its own exact tol
+        monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
+        loose = oracle_for(self.SPEC, 1.0004e-11)
+        tight = oracle_for(self.SPEC, 1e-11)
+        assert tight is not loose and tight.tol == 1e-11
+        assert oracle_for(self.SPEC, 1.0004e-11) is loose
 
     def test_module_helper_builds_the_oracle_at_its_tol(self, monkeypatch):
         monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bsz2d.moment_oracle import oracle_for
+from bsz2d.moment_oracle import MomentOracle, grid_size, oracle_for
 from bsz2d.ortho import TOTAL
 from bsz2d.total_order import build_total_vector, gram_deviation, total_threshold
 from bsz2d.weights import chebyshev_spec, generic_spec, product_spec
@@ -65,6 +65,19 @@ class TestVectors:
         system = build_total_vector(SPEC2, 3)
         assert len(system.norms) == 4
         assert all(np.isfinite(v) and v > 0 for v in system.norms)
+
+    @pytest.mark.parametrize("spec", [SPEC1, SPEC2, SPEC_CUBIC, product_spec([0.4, 0.3, -0.5])])
+    def test_one_assembly_pass(self, oracle_calls, spec):
+        # closed components are normalized in one batch, the rest come from one Gram-Schmidt run
+        orc = MomentOracle(spec)
+        for n in range(8):
+            build_total_vector(spec, n, orc)
+            assert oracle_calls["normalized"] == 0
+            assert oracle_calls["gram_schmidt"] == (1 if total_threshold(spec) > 0 else 0)
+            oracle_calls.clear()
+        # the shared Gram block grows no further than the polynomials reach
+        polys = [p for n in range(8) for _, p in build_total_vector(spec, n, orc).entries]
+        assert len(orc.gram_block(1)) == grid_size(polys)
 
     def test_cached(self):
         assert build_total_vector(SPEC1, 4) is build_total_vector(SPEC1, 4)
