@@ -172,8 +172,9 @@ def run_regression(example_id: str, depth: int = 5, tol: float = DEFAULT_TOL, **
             rep.add("lex collapse B", "section 4 collapse theorem", float(np.max(np.abs(blk_l.b))), gate)
     elif example_id == "ex2":
         a, b = params["a"], params["b"]
-        rep.add("B_x0", "section 5.2 display", float(abs(blocks[0].b_x[0, 0] - b)), gate)
-        rep.add("B_y0", "section 5.2 display", float(abs(blocks[0].b_y[0, 0] - a * b)), gate)
+        if depth >= 1:
+            rep.add("B_x0", "section 5.2 display", float(abs(blocks[0].b_x[0, 0] - b)), gate)
+            rep.add("B_y0", "section 5.2 display", float(abs(blocks[0].b_y[0, 0] - a * b)), gate)
         if depth >= 2:
             rep.add("B_x1", "section 5.2 display", float(np.max(np.abs(blocks[1].b_x - ex2_b_x1(a, b)))), gate)
         for n in range(2, depth):

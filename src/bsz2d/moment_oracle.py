@@ -25,17 +25,17 @@ The probability measure is
 and the one-variable slice measure (no 2/pi prefactor) is
     dmu_y = sqrt(1-x^2) / |h(e^{i theta}, y)|^2 dx.
 
-Orthonormal systems are produced by classical Gram-Schmidt applied twice
-(CGS2) in coefficient space, run over the tensor Chebyshev-U basis
-ordered exactly like the monomial sequence of the requested ordering:
-each slot subtracts its projection on all earlier slots at once, with
-the Gram matrix G as the inner product, and then does so a second time.
-Two passes lose orthogonality only at the O(eps) level, as modified
-Gram-Schmidt with reorthogonalization does (L. Giraud, J. Langou and
-M. Rozloznik, Comput. Math. Appl. 50, 2005).  Since U_i(x) U_j(y) and
-x^i y^j have identical leading index pairs in every ordering used here,
-the resulting system is the same one monomial Gram-Schmidt defines, but
-the Gram matrices stay well conditioned.
+Orthonormal systems are produced in coefficient space over the tensor
+Chebyshev-U basis ordered exactly like the monomial sequence of the
+requested ordering, from one Cholesky factorization G = L L^T of the Gram
+matrix of those slots: C = L^{-1} is lower triangular with a positive
+diagonal and C G C^T = I, so row k of C is the k-th orthonormal polynomial
+and the norm divided out is L[k, k].  Since U_i(x) U_j(y) and x^i y^j have
+identical leading index pairs in every ordering used here, the result is
+the system monomial Gram-Schmidt defines, but the Gram matrices stay well
+conditioned.  The leading block of L is the factor of the leading block
+of G, so a smaller system of the same ordering is a leading block of a
+larger one.
 
 Every system the library builds is put together by ``assemble``.  The
 slots with a closed form arrive as Chebyshev-U grids and are normalized
@@ -164,22 +164,22 @@ class MomentOracle:
         scale = 4.0 * (2.0 * np.pi / resolution) ** 2 / np.pi**2
         return scale * (AW @ B.T)
 
-    def _converged_table(self, make_rows) -> tuple[np.ndarray, float, int]:
-        """The first table whose increment over the previous doubling is below
-        the oracle's tol; returns (table, increment, resolution)."""
+    def _ladder(self, run, tol: float) -> tuple[np.ndarray, float, int]:
+        """The first ``run(resolution)`` whose relative increment over the
+        previous doubling is below tol; returns (value, increment, resolution)."""
         resolution = _START_RESOLUTION
-        prev = self._table_at(make_rows, resolution)
+        prev = run(resolution)
         err = float("inf")
         while True:
             resolution *= 2
             if resolution > self.max_resolution:
                 raise AccuracyError(
                     f"no convergence below resolution {self.max_resolution} "
-                    f"(last increment {err:.3e}, tol {self.tol:.3e})"
+                    f"(last increment {err:.3e}, tol {tol:.3e})"
                 )
-            cur = self._table_at(make_rows, resolution)
+            cur = run(resolution)
             err = float(np.max(np.abs(cur - prev) / (1.0 + np.abs(cur))))
-            if err < self.tol:
+            if err < tol:
                 return cur, err, resolution
             prev = cur
 
@@ -194,7 +194,7 @@ class MomentOracle:
             if self._chebu_table is None or self._chebu_table.shape[0] <= smax:
                 size = max(smax, 63)
                 make = lambda th: (_sin_matrix(size, th), _sin_matrix(size, th))
-                table, err, res = self._converged_table(make)
+                table, err, res = self._ladder(lambda r: self._table_at(make, r), self.tol)
                 self._mass = float(table[0, 0])
                 self._chebu_table = table / self._mass
                 self._chebu_err, self._chebu_resolution = err, res
@@ -235,7 +235,6 @@ class MomentOracle:
         if abs(y) > 1.0:
             raise ValueError("need |y| <= 1")
         tol = self.tol if tol is None else tol
-        resolution = _START_RESOLUTION
 
         def run(res: int) -> np.ndarray:
             th = _interior_grid(res)
@@ -244,15 +243,7 @@ class MomentOracle:
             # which is twice the sum over the interior half grid
             return (2.0 * np.pi / res) * (_sin_matrix(smax, th) @ w)
 
-        prev = run(resolution)
-        while True:
-            resolution *= 2
-            if resolution > self.max_resolution:
-                raise AccuracyError("univariate quadrature did not converge")
-            cur = run(resolution)
-            if float(np.max(np.abs(cur - prev) / (1.0 + np.abs(cur)))) < tol:
-                return cur
-            prev = cur
+        return self._ladder(run, tol)[0]
 
     def slice_inner(self, fx: np.ndarray, gx: np.ndarray, y: float) -> float:
         """integral of f(x) g(x) dmu_y(x) for Chebyshev-U coefficient vectors."""
@@ -368,20 +359,12 @@ class MomentOracle:
         cond = float(np.linalg.cond(G))
         if cond > COND_CAP:
             raise OracleUnreliableError(f"Gram matrix condition number {cond:.3e} exceeds {COND_CAP:.1e}")
-        nbasis = len(idx)
-        C = np.zeros((nbasis, nbasis))  # row k: coefficients of the k-th orthonormal poly
-        norms = np.empty(nbasis)
-        for k in range(nbasis):
-            v = np.zeros(nbasis)
-            v[k] = 1.0
-            Ck = C[:k]
-            for _ in range(2):  # classical Gram-Schmidt, applied twice (CGS2)
-                v -= Ck.T @ (Ck @ (G @ v))
-            nrm2 = float(v @ G @ v)
-            if nrm2 <= 1e-20:
-                raise OracleUnreliableError(f"pivot loss at slot {idx[k]}")
-            norms[k] = np.sqrt(nrm2)
-            C[k] = v / norms[k]
+        try:
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError as exc:
+            raise OracleUnreliableError(f"Gram matrix is not positive definite: {exc}") from exc
+        C = np.linalg.inv(L)  # row k: coefficients of the k-th orthonormal poly
+        norms = np.diag(L)
         # row k is supported on the first k + 1 slots, so its grid spans their running
         # maxima; its own slot holds C[k, k] = 1 / norms[k] > 0, so no sign fix is needed
         ii, jj = np.array(idx).T

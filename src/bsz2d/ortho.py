@@ -34,6 +34,8 @@ _KEYS = {TOTAL: td_key, LEX: lex_key, REVLEX: revlex_key}
 def index_sequence(ordering: str, n: int, m: int | None = None) -> list[tuple[int, int]]:
     """Ordered (x-degree, y-degree) pairs: total degree <= n, or the
     rectangular window 0..n by 0..m for lex/revlex."""
+    if n < 0 or (m is not None and m < 0):
+        raise ValueError("index bounds n and m must be nonnegative")
     if ordering == TOTAL:
         idx = [(i, j) for d in range(n + 1) for i in range(d + 1) for j in [d - i]]
         return sorted(idx, key=td_key)

@@ -110,23 +110,21 @@ def lex_blocks(
 ) -> BlockRecurrence:
     """A_{n,m} and B_{n,m} (or the revlex mirror, where the roles of the
     variables and of n, m are exchanged)."""
-    orc = oracle_for(spec) if oracle is None else oracle
     if ordering == LEX:
         if n < 1:
             raise ValueError("need n >= 1 for A_{n,m}")
-        sys_hi = lex_system(spec, n, m, LEX, orc).slice_first(n)
-        sys_lo = lex_system(spec, n - 1, m, LEX, orc).slice_first(n - 1)
-        axis = 0
-        size = m + 1
+        hi, axis, size = n, 0, m + 1
     elif ordering == REVLEX:
         if m < 1:
             raise ValueError("need m >= 1 for the revlex block")
-        sys_hi = lex_system(spec, n, m, REVLEX, orc).slice_first(m)
-        sys_lo = lex_system(spec, n, m - 1, REVLEX, orc).slice_first(m - 1)
-        axis = 1
-        size = n + 1
+        hi, axis, size = m, 1, n + 1
     else:
         raise ValueError("ordering must be lex or revlex")
+    orc = oracle_for(spec) if oracle is None else oracle
+    # the (n-1, m) window (revlex: (n, m-1)) is a leading block of this one: a closed-form
+    # slot depends only on itself and the minor bound, a Gram-Schmidt slot only on earlier slots
+    system = lex_system(spec, n, m, ordering, orc)
+    sys_hi, sys_lo = system.slice_first(hi), system.slice_first(hi - 1)
     a = _pairing(orc, axis, sys_lo, sys_hi)
     b = _pairing(orc, axis, sys_hi, sys_hi)
     if a.shape != (size, size) or b.shape != (size, size):

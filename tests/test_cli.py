@@ -115,7 +115,8 @@ class TestRecurrence:
             main, ["recurrence", "--weight", product_weight, "--ordering", "lex", "--n", "3", "--m", "3"]
         )
         assert res.exit_code == 0, res.output
-        assert sorted(windows) == [(2, 3), (3, 3)]  # the structure check's blocks are the ones printed
+        # one window: the (2, 3) one is its leading block, and the structure check's blocks are the ones printed
+        assert windows == [(3, 3)]
 
     def test_lex_requires_m(self, runner, product_weight):
         res = runner.invoke(main, ["recurrence", "--weight", product_weight, "--ordering", "lex", "--n", "3"])
@@ -129,6 +130,11 @@ class TestExampleAndVerify:
         blob = json.loads(res.output)
         assert blob["ok"] is True
         assert blob["params"] == {"a": 0.3}
+
+    def test_example_depth_zero(self, runner):
+        res = runner.invoke(main, ["example", "--id", "ex2", "--a", "0.3", "--b", "0.1", "--depth", "0"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["ok"] is True
 
     def test_example_missing_params(self, runner):
         res = runner.invoke(main, ["example", "--id", "ex2", "--a", "0.3"])

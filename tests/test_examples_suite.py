@@ -94,6 +94,14 @@ class TestRegression:
         assert d["ok"] and d["example"] == "ex2"
         assert {"name", "location", "passed", "margin"} <= set(d["entries"][0])
 
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_ex2_shallow_depth(self, depth):
+        # levels 0..depth-1 have blocks: depth 0 has none to check, depth 1 only B_x0 and B_y0
+        rep = run_regression("ex2", depth, a=0.3, b=0.1)
+        names = {e.name for e in rep.entries}
+        assert rep.ok and "B_x1" not in names
+        assert ("B_x0" in names and "B_y0" in names) == (depth >= 1)
+
     def test_depth_cap(self):
         with pytest.raises(ValueError):
             run_regression("ex1", 9, a=0.3)

@@ -178,6 +178,20 @@ class TestGramSchmidt:
         with pytest.raises(OracleUnreliableError):
             MomentOracle(product_spec([0.5])).gram_schmidt(TOTAL, 3)
 
+    def test_indefinite_gram_raises(self, monkeypatch):
+        # well conditioned but not positive definite, so the Cholesky factorization fails
+        orc = MomentOracle(product_spec([0.5]))
+        monkeypatch.setattr(orc, "gram", lambda idx: np.diag([1.0, -1.0] + [1.0] * (len(idx) - 2)))
+        assert np.linalg.cond(orc.gram(index_sequence(TOTAL, 3))) < moment_oracle.COND_CAP
+        with pytest.raises(OracleUnreliableError, match="not positive definite"):
+            orc.gram_schmidt(TOTAL, 3)
+
+    def test_negative_bound_raises(self):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            oracle_for(product_spec([0.5])).gram_schmidt(TOTAL, -1)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            index_sequence(LEX, 2, -1)
+
     @pytest.mark.parametrize("window", [(TOTAL, 12), (LEX, 8, 8), (REVLEX, 6, 8)], ids=["total", "lex", "revlex"])
     def test_leading_coefficient_positive(self, window):
         # C[k, k] = 1 / norm > 0 by construction, so no sign fix is applied
@@ -502,3 +516,9 @@ def test_accuracy_error_on_tiny_cap():
     orc = MomentOracle(product_spec([0.9]), max_resolution=128)
     with pytest.raises(AccuracyError):
         orc.chebu_table(4)
+
+
+def test_slice_accuracy_error_on_tiny_cap():
+    orc = MomentOracle(product_spec([0.9]), max_resolution=128)
+    with pytest.raises(AccuracyError, match="no convergence below resolution 128"):
+        orc.univariate_chebu_moments(4, 0.3)

@@ -113,7 +113,9 @@ class TestMatrixFormBlocks:
             for got, t, cols in ((blk.a_x, X, p_up), (blk.b_x, X, p_n), (blk.a_y, Y, p_up), (blk.b_y, Y, p_n)):
                 assert np.max(np.abs(got - _pairwise(spec, t, p_n, cols))) < 1e-13
 
-    @pytest.mark.parametrize("spec", [product_spec([0.5, -0.3]), SPEC_CUBIC], ids=["product", "generic"])
+    @pytest.mark.parametrize(
+        "spec", [product_spec([0.5, -0.3]), SPEC_CUBIC, product_spec([0.9])], ids=["product", "generic", "a=0.9"]
+    )
     @pytest.mark.parametrize("n, m", [(3, 3), (4, 5), (5, 2)])
     def test_lex_blocks_match_pairwise_products(self, spec, n, m):
         blk = lex_blocks(spec, n, m)
