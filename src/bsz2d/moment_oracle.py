@@ -8,13 +8,14 @@ tolerance, and the last doubling increment is kept as the error estimate.
 
 The trapezoid sums run over a quarter of the grid.  The weight
 1/|h(e^{i theta}, y)|^2 is even in theta (h has real coefficients) and
-in phi (it depends on y = cos phi only), and every row factory below is
-even and vanishes at theta = 0 and theta = pi.  So the nodes
-2 pi j / R with j and R - j contribute equally, j = 0 and j = R/2
-contribute nothing, and a table is 4 times its sum over the interior
-nodes theta, phi in (0, pi); a slice moment is 2 times its interior sum.
-A table is accumulated over theta-row chunks of at most _CHUNK_BYTES of
-weights, so its memory grows like R, not R^2.
+in phi (it depends on y = cos phi only), and every row of the one sine
+matrix a resolution uses on both axes is even and vanishes at theta = 0
+and pi.  So the nodes 2 pi j / R with j and R - j contribute equally,
+j = 0 and j = R/2 contribute nothing, and a table is 4 times its sum over
+the interior nodes theta, phi in (0, pi); a slice moment is 2 times its
+interior sum.  A table is accumulated over theta-row chunks of at most
+_CHUNK_BYTES of weights, so its memory grows like R, not R^2.  A table
+miss for s, t <= smax computes max(16, next power of two >= smax + 1) rows.
 
 An oracle accepts only weights that ``is_stable`` certifies.  An unstable
 h can vanish on the unit circle, where the weight is not integrable, and
@@ -145,24 +146,24 @@ class MomentOracle:
         self._load_spill()
 
     # -- quadrature cores -------------------------------------------------
-    def _table_at(self, make_rows, resolution: int) -> np.ndarray:
-        """(1/pi^2) (2 pi / R)^2 * A W B^T for row factories in theta and phi.
+    def _table_at(self, smax: int, resolution: int) -> np.ndarray:
+        """(1/pi^2) (2 pi / R)^2 * S W S^T, S = _sin_matrix(smax, .) on both axes.
 
         Summed over the interior quarter grid (times 4), in theta-row chunks
         of at most _CHUNK_BYTES of weights.
         """
         th = _interior_grid(resolution)
-        A, B = make_rows(th)
+        S = _sin_matrix(smax, th)
         y = np.cos(th)[None, :]
         rows = max(1, _CHUNK_BYTES // (8 * len(th)))
-        AW = np.zeros((A.shape[0], len(th)))
+        SW = np.zeros((len(S), len(th)))
         for lo in range(0, len(th), rows):
             chunk = slice(lo, lo + rows)
             W = self.spec.h_abs2(th[chunk, None], y)
             np.reciprocal(W, out=W)
-            AW += A[:, chunk] @ W
+            SW += S[:, chunk] @ W
         scale = 4.0 * (2.0 * np.pi / resolution) ** 2 / np.pi**2
-        return scale * (AW @ B.T)
+        return scale * (SW @ S.T)
 
     def _ladder(self, run, tol: float) -> tuple[np.ndarray, float, int]:
         """The first ``run(resolution)`` whose relative increment over the
@@ -190,11 +191,12 @@ class MomentOracle:
         dmu is normalized to a probability measure: the raw weight is
         divided by its total mass, so m1[0, 0] = 1 for every spec.
         """
+        if smax < 0:
+            raise ValueError("moment degrees must be nonnegative")
         with self._lock:
             if self._chebu_table is None or self._chebu_table.shape[0] <= smax:
-                size = max(smax, 63)
-                make = lambda th: (_sin_matrix(size, th), _sin_matrix(size, th))
-                table, err, res = self._ladder(lambda r: self._table_at(make, r), self.tol)
+                size = max(16, 1 << int(smax).bit_length()) - 1  # fewer rows converge at a lower R
+                table, err, res = self._ladder(lambda r: self._table_at(size, r), self.tol)
                 self._mass = float(table[0, 0])
                 self._chebu_table = table / self._mass
                 self._chebu_err, self._chebu_resolution = err, res
@@ -210,8 +212,8 @@ class MomentOracle:
     # -- monomial moments -------------------------------------------------
     def moment_table(self, k: int) -> np.ndarray:
         """integral of x^i y^j dmu for i, j <= k, as M^T m1 M."""
-        M = _mono_to_chebu(k)
-        return M.T @ self.chebu_table(k) @ M
+        m1 = self.chebu_table(k)  # rejects a negative k
+        return _mono_to_chebu(k).T @ m1 @ _mono_to_chebu(k)
 
     def moment_with_error(self, i: int, j: int, tol: float | None = None) -> tuple[float, float]:
         """The moment of x^i y^j and the increment of the Chebyshev-U table
@@ -228,12 +230,12 @@ class MomentOracle:
     # -- univariate slice measure ----------------------------------------
     def univariate_moment(self, i: int, y: float, tol: float | None = None) -> float:
         """integral of x^i dmu_y(x), as M^T u(y)."""
-        return float(_mono_to_chebu(i)[:, i] @ self.univariate_chebu_moments(i, y, tol))
+        return float(self.univariate_chebu_moments(i, y, tol) @ _mono_to_chebu(i)[:, i])  # checks i first
 
     def univariate_chebu_moments(self, smax: int, y: float, tol: float | None = None) -> np.ndarray:
         """integral of U_s(x) dmu_y(x) for s = 0..smax."""
-        if abs(y) > 1.0:
-            raise ValueError("need |y| <= 1")
+        if smax < 0 or not abs(y) <= 1.0:  # a NaN y fails here too
+            raise ValueError("need a nonnegative degree and |y| <= 1")
         tol = self.tol if tol is None else tol
 
         def run(res: int) -> np.ndarray:

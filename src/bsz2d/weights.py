@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .poly_core import CHEB_U, MONOMIAL, UnivariatePoly
+from .poly_core import CHEB_U, MONOMIAL, UnivariatePoly, _padded
 
 GENERIC_H = "generic_h"
 PRODUCT_OMEGA = "product_omega"
@@ -108,10 +108,14 @@ class WeightSpec:
     @cached_property
     def h_chebu(self) -> np.ndarray:
         """Read-only matrix whose row i holds h_i(y) in the Chebyshev-U basis."""
-        rows = [hi.to_basis(CHEB_U).coeffs for hi in self.h]
-        H = np.zeros((len(rows), max(len(r) for r in rows)))
-        for i, r in enumerate(rows):
-            H[i, : len(r)] = r
+        H = _padded([hi.to_basis(CHEB_U).coeffs[None, :] for hi in self.h])[:, 0]
+        H.flags.writeable = False
+        return H
+
+    @cached_property
+    def h_mono(self) -> np.ndarray:
+        """Read-only matrix whose row i holds h_i(y) in the monomial basis."""
+        H = _padded([hi.to_basis(MONOMIAL).coeffs[None, :] for hi in self.h])[:, 0]
         H.flags.writeable = False
         return H
 
@@ -148,19 +152,23 @@ class WeightSpec:
     def h_abs2(self, theta, y):
         """|h(e^{i theta}, y)|^2 on broadcastable grids, in real arithmetic.
 
-        With c_k = h_k(y), |h|^2 = (sum_k c_k cos k theta)^2 + (sum_k c_k sin k theta)^2.
-        On a tensor grid (theta a column, y a row) each sum is one rank-K
-        matrix product, K = N_h + 1.
+        With c_k = h_k(y), by Horner over ``h_mono``: |h|^2 = (sum_k c_k cos k theta)^2
+        + (sum_k c_k sin k theta)^2.  Each sum is one rank-K matrix product (K = N_h + 1)
+        on a tensor grid (theta a column, y a row), a matrix-vector one for a scalar y.
         """
         theta = np.asarray(theta, dtype=float)
         y = np.asarray(y, dtype=float)
         kt = np.multiply.outer(theta, np.arange(self.n_h + 1))  # theta.shape + (K,)
-        hy = np.stack([np.broadcast_to(hi(y), y.shape) for hi in self.h], axis=-1)  # y.shape + (K,)
-        if theta.ndim == y.ndim == 2 and theta.shape[1] == 1 and y.shape[0] == 1:
-            re, im = np.cos(kt[:, 0]) @ hy[0].T, np.sin(kt[:, 0]) @ hy[0].T
+        hy = np.zeros((self.n_h + 1,) + y.shape)  # (K,) + y.shape
+        for c in self.h_mono.T[::-1]:
+            hy = hy * y + c.reshape(-1, *(1,) * y.ndim)
+        if y.ndim == 0:
+            re, im = np.cos(kt) @ hy, np.sin(kt) @ hy
+        elif theta.ndim == y.ndim == 2 and theta.shape[1] == 1 and y.shape[0] == 1:
+            re, im = np.cos(kt[:, 0]) @ hy[:, 0], np.sin(kt[:, 0]) @ hy[:, 0]
         else:
-            re = np.einsum("...k,...k->...", np.cos(kt), hy)
-            im = np.einsum("...k,...k->...", np.sin(kt), hy)
+            re = np.einsum("...k,k...->...", np.cos(kt), hy)
+            im = np.einsum("...k,k...->...", np.sin(kt), hy)
         re *= re
         im *= im
         re += im

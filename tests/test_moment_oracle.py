@@ -77,6 +77,24 @@ class TestGeneralOracle:
         with pytest.raises(ValueError):
             orc.univariate_moment(0, 1.5)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda o: o.chebu_table(-1),
+            lambda o: o.moment_table(-1),
+            lambda o: o.univariate_chebu_moments(-1, 0.2),
+            lambda o: o.univariate_moment(-1, 0.2),
+            lambda o: o.univariate_chebu_moments(2, math.nan),
+            lambda o: o.univariate_moment(0, math.nan),
+        ],
+        ids=["table", "moment-table", "slice-chebu", "slice-moment", "slice-chebu-nan-y", "slice-moment-nan-y"],
+    )
+    def test_negative_degree_or_nan_y_raises_value_error(self, call):
+        # the cap keeps a NaN y from climbing a long ladder if it slipped past the guard;
+        # the match rules out numpy's own ValueError for an empty reduction
+        with pytest.raises(ValueError, match="nonnegative"):
+            call(MomentOracle(product_spec([0.3]), max_resolution=256))
+
     def test_normalized_zero_polynomial_raises(self):
         # a fresh oracle has no Gram block yet; the zero grid still needs a 1 x 1 one
         with pytest.raises(ValueError, match="cannot normalize the zero polynomial"):
@@ -352,10 +370,37 @@ class TestSpill:
 
         monkeypatch.setattr(np, "savez", broken_savez)
         with pytest.raises(OSError):
-            MomentOracle(spec).chebu_table(70)  # beyond the spilled 64-row table: computes and saves
+            MomentOracle(spec).chebu_table(70)  # beyond the spilled 16-row table: computes and saves
         assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
         with np.load(path) as kept:
             assert np.array_equal(kept["chebu"], data["chebu"])
+
+
+class TestTableSize:
+    SPEC = product_spec([0.75])
+
+    def test_rows_grow_to_the_next_power_of_two(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
+        orc = MomentOracle(self.SPEC)
+        prev = None
+        for smax, rows in [(12, 16), (16, 32), (63, 64)]:
+            assert orc.chebu_table(smax).shape == (smax + 1, smax + 1)
+            table = orc._chebu_table
+            assert table.shape == (rows, rows)
+            if prev is not None:  # the regrown table extends the previous one
+                assert np.max(np.abs(table[: len(prev), : len(prev)] - prev)) < orc.tol
+            (path,) = tmp_path.iterdir()
+            with np.load(path) as data:  # every growth rewrites the spill
+                assert np.array_equal(data["chebu"], table)
+            prev = table.copy()
+
+    def test_reopened_oracle_serves_the_16_row_spill(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
+        want = MomentOracle(self.SPEC).chebu_table(12).copy()
+        reopened = MomentOracle(self.SPEC)
+        assert reopened._chebu_table.shape == (16, 16)
+        monkeypatch.setattr(reopened, "_table_at", None)  # any new quadrature would fail
+        assert np.array_equal(reopened.chebu_table(12), want)
 
 
 class TestTolContract:
@@ -466,28 +511,34 @@ def test_unstable_weight_is_rejected():
 
 
 class TestKernel:
-    SPECS = [product_spec([0.7]), product_spec([0.5, -0.3]), generic_spec([[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]])]
+    SPECS = [
+        product_spec([0.7]),
+        product_spec([0.5, -0.3]),
+        generic_spec([[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]]),
+        generic_spec([[1.0], [0.3, -0.8], [0.2, 0.1, 0.15], [-0.05, 0.1], [0.02]]),
+    ]
+    IDS = ["one-factor", "two-factor", "generic", "generic-n4"]
 
-    @pytest.mark.parametrize("spec", SPECS, ids=["one-factor", "two-factor", "generic"])
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
     def test_h_abs2_matches_h_eval(self, spec):
         rng = np.random.default_rng(1)
         th = rng.uniform(0.0, 2.0 * np.pi, 7)
-        y = rng.uniform(-1.0, 1.0, 5)
+        y = np.concatenate([[-1.0, 1.0], rng.uniform(-1.0, 1.0, 5)])
         ref = lambda t, v: np.abs(spec.h_eval(np.exp(1j * t), v)) ** 2
-        for t, v in [(th[:, None], y[None, :]), (th, 0.3), (th, np.cos(th)), (th[:5], y), (0.4, -0.2)]:
+        cases = [(th[:, None], y[None, :]), (th, 0.3), (th, 1.0), (th, -1.0), (th, np.cos(th)), (th[:7], y), (0.4, -0.2)]
+        for t, v in cases:
             got, want = spec.h_abs2(t, v), ref(t, v)
             assert np.shape(got) == np.shape(want)
             assert np.max(np.abs(got - want) / want) < 1e-12
 
-    @pytest.mark.parametrize("spec", SPECS, ids=["one-factor", "two-factor", "generic"])
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
     def test_table_matches_full_grid(self, spec):
         res, size = 256, 9
         th = 2.0 * np.pi * np.arange(res) / res
         W = 1.0 / np.abs(spec.h_eval(np.exp(1j * th)[:, None], np.cos(th)[None, :])) ** 2
         A = moment_oracle._sin_matrix(size, th)
         want = (2.0 * np.pi / res) ** 2 / np.pi**2 * (A @ W @ A.T)
-        make = lambda t: (moment_oracle._sin_matrix(size, t), moment_oracle._sin_matrix(size, t))
-        got = MomentOracle(spec)._table_at(make, res)
+        got = MomentOracle(spec)._table_at(size, res)
         assert np.max(np.abs(got - want)) < 1e-13
 
     def test_near_boundary_table_memory_is_bounded(self):

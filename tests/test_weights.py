@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsz2d.examples_suite import ex2, remark_n4
 from bsz2d.poly_core import CHEB_U, MONOMIAL, UnivariatePoly
 from bsz2d.weights import (
     GENERIC_H,
@@ -92,6 +93,20 @@ class TestGeneric:
                 assert np.array_equal(H[i, : len(c)], c) and not np.any(H[i, len(c) :])
             with pytest.raises(ValueError):
                 H[0, 0] = 2.0
+
+    @pytest.mark.parametrize(
+        "spec, n_h",
+        [(ex2(0.6, 0.0), 2), (remark_n4(0.3, 0.0, 0.5), 3), (product_spec([0.5, -0.3]), 4)],
+        ids=["ex2-b0", "remark_n4-b2-0", "two-factor"],
+    )
+    def test_h_mono_is_a_read_only_copy_of_h(self, spec, n_h):
+        H = spec.h_mono
+        assert spec.n_h == n_h and H.shape[0] == n_h + 1  # a zero top factor lowers N_h
+        for i, hi in enumerate(spec.h):
+            c = hi.to_basis(MONOMIAL).coeffs
+            assert np.array_equal(H[i, : len(c)], c) and not np.any(H[i, len(c) :])
+        with pytest.raises(ValueError):
+            H[0, 0] = 2.0
 
 
 class TestLaurentViews:
