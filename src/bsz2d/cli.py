@@ -19,11 +19,11 @@ import numpy as np
 
 from .examples_suite import EXAMPLES, run_regression
 from .lex_order import lex_system
-from .moment_oracle import DEFAULT_TOL, oracle_for
+from .moment_oracle import DEFAULT_TOL, MAX_DEGREE, oracle_for
 from .ortho import LEX, REVLEX, TOTAL
 from .recurrence import lex_blocks, total_blocks, verify_lex_structure, verify_total_structure
 from .total_order import build_total_vector, gram_deviation
-from .weights import InvalidWeightError, WeightSpec, is_stable, spec_from_config
+from .weights import InvalidWeightError, WeightSpec, spec_from_config
 
 
 _NONNEG = click.IntRange(min=0)
@@ -34,7 +34,7 @@ def _load_spec(path: str) -> WeightSpec:
         with open(path) as fh:
             cfg = json.load(fh)
         spec = spec_from_config(cfg)
-        report = is_stable(spec)
+        report = spec.stability
         if not report.stable:
             raise InvalidWeightError(f"weight is not stable (min root modulus {report.min_modulus:.6f})")
         return spec
@@ -67,7 +67,7 @@ def main(ctx, tol):
 
 @main.command()
 @click.option("--weight", required=True, type=click.Path())
-@click.option("--max-degree", default=6, show_default=True, type=_NONNEG)
+@click.option("--max-degree", default=6, show_default=True, type=click.IntRange(0, MAX_DEGREE))
 @click.option("--report", type=click.Path(), default=None)
 @click.pass_context
 def moments(ctx, weight, max_degree, report):

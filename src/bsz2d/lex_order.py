@@ -18,7 +18,8 @@ coefficient space: ``poly_core.u_band`` applies the banded product by
 U_k along one axis to the grid of q_r or q~_l.  ``lex_system`` builds
 the grids of all closed-form slots of a window and hands them to
 ``MomentOracle.assemble``, which normalizes them together and fills the
-other slots from one oracle Gram-Schmidt system.
+other slots from one oracle Gram-Schmidt system, factored only over the
+leading rows (revlex: columns) of the window that hold those slots.
 """
 
 from __future__ import annotations

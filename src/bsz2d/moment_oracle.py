@@ -38,11 +38,20 @@ conditioned.  The leading block of L is the factor of the leading block
 of G, so a smaller system of the same ordering is a leading block of a
 larger one.
 
-Every system the library builds is put together by ``assemble``.  The
-slots with a closed form arrive as Chebyshev-U grids and are normalized
-in one batch by ``normalize``, whose squared norms are the diagonal of
-C G C^T and which makes each leading coefficient positive; every other
-slot is read from one Gram-Schmidt system of the same ordering.
+Every system the library builds is put together by ``assemble`` as one
+read-only (K, s, s) tensor of Chebyshev-U coefficients (an ``OrthoSystem``).
+The slots with a closed form arrive as Chebyshev-U grids and are
+normalized in one batch by ``normalize``, whose squared norms are the
+diagonal of C G C^T and which makes each leading coefficient positive;
+Gram-Schmidt scatters C into its tensor with one assignment.  Every other
+slot is read from one Gram-Schmidt system of the same ordering, and only
+of the smallest window that holds those slots: by the leading-block
+property that window's system is the leading block of the whole one, so
+a lex window whose fallback slots all lie in its first rows factors only
+those rows (revlex: columns), and the condition gate sees only them.
+
+A table or slice degree above MAX_DEGREE raises ResourceLimitError
+before anything is allocated.
 
 Inner products under the full measure are c_f^T G c_g: c holds a
 polynomial's tensor Chebyshev-U coefficients, zero-padded to an s x s
@@ -72,14 +81,17 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .ortho import OrthoSystem, index_sequence
-from .poly_core import CHEB_U, BivariatePoly, _lin, _mono_to_chebu, _padded, _trim2
-from .weights import InvalidWeightError, WeightSpec, is_stable
+from .ortho import LEX, REVLEX, OrthoSystem, index_sequence
+from .poly_core import CHEB_U, BivariatePoly, _extents, _lin, _mono_to_chebu, _padded, _square
+from .weights import InvalidWeightError, WeightSpec
 
 DEFAULT_TOL = 1e-11
 MAX_RESOLUTION = 2**14
 MAX_ORACLES = 8
 COND_CAP = 1e12  # largest Gram condition number Gram-Schmidt accepts
+# largest Chebyshev-U degree of a table or slice: at most 1024 rows, whose sine
+# matrix and its weighted sums take about 134 MB at MAX_RESOLUTION
+MAX_DEGREE = 1023
 _START_RESOLUTION = 128
 _CHUNK_BYTES = 2**21  # bytes of weights evaluated in one theta-row chunk of a table
 _SPILL_KEYS = ("chebu", "mass", "chebu_err", "chebu_resolution")
@@ -91,6 +103,15 @@ class AccuracyError(RuntimeError):
 
 class OracleUnreliableError(RuntimeError):
     """The Gram matrix is too ill conditioned to trust the oracle."""
+
+
+class ResourceLimitError(ValueError):
+    """A request exceeds a size cap; raised before anything is allocated."""
+
+
+def _cap_degree(smax: int):
+    if smax > MAX_DEGREE:
+        raise ResourceLimitError(f"degree {smax} exceeds the cap MAX_DEGREE = {MAX_DEGREE}")
 
 
 def _interior_grid(resolution: int) -> np.ndarray:
@@ -110,9 +131,10 @@ def grid_size(polys: list[BivariatePoly]) -> int:
     return max([1] + [max(p.coeffs.shape) for p in polys])
 
 
-def chebu_grids(polys: list[BivariatePoly], s: int) -> np.ndarray:
+def chebu_grids(polys: list[BivariatePoly]) -> np.ndarray:
     """The polynomials' tensor Chebyshev-U coefficients, zero-padded to
-    shape (len(polys), s, s)."""
+    shape (len(polys), s, s) with s = ``grid_size(polys)``."""
+    s = grid_size(polys)
     return _padded([p.coeffs if p.basis == CHEB_U else p.to_basis(CHEB_U).coeffs for p in polys], (s, s))
 
 
@@ -128,7 +150,7 @@ class MomentOracle:
     """
 
     def __init__(self, spec: WeightSpec, tol: float = DEFAULT_TOL, max_resolution: int = MAX_RESOLUTION):
-        report = is_stable(spec)
+        report = spec.stability
         if not report.stable:
             raise InvalidWeightError(
                 f"weight is not stable: min root modulus {report.min_modulus:.6g} at y={report.witness_y}"
@@ -193,6 +215,7 @@ class MomentOracle:
         """
         if smax < 0:
             raise ValueError("moment degrees must be nonnegative")
+        _cap_degree(smax)
         with self._lock:
             if self._chebu_table is None or self._chebu_table.shape[0] <= smax:
                 size = max(16, 1 << int(smax).bit_length()) - 1  # fewer rows converge at a lower R
@@ -236,6 +259,7 @@ class MomentOracle:
         """integral of U_s(x) dmu_y(x) for s = 0..smax."""
         if smax < 0 or not abs(y) <= 1.0:  # a NaN y fails here too
             raise ValueError("need a nonnegative degree and |y| <= 1")
+        _cap_degree(smax)
         tol = self.tol if tol is None else tol
 
         def run(res: int) -> np.ndarray:
@@ -266,9 +290,10 @@ class MomentOracle:
         """
         with self._lock:
             if self._gram is None or len(self._gram) < s:
+                m1 = self.chebu_table(2 * s - 2)  # applies the degree cap first
                 L = _lin(s, s)
                 # H[i1, i2, j1, j2]: x-linearization against the rows of m1, y against its columns
-                H = np.tensordot(L @ self.chebu_table(2 * s - 2), L, axes=(2, 2))
+                H = np.tensordot(L @ m1, L, axes=(2, 2))
                 G = np.ascontiguousarray(H.transpose(0, 2, 1, 3))
                 G.setflags(write=False)
                 self._gram = G
@@ -281,41 +306,46 @@ class MomentOracle:
         return float(np.sqrt(max(self.inner(f, f), 0.0)))
 
     def normalized(self, f: BivariatePoly, leading: tuple[int, int]) -> tuple[BivariatePoly, float]:
-        return self.normalize({leading: f.to_basis(CHEB_U).coeffs})[leading]
+        units, norms = self.normalize({leading: f.to_basis(CHEB_U).coeffs})
+        return BivariatePoly(CHEB_U, units[0]), float(norms[0])
 
-    def normalize(
-        self, grids: dict[tuple[int, int], np.ndarray]
-    ) -> dict[tuple[int, int], tuple[BivariatePoly, float]]:
-        """(unit-norm polynomial, norm divided out) for each Chebyshev-U grid,
-        keyed by its leading slot, where the polynomial's coefficient is made
+    def normalize(self, grids: dict[tuple[int, int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The unit-norm polynomials of the Chebyshev-U grids, as one (K, s, s)
+        tensor in the dict's order, and the norms divided out.  Each
+        polynomial's coefficient at its key, its leading slot, is made
         positive.  The squared norms are the diagonal of C G C^T, one row of
         C per grid."""
+        T = _padded(list(grids.values()))
+        nx, ny = _extents(T)
         # trimmed, a grid grows the oracle's shared Gram block only as far as its polynomial reaches
-        grids = {idx: _trim2(g) for idx, g in grids.items()}
-        G = self.gram_block(max([1] + [max(g.shape) for g in grids.values()]))
-        s = len(G)
-        C = _padded(list(grids.values()), (s, s)).reshape(len(grids), s * s)
-        norms = np.sqrt(np.maximum(((C @ G.reshape(s * s, s * s)) * C).sum(1), 0.0))
+        s = max(1, int(nx.max()), int(ny.max()))
+        G = self.gram_block(s)
+        S = len(G)
+        C = _square(T, S).reshape(len(T), S * S)
+        norms = np.sqrt(np.maximum(((C @ G.reshape(S * S, S * S)) * C).sum(1), 0.0))
         if np.any(norms == 0.0):
             raise ValueError("cannot normalize the zero polynomial")
-        out = {}
-        for ((i, j), g), nrm in zip(grids.items(), norms):
-            unit = g * (1.0 / nrm)
-            if i < unit.shape[0] and j < unit.shape[1] and unit[i, j] < 0.0:
-                unit = -unit
-            out[(i, j)] = (BivariatePoly(CHEB_U, unit), float(nrm))
-        return out
+        units = _square(T, s) * (1.0 / norms)[:, None, None]
+        ii, jj = np.array(list(grids)).T
+        inside = np.flatnonzero((ii < s) & (jj < s))
+        flip = inside[units[inside, ii[inside], jj[inside]] < 0.0]
+        units[flip] = -units[flip]
+        return units, norms
 
     def inner_matrix(self, polys: list[BivariatePoly], others: list[BivariatePoly] | None = None) -> np.ndarray:
-        """[<p, q>] for p in ``polys`` and q in ``others`` (default ``polys``),
-        as C_p G C_q^T: the rows of C hold the tensor Chebyshev-U coefficients
-        over the slot square of the Gram block G."""
-        others = polys if others is None else others
-        G = self.gram_block(max(grid_size(polys), grid_size(others)))
+        """[<p, q>] for p in ``polys`` and q in ``others`` (default ``polys``)."""
+        D = None if others is None or others is polys else chebu_grids(others)
+        return self.coefficient_inner(chebu_grids(polys), D)
+
+    def coefficient_inner(self, C: np.ndarray, D: np.ndarray | None = None) -> np.ndarray:
+        """[<c, d>] for the grids c of the (K, a, b) Chebyshev-U stack C and d of
+        D (default C), as C G D^T: each grid is one row of tensor Chebyshev-U
+        coefficients over the slot square of the Gram block G."""
+        G = self.gram_block(max(C.shape[1:] + (() if D is None else D.shape[1:])))
         s = len(G)
-        C = chebu_grids(polys, s).reshape(len(polys), s * s)
-        D = C if others is polys else chebu_grids(others, s).reshape(len(others), s * s)
-        return C @ G.reshape(s * s, s * s) @ D.T
+        Cs = _square(C, s).reshape(len(C), s * s)
+        Ds = Cs if D is None else _square(D, s).reshape(len(D), s * s)
+        return Cs @ G.reshape(s * s, s * s) @ Ds.T
 
     def gram(self, indices: list[tuple[int, int]]) -> np.ndarray:
         """Gram matrix of the tensor Chebyshev-U elements at the given
@@ -336,15 +366,32 @@ class MomentOracle:
     ) -> OrthoSystem:
         """The orthonormal system over ``slots``, in their order.  A slot in
         ``closed`` is its closed-form Chebyshev-U grid, normalized with the
-        others in one batch; every other slot is read from
-        ``gram_schmidt(ordering, n, m)``, which is asked for at most once."""
-        units = self.normalize(closed)
-        rest = [idx for idx in slots if idx not in units]
+        others in one batch.  Every other slot is read from one Gram-Schmidt
+        system, asked for at most once: ``gram_schmidt(ordering, n, m)``,
+        except that a lex window ends at the row of the last such slot and
+        a revlex window at its column, a leading block of the (n, m) one."""
+        pos = {idx: k for k, idx in enumerate(slots)}
+        parts = []
+        if closed:
+            units, norms = self.normalize(closed)
+            parts.append(([pos[idx] for idx in closed], units, norms))
+        rest = [idx for idx in slots if idx not in closed]
         if rest:
+            if ordering == LEX:
+                n = max(i for i, _ in rest)
+            elif ordering == REVLEX:
+                m = max(j for _, j in rest)
             fallback = self.gram_schmidt(ordering, n, m)
-            pos = {idx: k for k, idx in enumerate(fallback.indices())}
-            units.update({idx: (fallback.entries[pos[idx]][1], fallback.norms[pos[idx]]) for idx in rest})
-        return OrthoSystem(ordering, [(idx, units[idx][0]) for idx in slots], [float(units[idx][1]) for idx in slots])
+            at = {idx: k for k, idx in enumerate(fallback.indices())}
+            take = [at[idx] for idx in rest]
+            parts.append(([pos[idx] for idx in rest], fallback.coeffs[take], fallback.norms[take]))
+        s = max(part.shape[1] for _, part, _ in parts)
+        T = np.zeros((len(slots), s, s))
+        norms = np.empty(len(slots))
+        for rows, part, nrm in parts:
+            T[rows, : part.shape[1], : part.shape[2]] = part
+            norms[rows] = nrm
+        return OrthoSystem(ordering, slots, T, norms)
 
     def _memo(self, key: tuple, build) -> OrthoSystem:
         """The system cached under ``key``, built on a miss (first writer wins)."""
@@ -358,7 +405,9 @@ class MomentOracle:
     def _orthonormalize(self, ordering: str, n: int, m: int | None) -> OrthoSystem:
         idx = index_sequence(ordering, n, m)
         G = self.gram(idx)
-        cond = float(np.linalg.cond(G))
+        # G is symmetric, so its singular values are the moduli of its eigenvalues
+        lam = np.abs(np.linalg.eigvalsh(G))
+        cond = float(lam.max() / lam.min()) if lam.min() > 0.0 else float("inf")
         if cond > COND_CAP:
             raise OracleUnreliableError(f"Gram matrix condition number {cond:.3e} exceeds {COND_CAP:.1e}")
         try:
@@ -366,18 +415,12 @@ class MomentOracle:
         except np.linalg.LinAlgError as exc:
             raise OracleUnreliableError(f"Gram matrix is not positive definite: {exc}") from exc
         C = np.linalg.inv(L)  # row k: coefficients of the k-th orthonormal poly
-        norms = np.diag(L)
-        # row k is supported on the first k + 1 slots, so its grid spans their running
-        # maxima; its own slot holds C[k, k] = 1 / norms[k] > 0, so no sign fix is needed
+        # row k holds C[k, k] = 1 / L[k, k] > 0 at its own slot, so no sign fix is needed
         ii, jj = np.array(idx).T
-        nx, ny = np.maximum.accumulate(ii) + 1, np.maximum.accumulate(jj) + 1
-        system = OrthoSystem(ordering)
-        for k, (i, j) in enumerate(idx):
-            grid = np.zeros((nx[k], ny[k]))
-            grid[ii[: k + 1], jj[: k + 1]] = C[k, : k + 1]
-            system.entries.append(((i, j), BivariatePoly(CHEB_U, grid)))
-            system.norms.append(float(norms[k]))
-        return system
+        s = int(max(ii.max(), jj.max())) + 1
+        T = np.zeros((len(idx), s, s))
+        T[:, ii, jj] = C
+        return OrthoSystem(ordering, idx, T, np.diag(L))
 
     # -- disk spill --------------------------------------------------------
     def _spill_path(self) -> str | None:

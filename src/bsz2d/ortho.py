@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .poly_core import BivariatePoly, poly_from_dict, poly_to_dict
+from .poly_core import CHEB_U, BivariatePoly, _extents, _padded, _square, poly_from_dict, poly_to_dict
 
 TOTAL = "total"
 LEX = "lex"
@@ -45,46 +45,61 @@ def index_sequence(ordering: str, n: int, m: int | None = None) -> list[tuple[in
     return sorted(idx, key=_KEYS[ordering])
 
 
-@dataclass
 class OrthoSystem:
-    """An ordered list of orthonormal polynomials tagged with its ordering.
+    """An ordered orthonormal system tagged with its ordering.
 
-    ``norms`` holds the pre-normalization norms consumed when each entry
-    was scaled to unit length.
+    The system is one read-only (K, s, s) tensor ``coeffs``: ``coeffs[k]``
+    holds the tensor Chebyshev-U coefficients of the k-th polynomial, whose
+    leading slot is ``indices()[k]``, zero-padded to the smallest s x s
+    square (s >= 1) that holds every trimmed grid.  The constructor takes
+    the tensor it is given (a copy only when it must pad or cut it) and
+    trims the whole stack in one pass.  ``norms`` holds the
+    pre-normalization norms consumed when each polynomial was scaled to
+    unit length (empty for a system read without them).  The
+    ``BivariatePoly`` entries are built on first use, each a view of its
+    trimmed grid.
     """
 
-    ordering: str
-    entries: list[tuple[tuple[int, int], BivariatePoly]] = field(default_factory=list)
-    norms: list[float] = field(default_factory=list)
+    def __init__(self, ordering: str, indices, coeffs: np.ndarray, norms=()):
+        self.ordering = ordering
+        self._indices = [tuple(idx) for idx in indices]
+        nx, ny = _extents(coeffs)
+        T = np.ascontiguousarray(_square(coeffs, max(1, int(nx.max(initial=0)), int(ny.max(initial=0)))))
+        T.setflags(write=False)
+        self.coeffs = T
+        self._shapes = list(zip(nx.tolist(), ny.tolist()))
+        self.norms = np.array(norms, dtype=float)
+        self.norms.setflags(write=False)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[tuple[int, int], BivariatePoly], ...]:
+        return tuple(
+            (idx, BivariatePoly._wrap(CHEB_U, self.coeffs[k, :nx, :ny]))
+            for k, (idx, (nx, ny)) in enumerate(zip(self._indices, self._shapes))
+        )
 
     def poly(self, idx: tuple[int, int]) -> BivariatePoly:
-        for k, p in self.entries:
-            if k == tuple(idx):
-                return p
-        raise KeyError(f"no entry at index {idx}")
+        try:
+            return self.entries[self._indices.index(tuple(idx))][1]
+        except ValueError:
+            raise KeyError(f"no entry at index {idx}") from None
 
     def indices(self) -> list[tuple[int, int]]:
-        return [k for k, _ in self.entries]
+        return list(self._indices)
 
     def slice_first(self, n: int) -> "OrthoSystem":
-        """Entries whose x-index equals n (a lex vector), or total degree n
-        for the total ordering."""
-        if self.ordering == TOTAL:
-            keep = [(k, p) for k, p in self.entries if sum(k) == n]
-        else:
-            pos = 0 if self.ordering == LEX else 1
-            keep = [(k, p) for k, p in self.entries if k[pos] == n]
-        sub = OrthoSystem(self.ordering, keep)
-        if self.norms:
-            all_idx = self.indices()
-            sub.norms = [self.norms[all_idx.index(k)] for k, _ in keep]
-        return sub
+        """Entries whose x-index equals n (a lex vector), the y-index for
+        revlex, or total degree n for the total ordering."""
+        pos = 0 if self.ordering == LEX else 1
+        keep = [k for k, idx in enumerate(self._indices) if (sum(idx) if self.ordering == TOTAL else idx[pos]) == n]
+        norms = self.norms[keep] if len(self.norms) else ()
+        return OrthoSystem(self.ordering, [self._indices[k] for k in keep], self.coeffs[keep], norms)
 
     def to_dict(self) -> dict:
         return {
             "ordering": self.ordering,
             "entries": [{"index": list(k), "poly": poly_to_dict(p)} for k, p in self.entries],
-            "norms": [float(v) for v in self.norms],
+            "norms": self.norms.tolist(),
         }
 
     def to_json(self) -> str:
@@ -92,9 +107,7 @@ class OrthoSystem:
 
     @staticmethod
     def from_dict(d: dict) -> "OrthoSystem":
-        sys = OrthoSystem(d["ordering"])
-        for e in d["entries"]:
-            sys.entries.append((tuple(e["index"]), poly_from_dict(e["poly"])))
-        sys.norms = list(d.get("norms", []))
-        return sys
-
+        grids = [poly_from_dict(e["poly"]).to_basis(CHEB_U).coeffs for e in d["entries"]]
+        s = max([1] + [max(g.shape) for g in grids])
+        coeffs = _padded(grids, (s, s))
+        return OrthoSystem(d["ordering"], [e["index"] for e in d["entries"]], coeffs, d.get("norms", []))

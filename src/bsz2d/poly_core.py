@@ -43,6 +43,26 @@ def _trim2(c: np.ndarray) -> np.ndarray:
     return c[:nr, :nc]
 
 
+def _extents(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shape ``_trim2`` cuts each grid of a (K, a, b) stack to: one past
+    its last nonzero row and column, (0, 0) for a zero grid."""
+    nz = stack != 0
+    nx = (nz.any(2) * np.arange(1, stack.shape[1] + 1)).max(1, initial=0)
+    ny = (nz.any(1) * np.arange(1, stack.shape[2] + 1)).max(1, initial=0)
+    return nx, ny
+
+
+def _square(stack: np.ndarray, s: int) -> np.ndarray:
+    """The (K, a, b) stack zero-padded or cut to (K, s, s); the stack itself
+    when it already has that shape."""
+    if stack.shape[1:] == (s, s):
+        return stack
+    out = np.zeros((len(stack), s, s))
+    a, b = min(stack.shape[1], s), min(stack.shape[2], s)
+    out[:, :a, :b] = stack[:, :a, :b]
+    return out
+
+
 def chebu_to_monomial_matrix(n: int) -> np.ndarray:
     """Columns are the monomial coefficients of U_0 .. U_n (exact integers)."""
     T = np.zeros((n + 1, n + 1))
@@ -227,6 +247,15 @@ class BivariatePoly:
         object.__setattr__(self, "coeffs", _trim2(arr))
         if self.basis not in (CHEB_U, MONOMIAL):
             raise ValueError(f"unknown basis {self.basis!r}")
+
+    @classmethod
+    def _wrap(cls, basis: str, coeffs: np.ndarray) -> "BivariatePoly":
+        """The polynomial over a float grid that is already trimmed, taken as
+        is: neither copied nor trimmed again."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "basis", basis)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
 
     # -- degrees ----------------------------------------------------------
     @property

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moment_oracle import MomentOracle, chebu_grids, grid_size, oracle_for
+from .moment_oracle import MomentOracle, oracle_for
 from .ortho import LEX, REVLEX, TOTAL, OrthoSystem
-from .poly_core import CHEB_U, BivariatePoly, u_band
+from .poly_core import CHEB_U, BivariatePoly, _square, u_band
 from .total_order import build_total_vector
 from .lex_order import lex_system
 from .weights import PRODUCT_OMEGA, WeightSpec
@@ -39,13 +39,10 @@ def _pairing(orc: MomentOracle, axis: int, rows: OrthoSystem, cols: OrthoSystem)
     grid as the symmetric tridiagonal shift S along ``axis``, and the block is
     the one product S C_rows G C_cols^T over the oracle's Gram block G.
     """
-    ps, qs = [p for _, p in rows.entries], [q for _, q in cols.entries]
-    G = orc.gram_block(max(grid_size(ps) + 1, grid_size(qs)))  # t raises a degree by one
-    s = len(G)
+    s = rows.coeffs.shape[1] + 1  # t raises a degree by one
     S = 0.5 * (np.eye(s, k=1) + np.eye(s, k=-1))
-    C = chebu_grids(ps, s)
-    SC = (S @ C if axis == 0 else C @ S).reshape(len(ps), s * s)
-    return SC @ G.reshape(s * s, s * s) @ chebu_grids(qs, s).reshape(len(qs), s * s).T
+    C = _square(rows.coeffs, s)
+    return orc.coefficient_inner(S @ C if axis == 0 else C @ S, cols.coeffs)
 
 
 @dataclass

@@ -44,5 +44,5 @@ def _total_vector(spec: WeightSpec, n: int, orc: MomentOracle) -> OrthoSystem:
 def gram_deviation(spec: WeightSpec, system: OrthoSystem, oracle: MomentOracle | None = None) -> float:
     """Max deviation of the oracle Gram matrix of ``system`` from identity."""
     orc = oracle_for(spec) if oracle is None else oracle
-    polys = [p for _, p in system.entries]
-    return float(np.max(np.abs(orc.inner_matrix(polys) - np.eye(len(polys))))) if polys else 0.0
+    C = system.coeffs
+    return float(np.max(np.abs(orc.coefficient_inner(C) - np.eye(len(C))))) if len(C) else 0.0

@@ -129,6 +129,11 @@ class WeightSpec:
         return int(max((d for d in degs), default=0))
 
     @cached_property
+    def stability(self) -> StabilityReport:
+        """``is_stable(self)`` at its default arguments, computed once."""
+        return is_stable(self)
+
+    @cached_property
     def fingerprint(self) -> str:
         if self._factors is not None:
             payload = b"product:" + np.asarray(sorted(self._factors), dtype=float).tobytes()

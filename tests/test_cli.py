@@ -198,14 +198,15 @@ class TestErrors:
             ["total", "--weight", "{weight}", "--n", "-1"],
             ["recurrence", "--weight", "{weight}", "--n", "-1"],
             ["moments", "--weight", "{weight}", "--max-degree", "-1"],
+            ["moments", "--weight", "{weight}", "--max-degree", "20000"],
             ["lex", "--weight", "{weight}", "--n", "-1", "--m", "2"],
             ["verify", "--weight", "{weight}", "--depth", "-1"],
             ["recurrence", "--weight", "{weight}", "--ordering", "lex", "--n", "0", "--m", "2"],
             ["example", "--id", "ex1", "--a", "0.3", "--depth", "9"],
             ["example", "--id", "ex1", "--a", "1.5"],
         ],
-        ids=["scalar-product", "total-n", "recurrence-n", "moments-degree", "lex-n", "verify-depth",
-             "lex-recurrence-n0", "example-depth", "example-a"],
+        ids=["scalar-product", "total-n", "recurrence-n", "moments-degree", "moments-degree-cap", "lex-n",
+             "verify-depth", "lex-recurrence-n0", "example-depth", "example-a"],
     )
     def test_bad_input_is_a_usage_error(self, runner, product_weight, tmp_path, args):
         scalar = tmp_path / "scalar.json"
@@ -215,3 +216,23 @@ class TestErrors:
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)  # a usage message, not a traceback
         assert "Error" in res.output
+
+
+def test_stability_certified_once_per_command(runner, generic_weight, monkeypatch):
+    # the loader and the oracle both read the spec's cached report; the cleared
+    # oracle cache makes the command build its oracle
+    from bsz2d import cli, weights
+
+    monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
+    calls = []
+    real = weights.is_stable
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec.fingerprint)
+        return real(spec, *args, **kwargs)
+
+    for mod in (weights, cli, moment_oracle):
+        monkeypatch.setattr(mod, "is_stable", counting, raising=False)
+    res = runner.invoke(main, ["lex", "--weight", generic_weight, "--n", "2", "--m", "2"])
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 1

@@ -18,8 +18,8 @@ from bsz2d.lex_order import (
     lex_system,
     low_band_max_k,
 )
-from bsz2d.moment_oracle import MomentOracle, oracle_for
-from bsz2d.ortho import LEX, REVLEX
+from bsz2d.moment_oracle import MomentOracle, OracleUnreliableError, oracle_for
+from bsz2d.ortho import LEX, REVLEX, index_sequence
 from bsz2d.poly_core import CHEB_U, BivariatePoly, mul, u_index
 from bsz2d.szego_core import build_qk, build_tilde_ql, norm_threshold
 from bsz2d.weights import PRODUCT_OMEGA, generic_spec, product_spec
@@ -269,6 +269,57 @@ class TestSystems:
             assert build_revlex(SPEC2, l, t, n).approx_eq(pure.poly((l, t)), 1e-7)
         with pytest.raises(ValueError):
             build_revlex(SPEC2, 0, 0, 3)  # lex_system builds this slot by Gram-Schmidt
+
+
+class TestFallbackPrefix:
+    """A Gram-Schmidt slot depends only on the slots before it, so lex_system
+    factors only the leading window that holds every fallback slot."""
+
+    @pytest.mark.parametrize("ordering,window", [(LEX, (LEX, 3, 8)), (REVLEX, (REVLEX, 8, 3))])
+    def test_only_the_prefix_is_factored(self, monkeypatch, ordering, window):
+        # on [0.5, -0.3] the 22 fallback slots of the 8 x 8 window lie in rows 0..3 (revlex: columns)
+        orc = MomentOracle(SPEC2)
+        asked = []
+        real = orc.gram_schmidt
+        monkeypatch.setattr(orc, "gram_schmidt", lambda *w: asked.append(w) or real(*w))
+        lex_system(SPEC2, 8, 8, ordering, orc)
+        assert asked == [window]
+        assert len(index_sequence(*window)) == 36
+
+    @pytest.mark.parametrize("ordering", [LEX, REVLEX])
+    def test_prefix_slots_match_the_whole_window(self, monkeypatch, ordering):
+        orc = MomentOracle(SPEC2)
+        fallback = []
+        real = orc.assemble
+
+        def spy(ordering, slots, closed, n, m=None):
+            fallback.extend(idx for idx in slots if idx not in closed)
+            return real(ordering, slots, closed, n, m)
+
+        monkeypatch.setattr(orc, "assemble", spy)
+        system = lex_system(SPEC2, 8, 8, ordering, orc)
+        whole = orc.gram_schmidt(ordering, 8, 8)
+        assert len(fallback) == 22
+        at = {idx: k for k, idx in enumerate(whole.indices())}
+        for idx in fallback:
+            p, q = system.poly(idx), whole.poly(idx)
+            assert p.coeffs.shape == q.coeffs.shape
+            assert np.max(np.abs(p.coeffs - q.coeffs)) < 1e-13
+            assert abs(system.norms[system.indices().index(idx)] - whole.norms[at[idx]]) < 1e-13
+
+    def test_condition_gate_still_applies(self, monkeypatch):
+        monkeypatch.setattr(moment_oracle, "COND_CAP", 1.0)
+        with pytest.raises(OracleUnreliableError):
+            lex_system(SPEC2, 8, 8, LEX, MomentOracle(SPEC2))
+
+    def test_system_tensor_is_read_only(self):
+        system = lex_system(SPEC2, 4, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            system.coeffs[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            system.entries[0][1].coeffs[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            system.norms[0] = 1.0
 
 
 class TestExplicitOracle:

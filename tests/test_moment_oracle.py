@@ -2,14 +2,17 @@ import math
 import tracemalloc
 from collections import OrderedDict
 
+import mpmath
 import numpy as np
 import pytest
 
 from bsz2d import moment_oracle
 from bsz2d.moment_oracle import (
+    MAX_DEGREE,
     AccuracyError,
     MomentOracle,
     OracleUnreliableError,
+    ResourceLimitError,
     oracle_for,
 )
 from bsz2d.ortho import LEX, REVLEX, TOTAL, index_sequence
@@ -157,19 +160,25 @@ class TestGramSchmidt:
         assert all(v > 0 for v in system.norms)
 
     @staticmethod
-    def _mgs_reference(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Textbook modified Gram-Schmidt with one reorthogonalization pass in
-        the G inner product: row k of C is the k-th orthonormal vector."""
-        C = np.eye(len(G))
-        norms = np.empty(len(G))
-        for k in range(len(G)):
-            v = C[k].copy()
-            for _ in range(2):
-                for p in range(k):
-                    v -= (C[p] @ G @ v) * C[p]
-            norms[k] = np.sqrt(v @ G @ v)
-            C[k] = v / norms[k]
-        return C, norms
+    def _exact_reference(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """What reorthogonalized modified Gram-Schmidt approximates in the G
+        inner product, computed at 40 digits: G = L L^T, row k of C = L^{-1}
+        is the k-th orthonormal vector and L[k, k] the norm divided out.
+        Rounded to floats, the reference is exact, so the bound below
+        measures the system's own round-off only."""
+        n = len(G)
+        with mpmath.workdps(40):
+            L = [[mpmath.mpf(0)] * n for _ in range(n)]
+            for j in range(n):
+                L[j][j] = mpmath.sqrt(mpmath.mpf(float(G[j, j])) - mpmath.fdot(L[j][:j], L[j][:j]))
+                for i in range(j + 1, n):
+                    L[i][j] = (mpmath.mpf(float(G[i, j])) - mpmath.fdot(L[i][:j], L[j][:j])) / L[j][j]
+            C = [[mpmath.mpf(0)] * n for _ in range(n)]
+            for i in range(n):
+                C[i][i] = 1 / L[i][i]
+                for j in range(i):
+                    C[i][j] = -mpmath.fdot(L[i][j:i], [C[k][j] for k in range(j, i)]) / L[i][i]
+            return np.array([[float(v) for v in row] for row in C]), np.array([float(L[k][k]) for k in range(n)])
 
     @pytest.mark.parametrize("window", [(TOTAL, 12, None), (LEX, 8, 8), (REVLEX, 6, 8)], ids=str)
     @pytest.mark.parametrize(
@@ -181,7 +190,7 @@ class TestGramSchmidt:
         orc = oracle_for(spec)
         system = orc.gram_schmidt(*window)
         idx = index_sequence(*window)
-        C, norms = self._mgs_reference(orc.gram(idx))
+        C, norms = self._exact_reference(orc.gram(idx))
         ii, jj = np.array(idx).T
         assert system.indices() == idx
         for k, (_, p) in enumerate(system.entries):
@@ -216,6 +225,40 @@ class TestGramSchmidt:
         system = oracle_for(product_spec([0.5, -0.3])).gram_schmidt(*window)
         for (i, j), p in system.entries:
             assert p.coeffs[i, j] > 0.0
+
+
+class TestDegreeCap:
+    """A degree above MAX_DEGREE raises before any table or sine matrix exists."""
+
+    def test_table_requests_over_the_cap(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a table was computed")
+
+        monkeypatch.setattr(MomentOracle, "_table_at", fail)
+        orc = MomentOracle(product_spec([0.3]))
+        calls = [
+            lambda: orc.chebu_table(MAX_DEGREE + 1),
+            lambda: orc.moment_table(20000),
+            lambda: orc.moment(0, MAX_DEGREE + 1),
+            lambda: orc.gram_block(MAX_DEGREE // 2 + 2),  # needs degree 2 s - 2 = MAX_DEGREE + 1
+        ]
+        for call in calls:
+            with pytest.raises(ResourceLimitError, match="MAX_DEGREE"):
+                call()
+
+    def test_slice_requests_over_the_cap(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a sine matrix was built")
+
+        monkeypatch.setattr(moment_oracle, "_sin_matrix", fail)
+        orc = MomentOracle(product_spec([0.3]))
+        calls = [lambda: orc.univariate_chebu_moments(MAX_DEGREE + 1, 0.2), lambda: orc.univariate_moment(20000, 0.2)]
+        for call in calls:
+            with pytest.raises(ResourceLimitError, match="MAX_DEGREE"):
+                call()
+
+    def test_is_a_value_error(self):
+        assert issubclass(ResourceLimitError, ValueError)
 
 
 def test_inner_matrix_matches_pairwise_inner():

@@ -13,6 +13,8 @@ from bsz2d.poly_core import (
     BivariatePoly,
     LaurentPoly,
     UnivariatePoly,
+    _extents,
+    _square,
     mul,
     poly_from_dict,
     poly_to_dict,
@@ -183,3 +185,27 @@ def test_json_round_trip():
     blob = poly_to_dict(p)
     assert blob["basis"] == "chebU"
     assert blob["coeffs"] == [[1.0, 0.5], [0.0, -2.0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 5), st.integers(0, 5), st.integers(0, 2**31 - 1))
+def test_stack_extents_match_trim(k, a, b, seed):
+    # sparse grids, so whole trailing rows and columns are often zero
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((k, a, b)) * (rng.random((k, a, b)) < 0.3)
+    nx, ny = _extents(stack)
+    assert [(int(x), int(y)) for x, y in zip(nx, ny)] == [BivariatePoly(CHEB_U, g).coeffs.shape for g in stack]
+
+
+def test_square_pads_cuts_and_keeps():
+    stack = np.arange(12.0).reshape(2, 2, 3)
+    assert _square(stack, 3)[1].tolist() == [[6.0, 7.0, 8.0], [9.0, 10.0, 11.0], [0.0, 0.0, 0.0]]
+    assert _square(stack, 1)[:, 0, 0].tolist() == [0.0, 6.0]
+    same = np.zeros((2, 3, 3))
+    assert _square(same, 3) is same
+
+
+def test_wrap_takes_the_grid_as_is():
+    grid = np.array([[1.0, 0.0], [0.0, 0.0]])  # not trimmed, so the difference shows
+    p = BivariatePoly._wrap(CHEB_U, grid)
+    assert p.coeffs is grid and p.basis == CHEB_U

@@ -197,6 +197,14 @@ def test_batched_stability_on_random_specs():
             assert rep.min_modulus == pytest.approx(min_mod, rel=1e-12)
 
 
+def test_stability_is_computed_once_per_spec():
+    spec = generic_spec([[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]])
+    rep = spec.stability
+    assert spec.stability is rep
+    assert rep == is_stable(spec)
+    assert is_stable(spec, y_samples=33) is not rep  # other arguments still compute
+
+
 class TestConfig:
     def test_round_trip_product(self):
         spec = product_spec([-0.5, 0.3])
