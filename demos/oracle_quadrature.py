@@ -3,8 +3,11 @@
 Moments are computed by the trapezoid rule after x = cos(theta),
 y = cos(phi); the integrands become smooth periodic functions, so the
 rule converges geometrically and the resolution is doubled until two
-successive values agree.  The same machinery provides inner products,
-slice integrals at fixed y, and brute-force Gram-Schmidt systems.
+successive values agree.  The grids are nested, so each doubling
+evaluates the weight only at the nodes the coarser grid lacks.  The same
+machinery provides inner products, slice integrals at fixed y (one
+ladder per y serves every degree, from a small per-oracle cache), and
+brute-force Gram-Schmidt systems.
 """
 
 import numpy as np

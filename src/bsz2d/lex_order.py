@@ -324,21 +324,24 @@ def lex_system(
     swap = ordering == REVLEX
     major, minor = (n, m) if not swap else (m, n)
     base = tilde_expandable(spec) if swap else spec
-    slots = [((r, k) if not swap else (k, r), r, k) for r in range(major + 1) for k in range(minor + 1)]
+    slots = [(r, k) if not swap else (k, r) for r in range(major + 1) for k in range(minor + 1)]
     closed = {}
     if base is not None:
-        for idx, r, k in slots:
-            grid = _closed_grid(base, r, k, minor)
-            if grid is not None:
-                closed[idx] = grid.T if swap else grid
-    return orc.assemble(ordering, [idx for idx, _, _ in slots], closed, n, m)
+        for r in range(major + 1):
+            q = qk_grid(base, r)  # shared by every low-band slot of the row
+            for k in range(minor + 1):
+                grid = _closed_grid(base, r, k, minor, q)
+                if grid is not None:
+                    closed[(k, r) if swap else (r, k)] = grid.T if swap else grid
+    return orc.assemble(ordering, slots, closed, n, m)
 
 
-def _closed_grid(base: WeightSpec, r: int, k: int, m: int) -> np.ndarray | None:
+def _closed_grid(base: WeightSpec, r: int, k: int, m: int, q: np.ndarray | None = None) -> np.ndarray | None:
     """Grid of the closed-form lex slot (r, k) of ``base`` on a width-m
-    window, un-normalized, or None when only the oracle can build it."""
+    window, un-normalized, or None when only the oracle can build it.
+    ``q`` is ``qk_grid(base, r)`` when the caller already has it."""
     if k <= m - base.kappa and r >= norm_threshold(base.n_h):
-        return u_band(qk_grid(base, r), k, 1)
+        return u_band(qk_grid(base, r) if q is None else q, k, 1)
     if base.variant == PRODUCT_OMEGA and m - base.n_f < k <= m and r >= 2 * base.n_f and m >= 2 * base.n_f:
         try:
             return _high_band_sum(base, r, k, m)

@@ -13,9 +13,20 @@ matrix a resolution uses on both axes is even and vanishes at theta = 0
 and pi.  So the nodes 2 pi j / R with j and R - j contribute equally,
 j = 0 and j = R/2 contribute nothing, and a table is 4 times its sum over
 the interior nodes theta, phi in (0, pi); a slice moment is 2 times its
-interior sum.  A table is accumulated over theta-row chunks of at most
-_CHUNK_BYTES of weights, so its memory grows like R, not R^2.  A table
-miss for s, t <= smax computes max(16, next power of two >= smax + 1) rows.
+interior sum.  Each sine value is read from one table of sin(2 pi k / R)
+per resolution, with (s+1) j reduced mod R in integers.
+
+The doubling ladder is nested: the interior nodes of R are the nodes of
+even index at 2R, so rung 2R adds only the nodes of odd index.  A table
+is T_2R = T_R / 4 plus the sum over the 3/4 of the interior grid with an
+odd theta or phi index; a slice is u_2R = u_R / 2 plus the sum over the
+odd nodes.  A ladder that ends at R thus evaluates each of its
+(R/2 - 1)^2 table nodes (R/2 - 1 slice nodes) exactly once; the first
+rung is the one-grid sum ``_table_at``.  The weights are evaluated in
+theta blocks of at most _CHUNK_BYTES = 256 KiB, so a block, the two
+temporaries of ``h_abs2`` and the sine columns it meets stay in L2, and
+the memory of a table grows like R, not R^2.  A table or slice for
+degrees <= smax computes max(16, next power of two >= smax + 1) rows.
 
 An oracle accepts only weights that ``is_stable`` certifies.  An unstable
 h can vanish on the unit circle, where the weight is not integrable, and
@@ -67,8 +78,12 @@ table is M^T m1 M and a slice moment is M^T u(y): their errors are no
 larger than the Chebyshev-U ones.  Every cache belongs to one oracle,
 that is to one (spec fingerprint, tol) pair.  A per-call tol looser than
 the oracle's is served from its table; a tighter one raises ValueError,
-since only ``oracle_for(spec, tol)`` can honour it.  Slice moments are
-not cached: each call runs its own 1-D ladder at the tol it is given.
+since only ``oracle_for(spec, tol)`` can honour it.  Slice moments run
+their own 1-D ladder at the tol they are given, which may be tighter:
+each oracle keeps an LRU of at most MAX_SLICES = 64 read-only slice
+vectors keyed on the exact (y, tol), so every degree of one slice is
+read from the leading rows of one ladder's result.  A degree above the
+cached rows, or another tol, runs a new ladder.
 """
 
 from __future__ import annotations
@@ -78,6 +93,7 @@ import tempfile
 import threading
 import zipfile
 from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,7 +109,10 @@ COND_CAP = 1e12  # largest Gram condition number Gram-Schmidt accepts
 # matrix and its weighted sums take about 134 MB at MAX_RESOLUTION
 MAX_DEGREE = 1023
 _START_RESOLUTION = 128
-_CHUNK_BYTES = 2**21  # bytes of weights evaluated in one theta-row chunk of a table
+# bytes of weights evaluated in one theta block of a table: the block, the two
+# temporaries of h_abs2 and the sine columns it is summed against stay in L2
+_CHUNK_BYTES = 2**18
+MAX_SLICES = 64  # slice moment vectors kept per oracle
 _SPILL_KEYS = ("chebu", "mass", "chebu_err", "chebu_resolution")
 
 
@@ -114,15 +133,46 @@ def _cap_degree(smax: int):
         raise ResourceLimitError(f"degree {smax} exceeds the cap MAX_DEGREE = {MAX_DEGREE}")
 
 
-def _interior_grid(resolution: int) -> np.ndarray:
-    """The trapezoid nodes 2 pi j / R strictly inside (0, pi): j = 1 .. R/2 - 1."""
-    return 2.0 * np.pi * np.arange(1, resolution // 2) / resolution
+def _interior_nodes(resolution: int) -> np.ndarray:
+    """The indices j = 1 .. R/2 - 1 of the trapezoid nodes 2 pi j / R strictly
+    inside (0, pi)."""
+    return np.arange(1, resolution // 2)
 
 
-def _sin_matrix(smax: int, theta: np.ndarray) -> np.ndarray:
-    """Rows s = 0..smax of sin((s+1) theta) sin(theta) = U_s(cos theta) sin^2(theta)."""
-    s = np.arange(smax + 1)[:, None]
-    return np.sin((s + 1) * theta[None, :]) * np.sin(theta)[None, :]
+def _odd_nodes(resolution: int) -> np.ndarray:
+    """The interior nodes of odd index: those the grid of R / 2 nodes lacks."""
+    return np.arange(1, resolution // 2, 2)
+
+
+def _rows(smax: int) -> int:
+    """Rows a table or slice computes for degrees up to smax: max(16, next power
+    of two >= smax + 1), since fewer rows converge at a lower R."""
+    return max(16, 1 << int(smax).bit_length())
+
+
+def _table_scale(resolution: int) -> float:
+    """4 (2 pi / R)^2 / pi^2: the trapezoid weight of the quarter-grid sum."""
+    return 4.0 * (2.0 * np.pi / resolution) ** 2 / np.pi**2
+
+
+@lru_cache(maxsize=16)
+def _sines(resolution: int) -> np.ndarray:
+    """Read-only sin(2 pi k / R) for k = 0 .. R - 1."""
+    sn = np.sin(2.0 * np.pi * np.arange(resolution) / resolution)
+    sn.setflags(write=False)
+    return sn
+
+
+def _sin_matrix(smax: int, j: np.ndarray, resolution: int) -> np.ndarray:
+    """Rows s = 0..smax of sin((s+1) theta) sin(theta) = U_s(cos theta) sin^2(theta)
+    at the nodes theta = 2 pi j / R, read from ``_sines(R)``: (s+1) j is reduced
+    mod R in integers, so no rounding of (s+1) theta enters."""
+    sn = _sines(resolution)
+    k = np.arange(1, smax + 2)[:, None] * j
+    k %= resolution
+    S = sn[k]
+    S *= sn[j]
+    return S
 
 
 def grid_size(polys: list[BivariatePoly]) -> int:
@@ -164,34 +214,54 @@ class MomentOracle:
         self._chebu_err = 0.0
         self._chebu_resolution = 0
         self._gram: np.ndarray | None = None
+        self._slices: OrderedDict[tuple[float, float], np.ndarray] = OrderedDict()
         self._systems: dict[tuple, OrthoSystem] = {}
         self._load_spill()
 
     # -- quadrature cores -------------------------------------------------
-    def _table_at(self, smax: int, resolution: int) -> np.ndarray:
-        """(1/pi^2) (2 pi / R)^2 * S W S^T, S = _sin_matrix(smax, .) on both axes.
-
-        Summed over the interior quarter grid (times 4), in theta-row chunks
-        of at most _CHUNK_BYTES of weights.
-        """
-        th = _interior_grid(resolution)
-        S = _sin_matrix(smax, th)
-        y = np.cos(th)[None, :]
-        rows = max(1, _CHUNK_BYTES // (8 * len(th)))
-        SW = np.zeros((len(S), len(th)))
-        for lo in range(0, len(th), rows):
-            chunk = slice(lo, lo + rows)
-            W = self.spec.h_abs2(th[chunk, None], y)
+    def _weighted_sum(self, Sa: np.ndarray, tha: np.ndarray, Sb: np.ndarray, thb: np.ndarray) -> np.ndarray:
+        """Sa W Sb^T with W[a, b] = 1 / |h(e^{i tha[a]}, cos thb[b])|^2, evaluated
+        in theta blocks of at most _CHUNK_BYTES of weights."""
+        y = np.cos(thb)[None, :]
+        rows = max(1, _CHUNK_BYTES // (8 * len(thb)))
+        SW = np.zeros((len(Sa), len(thb)))
+        for lo in range(0, len(tha), rows):
+            block = slice(lo, lo + rows)
+            W = self.spec.h_abs2(tha[block, None], y)
             np.reciprocal(W, out=W)
-            SW += S[:, chunk] @ W
-        scale = 4.0 * (2.0 * np.pi / resolution) ** 2 / np.pi**2
-        return scale * (SW @ S.T)
+            SW += Sa[:, block] @ W
+        return SW @ Sb.T
 
-    def _ladder(self, run, tol: float) -> tuple[np.ndarray, float, int]:
-        """The first ``run(resolution)`` whose relative increment over the
-        previous doubling is below tol; returns (value, increment, resolution)."""
+    def _table_at(self, smax: int, resolution: int) -> np.ndarray:
+        """(1/pi^2) (2 pi / R)^2 * S W S^T, S = _sin_matrix(smax, .) on both axes,
+        summed over the interior quarter grid (times 4)."""
+        j = _interior_nodes(resolution)
+        S = _sin_matrix(smax, j, resolution)
+        th = 2.0 * np.pi * j / resolution
+        return _table_scale(resolution) * self._weighted_sum(S, th, S, th)
+
+    def _table_refined(self, coarse: np.ndarray, smax: int, resolution: int) -> np.ndarray:
+        """The table at ``resolution`` from ``coarse``, the one at resolution / 2.
+
+        The interior nodes with even theta and even phi index are the coarse
+        grid's, so only the pairs with an odd index on either axis are new.
+        The nodes are ordered odd first, so each block is a column range."""
+        j = _odd_nodes(resolution)
+        odd, even = slice(None, len(j)), slice(len(j), None)
+        j = np.concatenate([j, j[:-1] + 1])
+        S = _sin_matrix(smax, j, resolution)
+        th = 2.0 * np.pi * j / resolution
+        new = self._weighted_sum(S[:, odd], th[odd], S, th)
+        new += self._weighted_sum(S[:, even], th[even], S[:, odd], th[odd])
+        return coarse / 4.0 + _table_scale(resolution) * new
+
+    def _ladder(self, first, refine, tol: float) -> tuple[np.ndarray, float, int]:
+        """Double the resolution from _START_RESOLUTION: ``first(R)`` is the value
+        at the first rung and ``refine(value, R)`` the value at R from the one at
+        R / 2.  Returns the first value whose relative increment over the
+        previous rung is below tol, with that increment and its resolution."""
         resolution = _START_RESOLUTION
-        prev = run(resolution)
+        prev = first(resolution)
         err = float("inf")
         while True:
             resolution *= 2
@@ -200,7 +270,7 @@ class MomentOracle:
                     f"no convergence below resolution {self.max_resolution} "
                     f"(last increment {err:.3e}, tol {tol:.3e})"
                 )
-            cur = run(resolution)
+            cur = refine(prev, resolution)
             err = float(np.max(np.abs(cur - prev) / (1.0 + np.abs(cur))))
             if err < tol:
                 return cur, err, resolution
@@ -218,8 +288,10 @@ class MomentOracle:
         _cap_degree(smax)
         with self._lock:
             if self._chebu_table is None or self._chebu_table.shape[0] <= smax:
-                size = max(16, 1 << int(smax).bit_length()) - 1  # fewer rows converge at a lower R
-                table, err, res = self._ladder(lambda r: self._table_at(size, r), self.tol)
+                size = _rows(smax) - 1
+                table, err, res = self._ladder(
+                    lambda r: self._table_at(size, r), lambda t, r: self._table_refined(t, size, r), self.tol
+                )
                 self._mass = float(table[0, 0])
                 self._chebu_table = table / self._mass
                 self._chebu_err, self._chebu_resolution = err, res
@@ -256,20 +328,35 @@ class MomentOracle:
         return float(self.univariate_chebu_moments(i, y, tol) @ _mono_to_chebu(i)[:, i])  # checks i first
 
     def univariate_chebu_moments(self, smax: int, y: float, tol: float | None = None) -> np.ndarray:
-        """integral of U_s(x) dmu_y(x) for s = 0..smax."""
+        """integral of U_s(x) dmu_y(x) for s = 0..smax, read-only."""
         if smax < 0 or not abs(y) <= 1.0:  # a NaN y fails here too
             raise ValueError("need a nonnegative degree and |y| <= 1")
         _cap_degree(smax)
-        tol = self.tol if tol is None else tol
+        tol = float(self.tol if tol is None else tol)
+        key = (float(y), tol)
+        with self._lock:
+            u = self._slices.get(key)
+            if u is not None and len(u) > smax:
+                self._slices.move_to_end(key)
+                return u[: smax + 1]
+        size = _rows(smax) - 1
 
-        def run(res: int) -> np.ndarray:
-            th = _interior_grid(res)
-            w = 1.0 / self.spec.h_abs2(th, y)
+        def at(j: np.ndarray, res: int) -> np.ndarray:
             # dmu_y carries no 2/pi prefactor: 1/2 * trapezoid over [0, 2pi),
             # which is twice the sum over the interior half grid
-            return (2.0 * np.pi / res) * (_sin_matrix(smax, th) @ w)
+            w = np.reciprocal(self.spec.h_abs2(2.0 * np.pi * j / res, y))
+            return (2.0 * np.pi / res) * (_sin_matrix(size, j, res) @ w)
 
-        return self._ladder(run, tol)[0]
+        u = self._ladder(
+            lambda r: at(_interior_nodes(r), r), lambda v, r: v / 2.0 + at(_odd_nodes(r), r), tol
+        )[0]
+        u.setflags(write=False)
+        with self._lock:
+            self._slices[key] = u
+            self._slices.move_to_end(key)
+            if len(self._slices) > MAX_SLICES:
+                self._slices.popitem(last=False)
+        return u[: smax + 1]
 
     def slice_inner(self, fx: np.ndarray, gx: np.ndarray, y: float) -> float:
         """integral of f(x) g(x) dmu_y(x) for Chebyshev-U coefficient vectors."""
@@ -425,15 +512,13 @@ class MomentOracle:
     # -- disk spill --------------------------------------------------------
     def _spill_path(self) -> str | None:
         root = os.environ.get("BSZ2D_CACHE_DIR")
-        if not root:
-            return None
-        os.makedirs(root, exist_ok=True)
-        return os.path.join(root, f"{self.spec.fingerprint}.npz")
+        return os.path.join(root, f"{self.spec.fingerprint}.npz") if root else None
 
     def _save_spill(self):
         path = self._spill_path()
         if path is None or self._chebu_table is None:
             return
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         # write beside the target, then rename over it: a reader never sees half a file
         fd, tmp = tempfile.mkstemp(suffix=".npz.tmp", dir=os.path.dirname(path))
         try:

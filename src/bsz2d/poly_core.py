@@ -184,29 +184,6 @@ class UnivariatePoly:
             return self
         return UnivariatePoly(self.basis, self.coeffs * c)
 
-    def approx_eq(self, other: "UnivariatePoly", tol: float = 1e-12) -> bool:
-        a = self.to_basis(self.basis).coeffs
-        b = other.to_basis(self.basis).coeffs
-        n = max(len(a), len(b))
-        pa = np.zeros(n)
-        pb = np.zeros(n)
-        pa[: len(a)] = a
-        pb[: len(b)] = b
-        return bool(np.max(np.abs(pa - pb), initial=0.0) <= tol)
-
-
-def u_index(n: int) -> UnivariatePoly:
-    """U_n with the negative-index convention U_{-1} = 0, U_n = -U_{-n-2}."""
-    if n == -1:
-        return UnivariatePoly(CHEB_U, [])
-    sign = 1.0
-    if n < -1:
-        n = -n - 2
-        sign = -1.0
-    c = np.zeros(n + 1)
-    c[n] = sign
-    return UnivariatePoly(CHEB_U, c)
-
 
 @lru_cache(maxsize=256)
 def _lin(na: int, nb: int) -> np.ndarray:
@@ -276,36 +253,10 @@ class BivariatePoly:
         ii, jj = np.nonzero(self.coeffs != 0)
         return list(zip(ii.tolist(), jj.tolist()))
 
-    @property
-    def total_degree(self) -> float:
-        sup = self.support()
-        return max((i + j for i, j in sup), default=NEG_INF)
-
-    @property
-    def lex_degree(self):
-        sup = self.support()
-        return max(sup, default=NEG_INF)
-
-    @property
-    def revlex_degree(self):
-        sup = self.support()
-        if not sup:
-            return NEG_INF
-        j, i = max(((j, i) for i, j in sup))
-        return (i, j)
-
     # -- construction helpers --------------------------------------------
     @staticmethod
     def zero(basis: str = CHEB_U) -> "BivariatePoly":
         return BivariatePoly(basis, np.zeros((0, 0)))
-
-    @staticmethod
-    def from_separable(px: UnivariatePoly, py: UnivariatePoly) -> "BivariatePoly":
-        if px.basis != py.basis:
-            raise BasisMismatchError(px.basis + " vs " + py.basis)
-        if px.is_zero or py.is_zero:
-            return BivariatePoly.zero(px.basis)
-        return BivariatePoly(px.basis, np.outer(px.coeffs, py.coeffs))
 
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "BivariatePoly"):
@@ -345,11 +296,6 @@ class BivariatePoly:
             return BivariatePoly(CHEB_U, _mono_to_chebu(nx - 1) @ self.coeffs @ _mono_to_chebu(ny - 1).T)
         raise ValueError(f"unknown basis pair {self.basis!r} -> {basis!r}")
 
-    def swap_xy(self) -> "BivariatePoly":
-        if self.is_zero:
-            return self
-        return BivariatePoly(self.basis, self.coeffs.T.copy())
-
     def __call__(self, x, y):
         c = self.to_basis(MONOMIAL).coeffs
         x = np.asarray(x, dtype=float)
@@ -361,12 +307,6 @@ class BivariatePoly:
                 row = row * y + float(c[i, j])
             acc = acc + row * x**i
         return acc
-
-    def approx_eq(self, other: "BivariatePoly", tol: float = 1e-12) -> bool:
-        d = (self - other).coeffs
-        if d.size == 0:
-            return True
-        return bool(np.max(np.abs(d)) <= tol)
 
 
 def mul(p: BivariatePoly, q: BivariatePoly) -> BivariatePoly:

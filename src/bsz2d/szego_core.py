@@ -63,11 +63,6 @@ def build_qk(spec: WeightSpec, k: int) -> BivariatePoly:
     return BivariatePoly(CHEB_U, qk_grid(spec, k))
 
 
-def build_tilde_ql(spec: WeightSpec, l: int) -> BivariatePoly:
-    """Mirror family with the roles of x and y exchanged (product specs)."""
-    return BivariatePoly(CHEB_U, tilde_ql_grid(spec, l))
-
-
 def qk_norm_closed(spec: WeightSpec, k: int):
     """Squared slice norm of q_k: pi/2 once k >= ceil((N-1)/2), and
     pi/2 (1 - h_N) on the boundary case 2k + 2 = N.  The boundary case

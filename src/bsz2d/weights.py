@@ -163,10 +163,12 @@ class WeightSpec:
         """
         theta = np.asarray(theta, dtype=float)
         y = np.asarray(y, dtype=float)
-        kt = np.multiply.outer(theta, np.arange(self.n_h + 1))  # theta.shape + (K,)
-        hy = np.zeros((self.n_h + 1,) + y.shape)  # (K,) + y.shape
-        for c in self.h_mono.T[::-1]:
-            hy = hy * y + c.reshape(-1, *(1,) * y.ndim)
+        H = self.h_mono
+        kt = np.multiply.outer(theta, np.arange(len(H)))  # theta.shape + (K,)
+        hy = np.zeros((len(H),) + y.shape)  # (K,) + y.shape
+        for c in H.T[::-1].reshape(H.shape[::-1] + (1,) * y.ndim):
+            hy *= y
+            hy += c
         if y.ndim == 0:
             re, im = np.cos(kt) @ hy, np.sin(kt) @ hy
         elif theta.ndim == y.ndim == 2 and theta.shape[1] == 1 and y.shape[0] == 1:
@@ -212,14 +214,6 @@ def _expand_z(factors) -> tuple[UnivariatePoly, ...]:
 def product_spec(a: list[float]) -> WeightSpec:
     """Product-form weight from factor parameters (0 < |a_i| < 1)."""
     return WeightSpec(factors=tuple(a))
-
-
-def expand_product(a: list[float]) -> WeightSpec:
-    """Same as :func:`product_spec`; the generic h_i(y) view is exposed
-    through ``spec.h`` (computed eagerly here to validate invariants)."""
-    spec = product_spec(a)
-    WeightSpec._validate_h(spec.h)
-    return spec
 
 
 def generic_spec(h_rows: list[list[float]] | list[UnivariatePoly]) -> WeightSpec:

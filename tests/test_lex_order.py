@@ -3,7 +3,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from bsz2d import moment_oracle
+from bsz2d import lex_order, moment_oracle
 from bsz2d.lex_order import (
     _forbidden_rows,
     _high_band_grids,
@@ -20,14 +20,26 @@ from bsz2d.lex_order import (
 )
 from bsz2d.moment_oracle import MomentOracle, OracleUnreliableError, oracle_for
 from bsz2d.ortho import LEX, REVLEX, index_sequence
-from bsz2d.poly_core import CHEB_U, BivariatePoly, mul, u_index
-from bsz2d.szego_core import build_qk, build_tilde_ql, norm_threshold
+from bsz2d.poly_core import CHEB_U, BivariatePoly, mul
+from bsz2d.szego_core import build_qk, norm_threshold, tilde_ql_grid
 from bsz2d.weights import PRODUCT_OMEGA, generic_spec, product_spec
 
 SPEC1 = product_spec([-0.6])        # N_f = 1, N_h = 2, kappa = 1
 SPEC2 = product_spec([0.5, -0.3])   # N_f = 2, N_h = 4, kappa = 2
 SPEC3 = product_spec([0.4, 0.3, -0.5])  # N_f = 3
 SPEC_CUBIC = generic_spec([[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]])
+
+
+def u_xy(i: int, j: int) -> BivariatePoly:
+    """U_i(x) U_j(y)."""
+    c = np.zeros((i + 1, j + 1))
+    c[i, j] = 1.0
+    return BivariatePoly(CHEB_U, c)
+
+
+def approx_eq(p, q, tol: float) -> bool:
+    """Every coefficient of p - q (one basis) is at most tol in modulus."""
+    return bool(np.max(np.abs((p - q).coeffs), initial=0.0) <= tol)
 
 
 def _loop_forbidden_rows(grids: np.ndarray, r: int, k: int, m: int) -> np.ndarray:
@@ -46,11 +58,11 @@ def _reference_terms(spec, r, k, m) -> list[BivariatePoly]:
     steps = k - (m - spec.n_f)
     terms = []
     for j in range(steps):
-        uy = BivariatePoly.from_separable(u_index(0), u_index(k - j))
+        uy = u_xy(0, k - j)
         terms.append(mul(build_qk(spec, r + j), uy))
     for j in range(steps):
-        ux = BivariatePoly.from_separable(u_index(r + k - m - 1 - j), u_index(0))
-        terms.append(mul(build_tilde_ql(spec, m + 1 + j), ux))
+        ux = u_xy(r + k - m - 1 - j, 0)
+        terms.append(mul(BivariatePoly(CHEB_U, tilde_ql_grid(spec, m + 1 + j)), ux))
     return terms
 
 
@@ -65,7 +77,7 @@ def _reference_slot(spec, r, k, m) -> BivariatePoly | None:
     """The closed-form lex slot (r, k), un-normalized, by general products
     and the looped high-band matrix; None where the oracle builds it."""
     if k <= m - spec.kappa and r >= norm_threshold(spec.n_h):
-        return mul(build_qk(spec, r), BivariatePoly.from_separable(u_index(0), u_index(k)))
+        return mul(build_qk(spec, r), u_xy(0, k))
     if not (spec.variant == PRODUCT_OMEGA and m - spec.n_f < k <= m and r >= 2 * spec.n_f and m >= 2 * spec.n_f):
         return None
     terms = _reference_terms(spec, r, k, m)
@@ -95,7 +107,7 @@ def _reference_system(spec, n, m, ordering):
                 pos = system.indices().index(idx)
                 out.append((idx, system.entries[pos][1], system.norms[pos]))
             else:
-                out.append((idx, *orc.normalized(p.swap_xy() if swap else p, idx)))
+                out.append((idx, *orc.normalized(BivariatePoly(CHEB_U, p.coeffs.T) if swap else p, idx)))
     return out
 
 
@@ -123,13 +135,13 @@ class TestLowBand:
         for r in (2, 3):
             for k in (0, 1):
                 closed = build_lex_low(SPEC2, r, k)
-                assert closed.approx_eq(small.poly((r, k)), 1e-7)
-                assert closed.approx_eq(wide.poly((r, k)), 1e-7)
+                assert approx_eq(closed, small.poly((r, k)), 1e-7)
+                assert approx_eq(closed, wide.poly((r, k)), 1e-7)
 
     def test_one_factor_slot(self):
         orc = oracle_for(SPEC1)
         system = orc.gram_schmidt(LEX, 2, 2)
-        assert build_lex_low(SPEC1, 2, 0).approx_eq(system.poly((2, 0)), 1e-7)
+        assert approx_eq(build_lex_low(SPEC1, 2, 0), system.poly((2, 0)), 1e-7)
 
 
 class TestHighBand:
@@ -144,7 +156,7 @@ class TestHighBand:
         system = orc.gram_schmidt(LEX, 5, 5)
         for k in high_band_range(SPEC2, 5):
             p = build_lex_high(SPEC2, 5, k, 5)
-            assert p.approx_eq(system.poly((5, k)), 1e-7)
+            assert approx_eq(p, system.poly((5, k)), 1e-7)
 
     def test_leading_weight_present(self):
         v, terms = high_band_coefficients(SPEC2, 5, 5, 5)
@@ -196,13 +208,13 @@ class TestElimination:
     def test_recursion_agrees_with_nullspace(self, r, k, m):
         a = build_lex_high(SPEC2, r, k, m)
         b = build_lex_high_recursion(SPEC2, r, k, m)
-        assert a.approx_eq(b, 1e-8)
+        assert approx_eq(a, b, 1e-8)
 
     def test_one_factor_band(self):
         a = build_lex_high(SPEC1, 2, 3, 3)
         b = build_lex_high_recursion(SPEC1, 2, 3, 3)
-        assert a.approx_eq(b, 1e-8)
-        assert a.approx_eq(oracle_for(SPEC1).gram_schmidt(LEX, 2, 3).poly((2, 3)), 1e-7)
+        assert approx_eq(a, b, 1e-8)
+        assert approx_eq(a, oracle_for(SPEC1).gram_schmidt(LEX, 2, 3).poly((2, 3)), 1e-7)
 
 
 class TestSystems:
@@ -220,7 +232,7 @@ class TestSystems:
         pure = orc.gram_schmidt(LEX, 4, 4)
         for (idx, p), (idx2, q) in zip(mixed.entries, pure.entries):
             assert idx == idx2
-            assert p.approx_eq(q, 1e-7)
+            assert approx_eq(p, q, 1e-7)
 
     def test_revlex_system(self):
         orc = oracle_for(SPEC2)
@@ -228,7 +240,7 @@ class TestSystems:
         pure = orc.gram_schmidt(REVLEX, 3, 3)
         for (idx, p), (idx2, q) in zip(mixed.entries, pure.entries):
             assert idx == idx2
-            assert p.approx_eq(q, 1e-7)
+            assert approx_eq(p, q, 1e-7)
 
     @pytest.mark.parametrize("ordering", [LEX, REVLEX])
     @pytest.mark.parametrize(
@@ -240,7 +252,7 @@ class TestSystems:
             ref = _reference_system(spec, n, m, ordering)
             assert got.indices() == [idx for idx, _, _ in ref]
             for (_, p), nrm, (_, q, want) in zip(got.entries, got.norms, ref):
-                assert p.approx_eq(q, 1e-13 * max(1.0, np.max(np.abs(q.coeffs))))
+                assert approx_eq(p, q, 1e-13 * max(1.0, np.max(np.abs(q.coeffs))))
                 assert abs(nrm - want) <= 1e-13 * want
 
     def test_bad_ordering(self):
@@ -266,7 +278,7 @@ class TestSystems:
         orc = oracle_for(SPEC2)
         pure = orc.gram_schmidt(REVLEX, 4, 4)
         for l, t, n in [(0, 2, 3), (1, 3, 3), (4, 4, 4)]:
-            assert build_revlex(SPEC2, l, t, n).approx_eq(pure.poly((l, t)), 1e-7)
+            assert approx_eq(build_revlex(SPEC2, l, t, n), pure.poly((l, t)), 1e-7)
         with pytest.raises(ValueError):
             build_revlex(SPEC2, 0, 0, 3)  # lex_system builds this slot by Gram-Schmidt
 
@@ -320,6 +332,19 @@ class TestFallbackPrefix:
             system.entries[0][1].coeffs[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             system.norms[0] = 1.0
+
+
+class TestRowGrids:
+    @pytest.mark.parametrize("ordering", [LEX, REVLEX])
+    def test_one_qk_grid_per_row(self, monkeypatch, ordering):
+        # every low-band slot of a row shares its q_r; each high-band slot adds its own terms
+        calls = []
+        real = lex_order.qk_grid
+        monkeypatch.setattr(lex_order, "qk_grid", lambda spec, r: calls.append(r) or real(spec, r))
+        lex_system(SPEC2, 8, 8, ordering, MomentOracle(SPEC2))
+        n_f, m = SPEC2.n_f, 8
+        high = sum(k - (m - n_f) for r in range(2 * n_f, 9) for k in high_band_range(SPEC2, m))
+        assert high == 15 and len(calls) <= 9 + high
 
 
 class TestExplicitOracle:

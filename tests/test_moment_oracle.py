@@ -16,7 +16,7 @@ from bsz2d.moment_oracle import (
     oracle_for,
 )
 from bsz2d.ortho import LEX, REVLEX, TOTAL, index_sequence
-from bsz2d.poly_core import CHEB_U, MONOMIAL, BivariatePoly, mul, u_index
+from bsz2d.poly_core import CHEB_U, MONOMIAL, BivariatePoly, mul
 from bsz2d.weights import InvalidWeightError, chebyshev_spec, generic_spec, product_spec
 
 
@@ -70,7 +70,7 @@ class TestGeneralOracle:
         x = BivariatePoly(CHEB_U, [[0.0], [0.5]])
         y = BivariatePoly(CHEB_U, [[0.0, 0.5]])
         assert orc.inner(x, y) == pytest.approx(orc.moment(1, 1), abs=1e-10)
-        one = BivariatePoly.from_separable(u_index(0), u_index(0))
+        one = BivariatePoly(CHEB_U, [[1.0]])
         assert orc.norm(one) == pytest.approx(1.0, abs=1e-10)
 
     def test_invalid_arguments(self):
@@ -151,7 +151,7 @@ class TestGramSchmidt:
         assert s1 is s2
         fresh = MomentOracle(product_spec([0.25])).gram_schmidt(TOTAL, 3)
         for (k1, p1), (k2, p2) in zip(s1.entries, fresh.entries):
-            assert k1 == k2 and p1.approx_eq(p2, 1e-9)
+            assert k1 == k2 and np.max(np.abs((p1 - p2).coeffs), initial=0.0) <= 1e-9
 
     def test_norms_recorded(self):
         orc = oracle_for(product_spec([0.25]))
@@ -358,6 +358,14 @@ class TestSpill:
         monkeypatch.delenv("BSZ2D_CACHE_DIR", raising=False)
         MomentOracle(product_spec([0.15])).chebu_table(2)
         assert list(tmp_path.iterdir()) == []
+
+    def test_only_a_write_creates_the_directory(self, tmp_path, monkeypatch):
+        root = tmp_path / "cache"
+        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(root))
+        orc = MomentOracle(product_spec([0.35]))  # looks for a spill
+        assert not root.exists()
+        orc.chebu_table(2)
+        assert [p.suffix for p in root.iterdir()] == [".npz"]
 
 
     def _spill(self, tmp_path, monkeypatch, spec):
@@ -579,7 +587,7 @@ class TestKernel:
         res, size = 256, 9
         th = 2.0 * np.pi * np.arange(res) / res
         W = 1.0 / np.abs(spec.h_eval(np.exp(1j * th)[:, None], np.cos(th)[None, :])) ** 2
-        A = moment_oracle._sin_matrix(size, th)
+        A = np.sin(np.arange(1, size + 2)[:, None] * th) * np.sin(th)  # U_s(cos th) sin^2 th
         want = (2.0 * np.pi / res) ** 2 / np.pi**2 * (A @ W @ A.T)
         got = MomentOracle(spec)._table_at(size, res)
         assert np.max(np.abs(got - want)) < 1e-13
@@ -604,6 +612,109 @@ def test_oracle_registry_is_bounded():
         oracle_for(product_spec([0.2 + 0.01 * k]))
     assert len(moment_oracle._ORACLES) == moment_oracle.MAX_ORACLES
     assert oracle_for(product_spec([0.12])) is not dropped
+
+
+def _count_points(monkeypatch, spec) -> list[int]:
+    """Patch spec.h_abs2 to record the number of weight points of every call."""
+    points = []
+    real = spec.h_abs2
+
+    def counting(theta, y):
+        points.append(np.broadcast(np.asarray(theta), np.asarray(y)).size)
+        return real(theta, y)
+
+    monkeypatch.setattr(spec, "h_abs2", counting)
+    return points
+
+
+class TestNestedLadder:
+    """Each doubling adds only the trapezoid nodes the coarser grid lacks."""
+
+    @pytest.mark.parametrize("a,resolution", [([0.5, -0.3], 256), ([0.96], 2048)])
+    def test_table_evaluates_each_node_once(self, monkeypatch, a, resolution):
+        orc = MomentOracle(product_spec(a))
+        points = _count_points(monkeypatch, orc.spec)
+        orc.chebu_table(12)
+        assert orc._chebu_resolution == resolution
+        assert sum(points) == (resolution // 2 - 1) ** 2
+
+    @pytest.mark.parametrize("a", [[0.5, -0.3], [0.96]])
+    def test_slice_evaluates_each_node_once(self, monkeypatch, a):
+        orc = MomentOracle(product_spec(a))
+        points = _count_points(monkeypatch, orc.spec)
+        ends = []
+        real = orc._ladder
+
+        def spy(*args):
+            out = real(*args)
+            ends.append(out[2])  # the resolution the ladder stopped at
+            return out
+
+        monkeypatch.setattr(orc, "_ladder", spy)
+        orc.univariate_chebu_moments(2, 0.3)
+        assert len(ends) == 1 and ends[0] >= 256
+        assert sum(points) == ends[0] // 2 - 1
+
+    @pytest.mark.parametrize("spec", TestKernel.SPECS + [product_spec([0.96])], ids=TestKernel.IDS + ["a=0.96"])
+    def test_nested_table_equals_the_one_grid_sum(self, spec):
+        orc = MomentOracle(spec)
+        orc.chebu_table(12)
+        want = orc._table_at(len(orc._chebu_table) - 1, orc._chebu_resolution)
+        assert abs(orc._mass - want[0, 0]) <= 1e-14 * want[0, 0]
+        want /= want[0, 0]
+        assert np.max(np.abs(orc._chebu_table - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("cap", [128, 512])
+    def test_both_ladders_stop_at_the_cap(self, cap):
+        orc = MomentOracle(product_spec([0.96]), max_resolution=cap)
+        with pytest.raises(AccuracyError, match=f"no convergence below resolution {cap}"):
+            orc.chebu_table(4)
+        with pytest.raises(AccuracyError, match=f"no convergence below resolution {cap}"):
+            orc.univariate_chebu_moments(4, 0.3)
+
+
+class TestSliceCache:
+    def test_repeat_runs_no_quadrature(self, monkeypatch):
+        orc = MomentOracle(product_spec([0.85]))
+        want = [orc.univariate_moment(i, 0.3) for i in range(4)]
+        head = orc.univariate_chebu_moments(15, 0.3).copy()
+        monkeypatch.setattr(orc.spec, "h_abs2", None)  # any quadrature would fail
+        assert [orc.univariate_moment(i, 0.3) for i in range(4)] == want
+        assert np.array_equal(orc.univariate_chebu_moments(15, 0.3), head)
+        assert orc.univariate_moment(2, 0.3, tol=orc.tol) == want[2]
+
+    def test_vectors_are_read_only(self):
+        u = MomentOracle(product_spec([0.85])).univariate_chebu_moments(3, -0.2)
+        with pytest.raises(ValueError, match="read-only"):
+            u[0] = 1.0
+
+    def test_other_tol_or_higher_degree_recomputes(self, monkeypatch):
+        orc = MomentOracle(product_spec([0.85]))
+        points = _count_points(monkeypatch, orc.spec)
+        rows = orc.univariate_chebu_moments(2, 0.3)
+        assert sum(points) > 0
+        for smax, tol in [(2, 1e-8), (16, None)]:
+            points.clear()
+            got = orc.univariate_chebu_moments(smax, 0.3, tol)
+            assert sum(points) > 0
+            assert np.max(np.abs(got[:3] - rows)) < 1e-8
+        points.clear()
+        orc.univariate_chebu_moments(31, 0.3)  # the 32-row vector of degree 16 holds it
+        assert points == []
+
+    def test_at_most_max_slices_are_kept(self, monkeypatch):
+        orc = MomentOracle(product_spec([0.5]))
+        points = _count_points(monkeypatch, orc.spec)
+        ys = np.linspace(-0.9, 0.9, moment_oracle.MAX_SLICES + 6)
+        for y in ys:
+            orc.univariate_moment(1, y)
+            assert len(orc._slices) <= moment_oracle.MAX_SLICES
+        assert len(orc._slices) == moment_oracle.MAX_SLICES
+        points.clear()
+        orc.univariate_moment(1, ys[-1])  # recently used, so kept
+        assert points == []
+        orc.univariate_moment(1, ys[0])  # least recently used, so dropped
+        assert sum(points) > 0
 
 
 def test_accuracy_error_on_tiny_cap():

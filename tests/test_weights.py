@@ -14,7 +14,6 @@ from bsz2d.weights import (
     UnsupportedWeightError,
     WeightSpec,
     chebyshev_spec,
-    expand_product,
     generic_spec,
     homogeneous_corner,
     is_stable,
@@ -49,7 +48,7 @@ class TestProductExpansion:
     @given(factors_st)
     @settings(max_examples=40, deadline=None)
     def test_degree_bounds_hold(self, factors):
-        spec = expand_product(factors)
+        spec = product_spec(factors)
         n = spec.n_h
         assert n == 2 * len(factors)
         assert spec.kappa == len(factors)
