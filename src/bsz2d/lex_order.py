@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moment_oracle import MomentOracle, oracle_for
+from .moment_oracle import MomentOracle, cap_system, oracle_for
 from .ortho import LEX, REVLEX, OrthoSystem
 from .poly_core import CHEB_U, MONOMIAL, BivariatePoly, LaurentPoly, _padded, t_map, u_band
 from .szego_core import norm_threshold, qk_grid, tilde_ql_grid
@@ -325,6 +325,7 @@ def lex_system(
     major, minor = (n, m) if not swap else (m, n)
     base = tilde_expandable(spec) if swap else spec
     slots = [(r, k) if not swap else (k, r) for r in range(major + 1) for k in range(minor + 1)]
+    cap_system(slots)  # before any closed-form grid is built
     closed = {}
     if base is not None:
         for r in range(major + 1):

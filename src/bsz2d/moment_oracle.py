@@ -19,14 +19,26 @@ per resolution, with (s+1) j reduced mod R in integers.
 The doubling ladder is nested: the interior nodes of R are the nodes of
 even index at 2R, so rung 2R adds only the nodes of odd index.  A table
 is T_2R = T_R / 4 plus the sum over the 3/4 of the interior grid with an
-odd theta or phi index; a slice is u_2R = u_R / 2 plus the sum over the
-odd nodes.  A ladder that ends at R thus evaluates each of its
-(R/2 - 1)^2 table nodes (R/2 - 1 slice nodes) exactly once; the first
-rung is the one-grid sum ``_table_at``.  The weights are evaluated in
-theta blocks of at most _CHUNK_BYTES = 256 KiB, so a block, the two
-temporaries of ``h_abs2`` and the sine columns it meets stay in L2, and
-the memory of a table grows like R, not R^2.  A table or slice for
-degrees <= smax computes max(16, next power of two >= smax + 1) rows.
+odd theta or phi index: S_o W_oo S_o^T + S_o W_oe S_e^T + S_e W_eo S_o^T
+over the step-2 progressions of odd and even nodes.  A slice is
+u_2R = u_R / 2 plus the sum over the odd nodes.  A ladder that ends at R
+thus evaluates each of its (R/2 - 1)^2 table nodes (R/2 - 1 slice nodes)
+exactly once; the first rung is the one-grid sum ``_table_at``.  The
+weights are evaluated in theta blocks of at most _CHUNK_BYTES = 256 KiB,
+so a block and the sine columns it meets stay in L2, and the memory of a
+table grows like R, not R^2.  A table or slice for degrees <= smax
+computes max(16, next power of two >= smax + 1) rows.
+
+A generic weight block is ``h_abs2`` on its nodes, with the coefficients
+h_k(y) of its phi row evaluated once per weighted sum.  A product weight
+needs no h: 1 + 2 a y z + a^2 z^2 = (1 + a z e^{i phi})(1 + a z e^{-i phi}),
+so on the grid 1/|h|^2 = f(theta + phi) f(theta - phi) with the
+one-variable Bernstein-Szego weight f(psi) = prod_i 1/|1 + a_i e^{i psi}|^2.
+One line of f at the nodes 2 pi k / R per resolution, computed on
+k <= R/2 and mirrored so f[k] == f[R - k] exactly, gives every block as H * T, where H[p, q] = f[j_p + j_q] and
+T[p, q] = f[|j_p - j_q|] are strided read-only views of the line.  That
+weight is symmetric in (theta, phi), so W_eo = W_oe^T and a refined rung
+sums S_o W_oe S_e^T once and adds its transpose.
 
 An oracle accepts only weights that ``is_stable`` certifies.  An unstable
 h can vanish on the unit circle, where the weight is not integrable, and
@@ -61,8 +73,18 @@ property that window's system is the leading block of the whole one, so
 a lex window whose fallback slots all lie in its first rows factors only
 those rows (revlex: columns), and the condition gate sees only them.
 
-A table or slice degree above MAX_DEGREE raises ResourceLimitError
-before anything is allocated.
+A table or slice degree above MAX_DEGREE, and a Gram block (s^4 doubles)
+or a stack of K coefficient grids (K s^2 doubles) above MAX_BLOCK_BYTES,
+raise ResourceLimitError before anything is allocated.
+
+With BSZ2D_CACHE_DIR set, the Chebyshev-U table is spilled to one file per
+spec, ``<fingerprint>.f64``: one flat little-endian float64 record of a
+magic value, the rows, the mass, the error estimate and the resolution,
+then the rows x rows table.  It is written to a temporary file and renamed
+into place.  A record that is cut short, has another magic value, a rows
+field that does not match its length, a value that is not finite, or an
+error estimate above the oracle's tol is not adopted: the table is
+recomputed.  The ``.npz`` spills of older versions are never read.
 
 Inner products under the full measure are c_f^T G c_g: c holds a
 polynomial's tensor Chebyshev-U coefficients, zero-padded to an s x s
@@ -91,7 +113,6 @@ from __future__ import annotations
 import os
 import tempfile
 import threading
-import zipfile
 from collections import OrderedDict
 from functools import lru_cache
 
@@ -99,7 +120,7 @@ import numpy as np
 
 from .ortho import LEX, REVLEX, OrthoSystem, index_sequence
 from .poly_core import CHEB_U, BivariatePoly, _extents, _lin, _mono_to_chebu, _padded, _square
-from .weights import InvalidWeightError, WeightSpec
+from .weights import PRODUCT_OMEGA, InvalidWeightError, WeightSpec
 
 DEFAULT_TOL = 1e-11
 MAX_RESOLUTION = 2**14
@@ -108,12 +129,19 @@ COND_CAP = 1e12  # largest Gram condition number Gram-Schmidt accepts
 # largest Chebyshev-U degree of a table or slice: at most 1024 rows, whose sine
 # matrix and its weighted sums take about 134 MB at MAX_RESOLUTION
 MAX_DEGREE = 1023
+# largest Gram block (s^4 doubles) or stack of K coefficient grids (K s^2 doubles) an
+# oracle allocates: a 40 x 40 lex window needs about 25 MB of each, lex --n 150 --m 150 4 GB
+MAX_BLOCK_BYTES = 2**27
 _START_RESOLUTION = 128
-# bytes of weights evaluated in one theta block of a table: the block, the two
-# temporaries of h_abs2 and the sine columns it is summed against stay in L2
+# bytes of weights evaluated in one theta block of a table: the block and the
+# sine columns it is summed against stay in L2
 _CHUNK_BYTES = 2**18
 MAX_SLICES = 64  # slice moment vectors kept per oracle
-_SPILL_KEYS = ("chebu", "mass", "chebu_err", "chebu_resolution")
+# a table spill is one flat little-endian float64 record: _SPILL_MAGIC, rows,
+# mass, err and resolution, then the rows x rows table
+_SPILL_MAGIC = float(np.frombuffer(b"bsz2d.t1", "<f8")[0])
+_SPILL_HEAD = 5
+_SPILL_SUFFIX = ".f64"
 
 
 class AccuracyError(RuntimeError):
@@ -133,15 +161,36 @@ def _cap_degree(smax: int):
         raise ResourceLimitError(f"degree {smax} exceeds the cap MAX_DEGREE = {MAX_DEGREE}")
 
 
-def _interior_nodes(resolution: int) -> np.ndarray:
+def _cap_bytes(doubles: int, what: str):
+    if 8 * doubles > MAX_BLOCK_BYTES:
+        raise ResourceLimitError(
+            f"{what} needs {8 * doubles / 2**20:.0f} MiB, over the cap MAX_BLOCK_BYTES = {MAX_BLOCK_BYTES >> 20} MiB"
+        )
+
+
+def cap_system(slots: list[tuple[int, int]]):
+    """Raise ResourceLimitError, before anything is allocated, when a system over
+    ``slots`` needs a Gram block or coefficient stack above MAX_BLOCK_BYTES: its
+    polynomials fill at least the s x s square, s = 1 + the largest slot index."""
+    s = 1 + max((max(idx) for idx in slots), default=0)
+    _cap_bytes(s**4, f"a Gram block of s = {s}")
+    _cap_bytes(len(slots) * s * s, f"a stack of {len(slots)} {s} x {s} coefficient grids")
+
+
+def _indices(start: int, step: int, count: int) -> np.ndarray:
+    """The node indices of a progression: start, start + step, ..."""
+    return start + step * np.arange(count)
+
+
+def _interior(resolution: int) -> tuple[int, int, int]:
     """The indices j = 1 .. R/2 - 1 of the trapezoid nodes 2 pi j / R strictly
-    inside (0, pi)."""
-    return np.arange(1, resolution // 2)
+    inside (0, pi), as a progression."""
+    return 1, 1, resolution // 2 - 1
 
 
-def _odd_nodes(resolution: int) -> np.ndarray:
+def _odd(resolution: int) -> tuple[int, int, int]:
     """The interior nodes of odd index: those the grid of R / 2 nodes lacks."""
-    return np.arange(1, resolution // 2, 2)
+    return 1, 2, resolution // 4
 
 
 def _rows(smax: int) -> int:
@@ -173,6 +222,29 @@ def _sin_matrix(smax: int, j: np.ndarray, resolution: int) -> np.ndarray:
     S = sn[k]
     S *= sn[j]
     return S
+
+
+@lru_cache(maxsize=16)
+def _szego_windows(factors: tuple[float, ...], resolution: int) -> np.ndarray:
+    """The read-only windows V[k, q] = F[k + q], q < R/2 - 1, of the line
+    F[k] = f(2 pi k / R), k = 0 .. 2R - 1, where f(psi) = prod_i 1 / |1 + a_i e^{i psi}|^2
+    is the one-variable Bernstein-Szego weight, each modulus the sum of squares
+    (1 + a cos)^2 + (a sin)^2.  The half k <= R / 2 is computed from ``_sines(R)``
+    and mirrored, so F[k] == F[R - k] exactly, and F has period R."""
+    sn = _sines(resolution)
+    k = np.arange(resolution // 2 + 1)
+    sin, cos = sn[k], sn[(k + resolution // 4) % resolution]
+    den = np.ones(len(k))
+    for a in factors:
+        re = 1.0 + a * cos
+        im = a * sin
+        re *= re
+        im *= im
+        re += im
+        den *= re
+    f = np.reciprocal(den)
+    line = np.concatenate([f, f[-2:0:-1], f, f[-2:0:-1]])
+    return np.lib.stride_tricks.sliding_window_view(line, resolution // 2 - 1)
 
 
 def grid_size(polys: list[BivariatePoly]) -> int:
@@ -219,40 +291,61 @@ class MomentOracle:
         self._load_spill()
 
     # -- quadrature cores -------------------------------------------------
-    def _weighted_sum(self, Sa: np.ndarray, tha: np.ndarray, Sb: np.ndarray, thb: np.ndarray) -> np.ndarray:
-        """Sa W Sb^T with W[a, b] = 1 / |h(e^{i tha[a]}, cos thb[b])|^2, evaluated
-        in theta blocks of at most _CHUNK_BYTES of weights."""
-        y = np.cos(thb)[None, :]
-        rows = max(1, _CHUNK_BYTES // (8 * len(thb)))
-        SW = np.zeros((len(Sa), len(thb)))
-        for lo in range(0, len(tha), rows):
-            block = slice(lo, lo + rows)
-            W = self.spec.h_abs2(tha[block, None], y)
-            np.reciprocal(W, out=W)
-            SW += Sa[:, block] @ W
+    def _weighted_sum(self, Sa: np.ndarray, a: tuple, Sb: np.ndarray, b: tuple, resolution: int) -> np.ndarray:
+        """Sa W Sb^T with W[p, q] = 1 / |h(e^{i theta_p}, cos phi_q)|^2, where theta_p and
+        phi_q run over the node progressions a and b, each (start, step, count) of
+        indices j of the nodes 2 pi j / R.  W is built in theta blocks of at most
+        _CHUNK_BYTES: for a product spec as H * T from one Szego line, otherwise
+        by ``h_abs2`` with the y coefficients evaluated once."""
+        (sa, da, na), (sb, db, nb) = a, b
+        rows = max(1, _CHUNK_BYTES // (8 * nb))
+        SW = np.zeros((len(Sa), nb))
+        if self.spec.variant == PRODUCT_OMEGA:
+            # W[p, q] = f(theta_p + phi_q) f(theta_p - phi_q): a Hankel and a Toeplitz view
+            V = _szego_windows(self.spec.factors, resolution)
+            span = slice(None, (nb - 1) * db + 1, db)
+            H = V[sa + sb :: da][:na, span]
+            T = V[resolution + sa - sb - (nb - 1) * db :: da][:na, span][:, ::-1]
+            for lo in range(0, na, rows):
+                SW += Sa[:, lo : lo + rows] @ (H[lo : lo + rows] * T[lo : lo + rows])
+        else:
+            tha, thb = (2.0 * np.pi * _indices(*nodes) / resolution for nodes in (a, b))
+            y = np.cos(thb)[None, :]
+            hy = self.spec.h_y(y)
+            for lo in range(0, na, rows):
+                W = self.spec.h_abs2(tha[lo : lo + rows, None], y, hy)
+                np.reciprocal(W, out=W)
+                SW += Sa[:, lo : lo + rows] @ W
         return SW @ Sb.T
 
     def _table_at(self, smax: int, resolution: int) -> np.ndarray:
         """(1/pi^2) (2 pi / R)^2 * S W S^T, S = _sin_matrix(smax, .) on both axes,
         summed over the interior quarter grid (times 4)."""
-        j = _interior_nodes(resolution)
-        S = _sin_matrix(smax, j, resolution)
-        th = 2.0 * np.pi * j / resolution
-        return _table_scale(resolution) * self._weighted_sum(S, th, S, th)
+        nodes = _interior(resolution)
+        S = _sin_matrix(smax, _indices(*nodes), resolution)
+        return _table_scale(resolution) * self._weighted_sum(S, nodes, S, nodes, resolution)
 
     def _table_refined(self, coarse: np.ndarray, smax: int, resolution: int) -> np.ndarray:
         """The table at ``resolution`` from ``coarse``, the one at resolution / 2.
 
         The interior nodes with even theta and even phi index are the coarse
-        grid's, so only the pairs with an odd index on either axis are new.
-        The nodes are ordered odd first, so each block is a column range."""
-        j = _odd_nodes(resolution)
-        odd, even = slice(None, len(j)), slice(len(j), None)
-        j = np.concatenate([j, j[:-1] + 1])
-        S = _sin_matrix(smax, j, resolution)
-        th = 2.0 * np.pi * j / resolution
-        new = self._weighted_sum(S[:, odd], th[odd], S, th)
-        new += self._weighted_sum(S[:, even], th[even], S[:, odd], th[odd])
+        grid's, so only the pairs with an odd index on either axis are new:
+        S_o W_oo S_o^T + X + S_e W_eo S_o^T with X = S_o W_oe S_e^T, over the
+        step-2 progressions of odd and even nodes.  A product weight is
+        symmetric in (theta, phi), so there W_eo = W_oe^T and the last term is
+        X^T; otherwise odd theta meets every phi in one sum."""
+        nodes = _interior(resolution)
+        odd, even = _odd(resolution), (2, 2, resolution // 4 - 1)
+        S = _sin_matrix(smax, _indices(*nodes), resolution)
+        So, Se = S[:, ::2], S[:, 1::2]
+        if self.spec.variant == PRODUCT_OMEGA:
+            new = self._weighted_sum(So, odd, So, odd, resolution)
+            X = self._weighted_sum(So, odd, Se, even, resolution)
+            new += X
+            new += X.T
+        else:
+            new = self._weighted_sum(So, odd, S, nodes, resolution)
+            new += self._weighted_sum(Se, even, So, odd, resolution)
         return coarse / 4.0 + _table_scale(resolution) * new
 
     def _ladder(self, first, refine, tol: float) -> tuple[np.ndarray, float, int]:
@@ -348,7 +441,7 @@ class MomentOracle:
             return (2.0 * np.pi / res) * (_sin_matrix(size, j, res) @ w)
 
         u = self._ladder(
-            lambda r: at(_interior_nodes(r), r), lambda v, r: v / 2.0 + at(_odd_nodes(r), r), tol
+            lambda r: at(_indices(*_interior(r)), r), lambda v, r: v / 2.0 + at(_indices(*_odd(r)), r), tol
         )[0]
         u.setflags(write=False)
         with self._lock:
@@ -377,7 +470,9 @@ class MomentOracle:
         """
         with self._lock:
             if self._gram is None or len(self._gram) < s:
-                m1 = self.chebu_table(2 * s - 2)  # applies the degree cap first
+                _cap_degree(2 * s - 2)
+                _cap_bytes(s**4, f"a Gram block of s = {s}")
+                m1 = self.chebu_table(2 * s - 2)
                 L = _lin(s, s)
                 # H[i1, i2, j1, j2]: x-linearization against the rows of m1, y against its columns
                 H = np.tensordot(L @ m1, L, axes=(2, 2))
@@ -402,6 +497,9 @@ class MomentOracle:
         polynomial's coefficient at its key, its leading slot, is made
         positive.  The squared norms are the diagonal of C G C^T, one row of
         C per grid."""
+        # the stack is padded to the grids' extents and then to the Gram block's size
+        s = max([0 if self._gram is None else len(self._gram)] + [max(g.shape) for g in grids.values()])
+        _cap_bytes(len(grids) * s * s, f"a stack of {len(grids)} {s} x {s} coefficient grids")
         T = _padded(list(grids.values()))
         nx, ny = _extents(T)
         # trimmed, a grid grows the oracle's shared Gram block only as far as its polynomial reaches
@@ -457,6 +555,7 @@ class MomentOracle:
         system, asked for at most once: ``gram_schmidt(ordering, n, m)``,
         except that a lex window ends at the row of the last such slot and
         a revlex window at its column, a leading block of the (n, m) one."""
+        cap_system(slots)
         pos = {idx: k for k, idx in enumerate(slots)}
         parts = []
         if closed:
@@ -512,24 +611,20 @@ class MomentOracle:
     # -- disk spill --------------------------------------------------------
     def _spill_path(self) -> str | None:
         root = os.environ.get("BSZ2D_CACHE_DIR")
-        return os.path.join(root, f"{self.spec.fingerprint}.npz") if root else None
+        return os.path.join(root, f"{self.spec.fingerprint}{_SPILL_SUFFIX}") if root else None
 
     def _save_spill(self):
         path = self._spill_path()
         if path is None or self._chebu_table is None:
             return
+        head = [_SPILL_MAGIC, len(self._chebu_table), self._mass, self._chebu_err, self._chebu_resolution]
+        record = np.concatenate([head, self._chebu_table.ravel()]).astype("<f8").tobytes()
         os.makedirs(os.path.dirname(path), exist_ok=True)
         # write beside the target, then rename over it: a reader never sees half a file
-        fd, tmp = tempfile.mkstemp(suffix=".npz.tmp", dir=os.path.dirname(path))
+        fd, tmp = tempfile.mkstemp(suffix=_SPILL_SUFFIX + ".tmp", dir=os.path.dirname(path))
         try:
             with os.fdopen(fd, "wb") as f:
-                np.savez(
-                    f,
-                    chebu=self._chebu_table,
-                    mass=self._mass,
-                    chebu_err=self._chebu_err,
-                    chebu_resolution=self._chebu_resolution,
-                )
+                f.write(record)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -542,19 +637,22 @@ class MomentOracle:
         if path is None:
             return
         try:
-            with open(path, "rb") as f, np.load(f) as data:
-                spill = {key: data[key] for key in _SPILL_KEYS}
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+            with open(path, "rb") as f:
+                raw = f.read()
+            record = np.frombuffer(raw, "<f8").astype(float)
+        except (OSError, ValueError):  # missing, or not a whole number of float64s
             return
-        table = spill["chebu"]
-        if table.ndim != 2 or table.shape[0] != table.shape[1] or not np.all(np.isfinite(table)):
+        if len(record) < _SPILL_HEAD or record[0] != _SPILL_MAGIC:
             return
-        if not float(spill["chebu_err"]) <= self.tol:
+        _, rows, mass, err, resolution = record[:_SPILL_HEAD]
+        if rows < 1 or rows * rows != len(record) - _SPILL_HEAD or not np.all(np.isfinite(record)):
+            return
+        if not err <= self.tol:
             return  # written at a looser tolerance: recompute
-        self._chebu_table = table
-        self._mass = float(spill["mass"])
-        self._chebu_err = float(spill["chebu_err"])
-        self._chebu_resolution = int(spill["chebu_resolution"])
+        self._chebu_table = record[_SPILL_HEAD:].reshape(int(rows), int(rows))
+        self._mass = float(mass)
+        self._chebu_err = float(err)
+        self._chebu_resolution = int(resolution)
 
 
 _ORACLES: OrderedDict[tuple[str, float], MomentOracle] = OrderedDict()

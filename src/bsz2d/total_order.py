@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .moment_oracle import MomentOracle, oracle_for
+from .moment_oracle import MomentOracle, cap_system, oracle_for
 from .ortho import TOTAL, OrthoSystem
 from .poly_core import u_band
 from .szego_core import low_band_threshold, qk_grid
@@ -36,9 +36,11 @@ def build_total_vector(spec: WeightSpec, n: int, oracle: MomentOracle | None = N
 
 
 def _total_vector(spec: WeightSpec, n: int, orc: MomentOracle) -> OrthoSystem:
+    slots = [(k, n - k) for k in range(n + 1)]
+    cap_system(slots)  # before any closed-form grid is built
     # q_k(x, y) U_{n-k}(y) from the threshold on; the oracle builds the rest
     closed = {(k, n - k): u_band(qk_grid(spec, k), n - k, 1) for k in range(total_threshold(spec), n + 1)}
-    return orc.assemble(TOTAL, [(k, n - k) for k in range(n + 1)], closed, n)
+    return orc.assemble(TOTAL, slots, closed, n)
 
 
 def gram_deviation(spec: WeightSpec, system: OrthoSystem, oracle: MomentOracle | None = None) -> float:

@@ -154,21 +154,29 @@ class WeightSpec:
             zp = zp * z
         return acc
 
-    def h_abs2(self, theta, y):
-        """|h(e^{i theta}, y)|^2 on broadcastable grids, in real arithmetic.
-
-        With c_k = h_k(y), by Horner over ``h_mono``: |h|^2 = (sum_k c_k cos k theta)^2
-        + (sum_k c_k sin k theta)^2.  Each sum is one rank-K matrix product (K = N_h + 1)
-        on a tensor grid (theta a column, y a row), a matrix-vector one for a scalar y.
-        """
-        theta = np.asarray(theta, dtype=float)
+    def h_y(self, y) -> np.ndarray:
+        """c_k = h_k(y) for k = 0 .. N_h, by Horner over ``h_mono``: shape (K,) + y.shape."""
         y = np.asarray(y, dtype=float)
         H = self.h_mono
-        kt = np.multiply.outer(theta, np.arange(len(H)))  # theta.shape + (K,)
-        hy = np.zeros((len(H),) + y.shape)  # (K,) + y.shape
+        hy = np.zeros((len(H),) + y.shape)
         for c in H.T[::-1].reshape(H.shape[::-1] + (1,) * y.ndim):
             hy *= y
             hy += c
+        return hy
+
+    def h_abs2(self, theta, y, hy: np.ndarray | None = None):
+        """|h(e^{i theta}, y)|^2 on broadcastable grids, in real arithmetic.
+
+        With c_k = h_k(y): |h|^2 = (sum_k c_k cos k theta)^2 + (sum_k c_k sin k theta)^2.
+        Each sum is one rank-K matrix product (K = N_h + 1) on a tensor grid (theta a
+        column, y a row), a matrix-vector one for a scalar y.  A caller that meets the
+        same y again passes ``hy = h_y(y)``, so the y work is done once.
+        """
+        theta = np.asarray(theta, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if hy is None:
+            hy = self.h_y(y)
+        kt = np.multiply.outer(theta, np.arange(len(hy)))  # theta.shape + (K,)
         if y.ndim == 0:
             re, im = np.cos(kt) @ hy, np.sin(kt) @ hy
         elif theta.ndim == y.ndim == 2 and theta.shape[1] == 1 and y.shape[0] == 1:

@@ -218,6 +218,32 @@ class TestErrors:
         assert "Error" in res.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["lex", "--n", "150", "--m", "150"],
+        ["lex", "--n", "150", "--m", "150", "--revlex"],
+        ["recurrence", "--ordering", "lex", "--n", "150", "--m", "150"],
+        ["total", "--n", "150"],
+    ],
+    ids=["lex", "revlex", "lex-recurrence", "total"],
+)
+def test_size_cap_is_a_usage_error(runner, product_weight, monkeypatch, args):
+    # nothing may build a grid, a linearization table or a quadrature before the cap is checked
+    from bsz2d import lex_order, total_order
+
+    def fail(*a, **k):
+        raise AssertionError("work started before the size cap")
+
+    for mod, name in [(lex_order, "qk_grid"), (total_order, "qk_grid"), (moment_oracle, "_lin")]:
+        monkeypatch.setattr(mod, name, fail)
+    monkeypatch.setattr(moment_oracle.MomentOracle, "_table_at", fail)
+    res = runner.invoke(main, [args[0], "--weight", product_weight, *args[1:]])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # a usage message, not a traceback
+    assert "MAX_BLOCK_BYTES" in res.output
+
+
 def test_stability_certified_once_per_command(runner, generic_weight, monkeypatch):
     # the loader and the oracle both read the spec's cached report; the cleared
     # oracle cache makes the command build its oracle

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from collections import OrderedDict
 
@@ -261,6 +262,63 @@ class TestDegreeCap:
         assert issubclass(ResourceLimitError, ValueError)
 
 
+def _fail(*args, **kwargs):
+    raise AssertionError("a block was allocated")
+
+
+class TestBlockCap:
+    """A Gram block or coefficient stack above MAX_BLOCK_BYTES raises before it exists."""
+
+    SPEC = product_spec([0.5, -0.3])
+
+    def test_gram_block_over_the_cap(self, monkeypatch):
+        s = 65  # 65^4 doubles are 143 MB; degree 2 s - 2 = 128 is under MAX_DEGREE
+        assert 8 * s**4 > moment_oracle.MAX_BLOCK_BYTES >= 8 * (s - 1) ** 4
+        monkeypatch.setattr(moment_oracle, "_lin", _fail)
+        monkeypatch.setattr(MomentOracle, "_table_at", _fail)
+        orc = MomentOracle(self.SPEC)
+        calls = [
+            lambda: orc.gram_block(s),
+            lambda: orc.gram([(0, 0), (s - 1, 0)]),
+            lambda: orc.coefficient_inner(np.ones((1, s, 1))),
+        ]
+        for call in calls:
+            with pytest.raises(ResourceLimitError, match="MAX_BLOCK_BYTES"):
+                call()
+
+    def test_normalize_stack_over_the_cap(self, monkeypatch):
+        grid = np.ones((60, 1))  # 5000 grids padded to 60 x 60 are 144 MB; the dict holds one array
+        monkeypatch.setattr(moment_oracle, "_padded", _fail)
+        monkeypatch.setattr(moment_oracle, "_lin", _fail)
+        with pytest.raises(ResourceLimitError, match="5000 60 x 60 coefficient grids"):
+            MomentOracle(self.SPEC).normalize({(i, 0): grid for i in range(5000)})
+
+    def test_assemble_over_the_cap(self, monkeypatch):
+        monkeypatch.setattr(moment_oracle, "_lin", _fail)
+        monkeypatch.setattr(MomentOracle, "_table_at", _fail)
+        slots = index_sequence(LEX, 150, 150)
+        with pytest.raises(ResourceLimitError, match="MAX_BLOCK_BYTES"):
+            MomentOracle(self.SPEC).assemble(LEX, slots, {}, 150, 150)
+
+    def test_lex_window_over_the_cap(self, monkeypatch):
+        from bsz2d import lex_order
+
+        monkeypatch.setattr(lex_order, "qk_grid", _fail)
+        monkeypatch.setattr(lex_order, "_closed_grid", _fail)
+        for ordering in (LEX, REVLEX):
+            with pytest.raises(ResourceLimitError, match="MAX_BLOCK_BYTES"):
+                lex_order.lex_system(self.SPEC, 150, 150, ordering, MomentOracle(self.SPEC))
+
+    @pytest.mark.parametrize("n", [28, 40])
+    def test_large_windows_still_run(self, n):
+        from bsz2d.lex_order import lex_system
+
+        orc = MomentOracle(self.SPEC)
+        system = lex_system(self.SPEC, n, n, oracle=orc)
+        assert system.coeffs.shape == ((n + 1) ** 2, n + 3, n + 3)
+        assert len(orc.gram_block(1)) == n + 3
+
+
 def test_inner_matrix_matches_pairwise_inner():
     orc = oracle_for(product_spec([0.5, -0.3]))
     polys = [p for _, p in orc.gram_schmidt(LEX, 3, 4).entries]
@@ -331,6 +389,18 @@ def test_doubly_hankel_structure():
     assert M[2, 3] == pytest.approx(M[3, 2])  # both are moment(1, 2)
 
 
+def _record(path) -> np.ndarray:
+    """A table spill as its flat float64 record: magic, rows, mass, err and
+    resolution, then the table."""
+    return np.fromfile(path, "<f8")
+
+
+def _spilled_table(path) -> np.ndarray:
+    rec = _record(path)
+    rows = int(rec[1])
+    return rec[5:].reshape(rows, rows)
+
+
 class TestSpill:
     def test_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
@@ -338,18 +408,21 @@ class TestSpill:
         first = MomentOracle(spec)
         table = first.chebu_table(6).copy()
         files = list(tmp_path.iterdir())
-        assert len(files) == 1 and files[0].suffix == ".npz"
+        assert len(files) == 1 and files[0].suffix == ".f64"
+        assert files[0].stat().st_size == 8 * (5 + 16 * 16)
         # a reloading oracle capped below the converged resolution can only
         # succeed by reading the spill
         second = MomentOracle(spec, max_resolution=first._chebu_resolution // 2)
         assert np.array_equal(second.chebu_table(6), table)
-        assert second.mass == pytest.approx(first.mass)
+        assert second.mass == first.mass
+        assert (second._chebu_err, second._chebu_resolution) == (first._chebu_err, first._chebu_resolution)
 
     def test_looser_spill_is_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
         spec = product_spec([0.9])
         MomentOracle(spec, tol=1e-3).chebu_table(4)
         reopened = MomentOracle(spec, tol=1e-11)
+        assert reopened._chebu_table is None  # the spill was not adopted
         reopened.chebu_table(4)
         assert reopened._chebu_err < 1e-11
         assert reopened._chebu_resolution == 1024  # what a fresh oracle needs
@@ -365,66 +438,83 @@ class TestSpill:
         orc = MomentOracle(product_spec([0.35]))  # looks for a spill
         assert not root.exists()
         orc.chebu_table(2)
-        assert [p.suffix for p in root.iterdir()] == [".npz"]
-
+        assert [p.suffix for p in root.iterdir()] == [".f64"]
 
     def _spill(self, tmp_path, monkeypatch, spec):
         monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
         MomentOracle(spec).moment(1, 1)  # fills and spills the chebU table
         (path,) = tmp_path.iterdir()
-        with np.load(path) as data:
-            return path, dict(data)
+        return path, _record(path)
 
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda d: d.pop("chebu_err"),
-            lambda d: d.update(chebu=d["chebu"][0]),
-            lambda d: d.update(chebu=d["chebu"][:, :-1]),
-            lambda d: d.update(chebu=np.where(np.eye(len(d["chebu"])) > 0, np.nan, d["chebu"])),
+            lambda r: r[:4],  # the header ends before err
+            lambda r: np.concatenate([r[:1], [1.0], r[2:]]),  # rows 1 against a 16 x 16 body
+            lambda r: r[: -int(r[1])],  # one row of the square short
+            lambda r: np.concatenate([r[:1], [15.5], r[2:]]),
+            lambda r: np.concatenate([r[:1], [0.0], r[2:5]]),
+            lambda r: np.concatenate([[1.0], r[1:]]),
+            lambda r: np.where(np.arange(len(r)) == 5 + 17 * 3, np.nan, r),
+            lambda r: np.where(np.arange(len(r)) == 2, np.inf, r),
         ],
-        ids=["no-err", "chebu-1d", "chebu-not-square", "chebu-nan"],
+        ids=["no-err", "chebu-1d", "chebu-not-square", "rows-fraction", "rows-zero", "magic", "chebu-nan", "mass-inf"],
     )
     def test_malformed_spill_is_recomputed(self, tmp_path, monkeypatch, corrupt):
         spec = product_spec([0.45])
-        path, data = self._spill(tmp_path, monkeypatch, spec)
-        want = data["chebu"][:5, :5].copy()
-        corrupt(data)
-        np.savez(path, **data)
+        path, rec = self._spill(tmp_path, monkeypatch, spec)
+        want = _spilled_table(path)[:5, :5].copy()
+        corrupt(rec).astype("<f8").tofile(path)
         reopened = MomentOracle(spec)
         assert reopened._chebu_table is None  # the spill was not adopted
         assert np.max(np.abs(reopened.chebu_table(4) - want)) < 1e-14
 
-    def test_old_spill_with_monomial_keys_is_adopted(self, tmp_path, monkeypatch):
-        # the four chebU fields mean what they meant; the monomial entries are ignored
+    def test_old_npz_spill_is_ignored(self, tmp_path, monkeypatch):
+        # the .npz format of older versions is never read: its table is recomputed and spilled anew
+        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
         spec = product_spec([0.45])
-        path, data = self._spill(tmp_path, monkeypatch, spec)
-        np.savez(path, **data, mono_keys=np.array([[1, 1]]), mono_vals=np.array([[0.5, 1e-12, 1e-11]]))
-        reopened = MomentOracle(spec, max_resolution=64)  # can only succeed by reading the spill
-        assert reopened._chebu_table is not None
-        assert np.array_equal(reopened.chebu_table(4), data["chebu"][:5, :5])
-        assert reopened.moment(1, 1) == pytest.approx(data["chebu"][1, 1] / 4, abs=1e-15)
+        old = tmp_path / f"{spec.fingerprint}.npz"
+        np.savez(old, chebu=np.eye(16), mass=1.0, chebu_err=0.0, chebu_resolution=256)
+        reopened = MomentOracle(spec)
+        assert reopened._chebu_table is None
+        want = MomentOracle(spec, tol=reopened.tol).chebu_table(4).copy()
+        assert np.array_equal(reopened.chebu_table(4), want)
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".f64", ".npz"]
 
     def test_truncated_spill_is_recomputed(self, tmp_path, monkeypatch):
         spec = product_spec([0.45])
         path, _ = self._spill(tmp_path, monkeypatch, spec)
-        path.write_bytes(path.read_bytes()[:100])
-        assert MomentOracle(spec)._chebu_table is None
+        whole = path.read_bytes()
+        for keep in (100, 8 * 40, 0):  # inside a float, on a float boundary, empty
+            path.write_bytes(whole[:keep])
+            assert MomentOracle(spec)._chebu_table is None
 
     def test_failed_write_keeps_the_old_spill(self, tmp_path, monkeypatch):
         spec = product_spec([0.45])
-        path, data = self._spill(tmp_path, monkeypatch, spec)
+        path, rec = self._spill(tmp_path, monkeypatch, spec)
+        real = os.fdopen
 
-        def broken_savez(f, **arrays):
-            f.write(b"partial")
-            raise OSError("disk full")
+        class Partial:
+            """A file that takes 100 bytes of a write and then fails."""
 
-        monkeypatch.setattr(np, "savez", broken_savez)
-        with pytest.raises(OSError):
+            def __init__(self, fd, mode):
+                self.f = real(fd, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:100])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fdopen", Partial)
+        with pytest.raises(OSError, match="disk full"):
             MomentOracle(spec).chebu_table(70)  # beyond the spilled 16-row table: computes and saves
         assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
-        with np.load(path) as kept:
-            assert np.array_equal(kept["chebu"], data["chebu"])
+        assert np.array_equal(_record(path), rec)
 
 
 class TestTableSize:
@@ -441,8 +531,7 @@ class TestTableSize:
             if prev is not None:  # the regrown table extends the previous one
                 assert np.max(np.abs(table[: len(prev), : len(prev)] - prev)) < orc.tol
             (path,) = tmp_path.iterdir()
-            with np.load(path) as data:  # every growth rewrites the spill
-                assert np.array_equal(data["chebu"], table)
+            assert np.array_equal(_spilled_table(path), table)  # every growth rewrites the spill
             prev = table.copy()
 
     def test_reopened_oracle_serves_the_16_row_spill(self, tmp_path, monkeypatch):
@@ -619,12 +708,69 @@ def _count_points(monkeypatch, spec) -> list[int]:
     points = []
     real = spec.h_abs2
 
-    def counting(theta, y):
+    def counting(theta, y, hy=None):
         points.append(np.broadcast(np.asarray(theta), np.asarray(y)).size)
-        return real(theta, y)
+        return real(theta, y, hy)
 
     monkeypatch.setattr(spec, "h_abs2", counting)
     return points
+
+
+def _generic_form(spec):
+    """The generic spec of the same h rows as ``spec``."""
+    return generic_spec([h.to_basis(MONOMIAL).coeffs for h in spec.h])
+
+
+class TestProductKernel:
+    """A product weight is f(theta + phi) f(theta - phi) on the grid, read from one Szego line."""
+
+    @pytest.mark.parametrize("a,resolution", [([0.5, -0.3], 256), ([0.93, 0.4, -0.5], 1024), ([0.975], 4096)])
+    def test_matches_the_generic_form(self, a, resolution):
+        spec = product_spec(a)
+        prod, gen = MomentOracle(spec), MomentOracle(_generic_form(spec))
+        got, want = prod.chebu_table(12), gen.chebu_table(12)
+        assert prod._chebu_resolution == gen._chebu_resolution == resolution
+        assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [((1, 1, 63), (1, 1, 63)), ((1, 2, 32), (1, 2, 32)), ((1, 2, 32), (2, 2, 31)), ((2, 2, 31), (1, 1, 63))],
+        ids=["unit", "odd-odd", "odd-even", "even-unit"],
+    )
+    @pytest.mark.parametrize("factors", [[0.5, -0.3], [0.93, 0.4, -0.5], [-0.975]], ids=["two", "three", "near"])
+    def test_weighted_sum_matches_the_full_grid(self, factors, a, b):
+        spec, res = product_spec(factors), 128
+        ja, jb = (s + d * np.arange(n) for s, d, n in (a, b))
+        rng = np.random.default_rng(5)
+        Sa, Sb = rng.standard_normal((6, len(ja))), rng.standard_normal((5, len(jb)))
+        th = 2.0 * np.pi * np.arange(res) / res
+        W = 1.0 / spec.h_abs2(th[:, None], np.cos(th)[None, :])
+        want = Sa @ W[np.ix_(ja, jb)] @ Sb.T
+        got = MomentOracle(spec)._weighted_sum(Sa, a, Sb, b, res)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(Sa) @ W[np.ix_(ja, jb)] @ np.abs(Sb).T)
+
+    def test_line_is_mirrored_exactly(self):
+        res = 256
+        V = moment_oracle._szego_windows((0.93, 0.4, -0.5), res)
+        line = np.concatenate([V[:, 0], V[-1, 1:]])
+        assert len(line) == 2 * res and not V.flags.writeable
+        assert np.array_equal(line[1:res], line[res - 1 : 0 : -1])
+        assert np.array_equal(line[:res], line[res:])
+
+    def test_builds_without_h_abs2(self, monkeypatch):
+        orc = MomentOracle(product_spec([0.96]))
+        monkeypatch.setattr(orc.spec, "h_abs2", None)  # any evaluation of h would fail
+        orc.chebu_table(12)
+        assert orc._chebu_resolution == 2048
+
+
+@pytest.mark.parametrize("spec", TestKernel.SPECS[2:] + [_generic_form(product_spec([0.96]))], ids=TestKernel.IDS[2:] + ["a=0.96"])
+def test_generic_table_is_bit_identical_to_per_block_h_abs2(monkeypatch, spec):
+    want = MomentOracle(spec).chebu_table(12).copy()
+    real = spec.h_abs2
+    # the y coefficients handed in are ignored, so every theta block evaluates its own
+    monkeypatch.setattr(spec, "h_abs2", lambda theta, y, hy=None: real(theta, y))
+    assert np.array_equal(MomentOracle(spec).chebu_table(12), want)
 
 
 class TestNestedLadder:
@@ -632,7 +778,8 @@ class TestNestedLadder:
 
     @pytest.mark.parametrize("a,resolution", [([0.5, -0.3], 256), ([0.96], 2048)])
     def test_table_evaluates_each_node_once(self, monkeypatch, a, resolution):
-        orc = MomentOracle(product_spec(a))
+        # the generic form of the product: a product table evaluates no h_abs2 at all
+        orc = MomentOracle(_generic_form(product_spec(a)))
         points = _count_points(monkeypatch, orc.spec)
         orc.chebu_table(12)
         assert orc._chebu_resolution == resolution
