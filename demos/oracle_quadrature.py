@@ -2,9 +2,10 @@
 
 Moments are computed by the trapezoid rule after x = cos(theta),
 y = cos(phi); the integrands become smooth periodic functions, so the
-rule converges geometrically and the resolution is doubled until two
-successive values agree.  The grids are nested, so each doubling
-evaluates the weight only at the nodes the coarser grid lacks.  A product
+rule converges geometrically.  The resolution is doubled until the error
+predicted from the contraction of successive increments meets the
+tolerance.  The grids are nested, so each doubling evaluates the weight
+only at the nodes the coarser grid lacks.  A product
 weight is read on the grid from one line of the one-variable Szego weight
 f, as f(theta + phi) f(theta - phi); a generic weight evaluates |h|^2.
 Both give the same table for the same h.  The same machinery provides inner products, slice integrals at fixed y (one
@@ -27,7 +28,7 @@ def main():
     print("spec:", spec)
     print("raw weight mass:", round(orc.mass, 8), "(moments below are probability-normalized)")
     m, err = orc.moment_with_error(2, 2)
-    print(f"moment x^2 y^2 = {m:.12f} (quadrature increment {err:.1e})")
+    print(f"moment x^2 y^2 = {m:.12f} (error estimate {err:.1e})")
 
     print("\nChebyshev-U moment table (4x4 corner):")
     print(np.array_str(orc.chebu_table(3), precision=6, suppress_small=True))

@@ -2,10 +2,14 @@
 
 Subcommands: moments, total, lex, recurrence, example, verify.  Matrices
 and moment tables are emitted as CSV, polynomials and reports as JSON.
-Exit codes: 0 success, 1 assertion failure, 2 usage or config error.
-Bad input (a malformed weight config, a negative degree or window bound,
-an out-of-range example parameter or depth) exits 2 with a usage message,
-and so does a request over a size cap of the oracle (``ResourceLimitError``).
+Exit codes: 0 success, 1 assertion failure, 2 usage or config error,
+3 numerical failure.  Bad input (a malformed weight config, a negative
+degree or window bound, an out-of-range example parameter or depth) exits
+2 with a usage message, and so does a request over a size cap of the
+oracle (``ResourceLimitError``).  A quadrature that does not meet the
+tolerance below the resolution cap (``AccuracyError``), or a Gram matrix
+too ill conditioned to factor (``OracleUnreliableError``), exits 3 with a
+one-line message.
 """
 
 from __future__ import annotations
@@ -20,7 +24,14 @@ import numpy as np
 
 from .examples_suite import EXAMPLES, run_regression
 from .lex_order import lex_system
-from .moment_oracle import DEFAULT_TOL, MAX_DEGREE, ResourceLimitError, oracle_for
+from .moment_oracle import (
+    DEFAULT_TOL,
+    MAX_DEGREE,
+    AccuracyError,
+    OracleUnreliableError,
+    ResourceLimitError,
+    oracle_for,
+)
 from .ortho import LEX, REVLEX, TOTAL
 from .recurrence import lex_blocks, total_blocks, verify_lex_structure, verify_total_structure
 from .total_order import build_total_vector, gram_deviation
@@ -57,12 +68,18 @@ def _matrix_csv(writer, name: str, mat: np.ndarray):
         writer.writerow([f"{v:.17g}" for v in row])
 
 
+class _NumericalFailure(click.ClickException):
+    exit_code = 3
+
+
 class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except ResourceLimitError as exc:
             raise click.UsageError(str(exc), ctx) from exc
+        except (AccuracyError, OracleUnreliableError) as exc:
+            raise _NumericalFailure(f"{type(exc).__name__}: {exc}") from exc
 
 
 @click.group(cls=_Main)

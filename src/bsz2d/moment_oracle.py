@@ -2,9 +2,20 @@
 
 All integrals use the substitution x = cos(theta), y = cos(phi), under
 which every integrand is a smooth doubly periodic function of (theta,
-phi); the trapezoid rule on [0, 2pi)^2 then converges geometrically.
-Resolution is doubled until successive values agree to the requested
-tolerance, and the last doubling increment is kept as the error estimate.
+phi); the trapezoid rule on [0, 2pi)^2 then converges geometrically,
+its error falling like rho^R when the weight is analytic for
+rho < |z| < 1/rho (L. N. Trefethen and J. A. C. Weideman, SIAM Rev. 56,
+2014).  Resolution is doubled from R = 128.  The increment d_R over R/2,
+taken on the values divided by their mass, is about the error at R/2, so
+it contracts by r = d_R / d_{R/2} ~ rho^{R/4} and the error left at R is
+about d_R r^2.  A product weight knows its rho = max |a_i| and takes r as
+at least rho^{R/4}.  The ladder stops at the first rung with r < 1/4 and
+10 max(d_R r^2, floor) < tol, and keeps that maximum as the error
+estimate, where floor = 2^-52 max |values / mass| is the float64 rounding
+of the mass-normalized values (their first entry is 1).  A generic
+ladder's first refinement, with no ratio yet, stops when
+max(d_R, floor) < tol.  A tol below ten floors, at least 2.2e-15, is
+never met.
 
 The trapezoid sums run over a quarter of the grid.  The weight
 1/|h(e^{i theta}, y)|^2 is even in theta (h has real coefficients) and
@@ -133,6 +144,10 @@ MAX_DEGREE = 1023
 # oracle allocates: a 40 x 40 lex window needs about 25 MB of each, lex --n 150 --m 150 4 GB
 MAX_BLOCK_BYTES = 2**27
 _START_RESOLUTION = 128
+# a ladder stops when _SAFETY times its error estimate is below tol; the
+# estimate is never below _ROUNDING times the largest mass-normalized value
+_SAFETY = 10.0
+_ROUNDING = 2.0**-52
 # bytes of weights evaluated in one theta block of a table: the block and the
 # sine columns it is summed against stay in L2
 _CHUNK_BYTES = 2**18
@@ -351,23 +366,41 @@ class MomentOracle:
     def _ladder(self, first, refine, tol: float) -> tuple[np.ndarray, float, int]:
         """Double the resolution from _START_RESOLUTION: ``first(R)`` is the value
         at the first rung and ``refine(value, R)`` the value at R from the one at
-        R / 2.  Returns the first value whose relative increment over the
-        previous rung is below tol, with that increment and its resolution."""
+        R / 2.  Returns the first value whose error estimate meets tol, with that
+        estimate and its resolution, by the stopping rule of the module docstring:
+        d_R is the increment of the values divided by their first entry (the
+        mass), r = d_R / d_{R/2}, at least rho^{R/4} for a product weight, and a
+        rung is accepted when r < 1/4 and _SAFETY max(d_R r^2, floor) < tol, where
+        floor = _ROUNDING max |values / mass| is their float64 rounding."""
+        rho = max(map(abs, self.spec.factors), default=0.0) if self.spec.variant == PRODUCT_OMEGA else None
         resolution = _START_RESOLUTION
         prev = first(resolution)
-        err = float("inf")
+        prev_unit = prev / prev.flat[0]
+        prev_step = err = np.inf
         while True:
             resolution *= 2
             if resolution > self.max_resolution:
                 raise AccuracyError(
                     f"no convergence below resolution {self.max_resolution} "
-                    f"(last increment {err:.3e}, tol {tol:.3e})"
+                    f"(last error estimate {err:.3e}, tol {tol:.3e})"
                 )
             cur = refine(prev, resolution)
-            err = float(np.max(np.abs(cur - prev) / (1.0 + np.abs(cur))))
-            if err < tol:
+            unit = cur / cur.flat[0]
+            step = float(np.abs(unit - prev_unit).max())
+            floor = _ROUNDING * float(np.abs(unit).max())
+            if rho is None and prev_step == np.inf:
+                err = max(step, floor)
+                done = err < tol
+            else:
+                # step / inf is 0: a product's first ratio is rho^{R/4} alone
+                ratio = step / prev_step if prev_step > 0.0 else (np.inf if step > 0.0 else 0.0)
+                if rho is not None:
+                    ratio = max(ratio, rho ** (resolution / 4))
+                err = max(step * ratio * ratio, floor)
+                done = ratio < 0.25 and _SAFETY * err < tol
+            if done:
                 return cur, err, resolution
-            prev = cur
+            prev, prev_unit, prev_step = cur, unit, step
 
     # -- Chebyshev-U moments ---------------------------------------------
     def chebu_table(self, smax: int) -> np.ndarray:
@@ -404,8 +437,9 @@ class MomentOracle:
         return _mono_to_chebu(k).T @ m1 @ _mono_to_chebu(k)
 
     def moment_with_error(self, i: int, j: int, tol: float | None = None) -> tuple[float, float]:
-        """The moment of x^i y^j and the increment of the Chebyshev-U table
-        it is derived from, which bounds its error."""
+        """The moment of x^i y^j and the error estimate of the Chebyshev-U
+        table it is derived from (see ``_ladder``); a monomial moment's
+        error is no larger than the table's."""
         if i < 0 or j < 0:
             raise ValueError("moment exponents must be nonnegative")
         if tol is not None and tol < self.tol:

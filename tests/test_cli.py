@@ -262,3 +262,21 @@ def test_stability_certified_once_per_command(runner, generic_weight, monkeypatc
     res = runner.invoke(main, ["lex", "--weight", generic_weight, "--n", "2", "--m", "2"])
     assert res.exit_code == 0, res.output
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "args,error",
+    [
+        (["--tol", "1e-20", "moments", "--weight", "{weight}", "--max-degree", "2"], "AccuracyError"),
+        (["total", "--weight", "{generic}", "--n", "3"], "OracleUnreliableError"),
+    ],
+    ids=["no-convergence", "ill-conditioned"],
+)
+def test_numerical_failure_exits_3(runner, product_weight, generic_weight, monkeypatch, args, error):
+    # a tolerance below float64 rounding never converges; a condition cap of 1 rejects every Gram matrix
+    monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
+    monkeypatch.setattr(moment_oracle, "COND_CAP", 1.0)
+    res = runner.invoke(main, [a.format(weight=product_weight, generic=generic_weight) for a in args])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+    assert res.output.startswith(f"Error: {error}: ") and res.output.count("\n") == 1, res.output

@@ -1,7 +1,9 @@
 import math
 import os
+import random
 import tracemalloc
 from collections import OrderedDict
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -18,7 +20,7 @@ from bsz2d.moment_oracle import (
 )
 from bsz2d.ortho import LEX, REVLEX, TOTAL, index_sequence
 from bsz2d.poly_core import CHEB_U, MONOMIAL, BivariatePoly, mul
-from bsz2d.weights import InvalidWeightError, chebyshev_spec, generic_spec, product_spec
+from bsz2d.weights import InvalidWeightError, chebyshev_spec, generic_spec, is_stable, product_spec
 
 
 class TestChebyshevBaseline:
@@ -418,14 +420,32 @@ class TestSpill:
         assert (second._chebu_err, second._chebu_resolution) == (first._chebu_err, first._chebu_resolution)
 
     def test_looser_spill_is_recomputed(self, tmp_path, monkeypatch):
+        spec = product_spec([0.975])
+        monkeypatch.delenv("BSZ2D_CACHE_DIR", raising=False)
+        fresh = MomentOracle(spec)
+        want = fresh.chebu_table(4).copy()
         monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
-        spec = product_spec([0.9])
         MomentOracle(spec, tol=1e-3).chebu_table(4)
+        (path,) = tmp_path.iterdir()
+        assert _record(path)[3] > 1e-11  # the spilled error estimate is looser than the reopening tol
         reopened = MomentOracle(spec, tol=1e-11)
         assert reopened._chebu_table is None  # the spill was not adopted
-        reopened.chebu_table(4)
-        assert reopened._chebu_err < 1e-11
-        assert reopened._chebu_resolution == 1024  # what a fresh oracle needs
+        assert np.array_equal(reopened.chebu_table(4), want)  # what a fresh oracle computes
+        assert (reopened._chebu_err, reopened._chebu_resolution) == (fresh._chebu_err, fresh._chebu_resolution)
+
+    def test_spill_with_an_increment_estimate_is_adopted(self, tmp_path, monkeypatch):
+        # earlier versions wrote the same record, with the last doubling increment as the
+        # error estimate, from a ladder that stopped later: [0.975] at R = 4096
+        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
+        spec = product_spec([0.975])
+        raw = MomentOracle(spec)._table_at(15, 4096)
+        table = raw / raw[0, 0]
+        head = [moment_oracle._SPILL_MAGIC, 16, raw[0, 0], 5.811690917270181e-16, 4096]
+        np.concatenate([head, table.ravel()]).astype("<f8").tofile(tmp_path / f"{spec.fingerprint}.f64")
+        reopened = MomentOracle(spec)
+        monkeypatch.setattr(reopened, "_table_at", None)  # any new quadrature would fail
+        assert np.array_equal(reopened.chebu_table(12), table[:13, :13])
+        assert (reopened.mass, reopened._chebu_err, reopened._chebu_resolution) == (raw[0, 0], 5.811690917270181e-16, 4096)
 
     def test_no_spill_without_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("BSZ2D_CACHE_DIR", raising=False)
@@ -624,6 +644,80 @@ def _ladder(at, tol: float = 1e-14) -> np.ndarray:
     raise AssertionError("reference quadrature did not converge")
 
 
+def _inverse_autocorrelation(p: list, rho: float, count: int) -> list:
+    """c_k = sum_n b_{n+k} b_n for k < count, where sum_n b_n z^n = 1 / P(z) and
+    P(z) = sum_i p[i] z^i, p[0] = 1, has every root at modulus >= 1 / rho: the
+    Fourier coefficients of 1 / |P(e^{i psi})|^2 = (1 / P(z)) (1 / P(1 / z)).
+    b_n follows the recurrence of P and falls like rho^n, so the sums are cut
+    where their terms, about rho^{2n}, are below e^{-120} = 8e-53."""
+    n = count + (math.ceil(60.0 / -math.log(rho)) if rho > 0.0 else len(p))
+    b = [mpmath.mpf(1)]
+    for k in range(1, n):
+        b.append(-mpmath.fdot(p[1 : k + 1], b[k - 1 :: -1][: len(p) - 1]))
+    return [mpmath.fdot(b[k:], b[: n - k]) for k in range(count)]
+
+
+def _times(p: list, q: list) -> list:
+    """The coefficients of the product of two polynomials."""
+    return [mpmath.fsum(p[i] * q[k - i] for i in range(len(p)) if 0 <= k - i < len(q)) for k in range(len(p) + len(q) - 1)]
+
+
+@lru_cache(maxsize=None)
+def _exact_table(factors: tuple[float, ...], smax: int) -> np.ndarray:
+    """m1[s, t] for s, t <= smax of a product weight, at 40 digits and with no
+    quadrature.  On the torus the weight is F(theta, phi) = f(theta + phi)
+    f(theta - phi) with f(psi) = prod_i 1 / |1 + a_i e^{i psi}|^2, so
+    F^(u, v) = f^_{(u+v)/2} f^_{(u-v)/2} when u + v is even and 0 otherwise.
+    U_s(cos theta) sin^2(theta) = (cos s theta - cos (s+2) theta) / 2, and F^ is
+    even in u and in v, so each entry is a sum of four values of F^; the table
+    is divided by its (0, 0) entry."""
+    with mpmath.workdps(40):
+        p = [mpmath.mpf(1)]
+        for a in factors:
+            p = _times(p, [mpmath.mpf(1), mpmath.mpf(a)])
+        f = _inverse_autocorrelation(p, max(map(abs, factors), default=0.0), smax + 3)
+
+        def F(u, v):
+            return f[(u + v) // 2] * f[abs(u - v) // 2] if (u + v) % 2 == 0 else 0
+
+        T = [[F(s, t) - F(s + 2, t) - F(s, t + 2) + F(s + 2, t + 2) for t in range(smax + 1)] for s in range(smax + 1)]
+        return np.array([[float(v / T[0][0]) for v in row] for row in T])
+
+
+@lru_cache(maxsize=None)
+def _exact_slice(factors: tuple[float, ...], smax: int, y: float) -> np.ndarray:
+    """integral of U_s(x) dmu_y(x) for s <= smax of a product weight, at 40
+    digits and with no quadrature.  At fixed y = cos phi the weight
+    f(theta + phi) f(theta - phi) = 1 / |h(e^{i theta}, y)|^2 has the Fourier
+    coefficients g_k = sum_v f^_{(k+v)/2} f^_{(k-v)/2} e^{i v phi}, the
+    autocorrelation of the power series of 1 / h(z, y), with
+    h(z, y) = prod_i (1 + 2 a_i y z + a_i^2 z^2); the slice moment is
+    (pi / 2) (g_s - g_{s+2})."""
+    with mpmath.workdps(40):
+        p, y = [mpmath.mpf(1)], mpmath.mpf(y)
+        for a in factors:
+            a = mpmath.mpf(a)
+            p = _times(p, [mpmath.mpf(1), 2 * a * y, a * a])
+        g = _inverse_autocorrelation(p, max(map(abs, factors), default=0.0), smax + 3)
+        return np.array([float(mpmath.pi / 2 * (g[s] - g[s + 2])) for s in range(smax + 1)])
+
+
+EXACT_YS = (-0.8, 0.1, 0.6)
+
+
+def _assert_exact(orc: MomentOracle, table: np.ndarray, factors: tuple[float, ...]):
+    """``table`` and the oracle's slices at EXACT_YS, each divided by its mass,
+    match the exact moments of the product weight of ``factors``: the table
+    within 1e-14, the slices within 1e-13 (a slice evaluates h_abs2, whose
+    rounding near the double root of [0.9, 0.9] reaches 1.4e-14)."""
+    smax = len(table) - 1
+    assert np.max(np.abs(table / table[0, 0] - _exact_table(factors, smax))) <= 1e-14
+    for y in EXACT_YS:
+        u, want = orc.univariate_chebu_moments(smax, y), _exact_slice(factors, smax, y)
+        assert np.max(np.abs(u / u[0] - want / want[0])) <= 1e-13
+        assert abs(u[0] - want[0]) <= 1e-13 * want[0]
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -681,8 +775,13 @@ class TestKernel:
         got = MomentOracle(spec)._table_at(size, res)
         assert np.max(np.abs(got - want)) < 1e-13
 
+    @pytest.mark.parametrize("spec", SPECS[:2], ids=IDS[:2])
+    def test_one_grid_sum_matches_exact_moments(self, spec):
+        orc = MomentOracle(spec)
+        _assert_exact(orc, orc._table_at(12, 256), spec.factors)
+
     def test_near_boundary_table_memory_is_bounded(self):
-        orc = MomentOracle(product_spec([0.978]))
+        orc = MomentOracle(product_spec([0.99]))
         tracemalloc.start()
         try:
             orc.chebu_table(12)
@@ -724,13 +823,21 @@ def _generic_form(spec):
 class TestProductKernel:
     """A product weight is f(theta + phi) f(theta - phi) on the grid, read from one Szego line."""
 
-    @pytest.mark.parametrize("a,resolution", [([0.5, -0.3], 256), ([0.93, 0.4, -0.5], 1024), ([0.975], 4096)])
+    @pytest.mark.parametrize("a,resolution", [([0.5, -0.3], 256), ([0.93, 0.4, -0.5], 512), ([0.975], 2048)])
     def test_matches_the_generic_form(self, a, resolution):
+        # only the product ladder reads rho = max |a_i|, so each form's stop is checked on its own
         spec = product_spec(a)
         prod, gen = MomentOracle(spec), MomentOracle(_generic_form(spec))
         got, want = prod.chebu_table(12), gen.chebu_table(12)
-        assert prod._chebu_resolution == gen._chebu_resolution == resolution
+        assert prod._chebu_resolution == resolution
+        assert gen._chebu_resolution == resolution
         assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize("a", [[0.93, 0.4, -0.5], [0.975], [0.98, -0.97], [0.9, 0.9]])
+    def test_matches_exact_moments(self, a):
+        orc = MomentOracle(product_spec(a))
+        orc.chebu_table(12)
+        _assert_exact(orc, orc._chebu_table, tuple(a))
 
     @pytest.mark.parametrize(
         "a,b",
@@ -761,7 +868,7 @@ class TestProductKernel:
         orc = MomentOracle(product_spec([0.96]))
         monkeypatch.setattr(orc.spec, "h_abs2", None)  # any evaluation of h would fail
         orc.chebu_table(12)
-        assert orc._chebu_resolution == 2048
+        assert orc._chebu_resolution == 1024
 
 
 @pytest.mark.parametrize("spec", TestKernel.SPECS[2:] + [_generic_form(product_spec([0.96]))], ids=TestKernel.IDS[2:] + ["a=0.96"])
@@ -776,7 +883,7 @@ def test_generic_table_is_bit_identical_to_per_block_h_abs2(monkeypatch, spec):
 class TestNestedLadder:
     """Each doubling adds only the trapezoid nodes the coarser grid lacks."""
 
-    @pytest.mark.parametrize("a,resolution", [([0.5, -0.3], 256), ([0.96], 2048)])
+    @pytest.mark.parametrize("a,resolution", [([0.5, -0.3], 256), ([0.96], 1024)])
     def test_table_evaluates_each_node_once(self, monkeypatch, a, resolution):
         # the generic form of the product: a product table evaluates no h_abs2 at all
         orc = MomentOracle(_generic_form(product_spec(a)))
@@ -811,6 +918,17 @@ class TestNestedLadder:
         want /= want[0, 0]
         assert np.max(np.abs(orc._chebu_table - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("a", [[0.5, -0.3], [0.96]])
+    def test_rungs_from_the_stop_on_match_exact_moments(self, a):
+        # the stop and the rungs past it: each refinement adds its nodes to the rung below
+        orc = MomentOracle(product_spec(a))
+        orc.chebu_table(12)
+        table = orc._table_at(15, 128)
+        for resolution in (256, 512, 1024, 2048):
+            table = orc._table_refined(table, 15, resolution)
+            if resolution >= orc._chebu_resolution:
+                _assert_exact(orc, table, tuple(a))
+
     @pytest.mark.parametrize("cap", [128, 512])
     def test_both_ladders_stop_at_the_cap(self, cap):
         orc = MomentOracle(product_spec([0.96]), max_resolution=cap)
@@ -818,6 +936,77 @@ class TestNestedLadder:
             orc.chebu_table(4)
         with pytest.raises(AccuracyError, match=f"no convergence below resolution {cap}"):
             orc.univariate_chebu_moments(4, 0.3)
+
+
+def _random_generic(seed: int, n_h: int, modulus: float):
+    """A generic spec drawn as the benchmark draws them: random rows within the
+    degree bounds of N_h, rescaled so the sampled minimum root modulus is
+    ``modulus`` (h_i -> s^i h_i moves the roots r -> r / s)."""
+    rng = random.Random(seed)
+    rows = [[1.0]] + [
+        [rng.uniform(-1.0, 1.0) for _ in range(int(n_h / 2 - abs(n_h / 2 - i)) + 1)] for i in range(1, n_h + 1)
+    ]
+    s = is_stable(generic_spec(rows)).min_modulus / modulus
+    return generic_spec([[c * s**i for c in row] for i, row in enumerate(rows)])
+
+
+STOP_FACTORS = [(0.5, -0.3), (0.8,), (0.9, 0.9), (0.93, 0.4, -0.5), (0.96,), (0.975,), (0.98, -0.97)]
+# (spec, factors of its exact moments or None): products, the generic forms of two of
+# them and generic specs like the benchmark's, N_h = 2-4, that climb to R = 512-2048
+STOP_CASES = (
+    [(product_spec(a), a) for a in STOP_FACTORS]
+    + [(_generic_form(product_spec(a)), a) for a in [(0.93, 0.4, -0.5), (0.96,)]]
+    + [(_random_generic(*args), None) for args in [(1, 2, 1.05), (5, 3, 1.02), (3, 4, 1.05)]]
+)
+STOP_IDS = [",".join(map(str, a)) for a in STOP_FACTORS] + ["generic-0.93,0.4,-0.5", "generic-0.96", "nh2", "nh3", "nh4"]
+
+
+class TestStopRule:
+    """Each ladder stops at the first rung whose error estimate meets the tol,
+    and that estimate is checked against the true error."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-11])
+    @pytest.mark.parametrize("spec,factors", STOP_CASES, ids=STOP_IDS)
+    def test_stop_meets_tol_and_estimates_its_error(self, spec, factors, tol):
+        # the reference: exact moments, or for a random generic spec the one-grid table at 4x the stop
+        orc = MomentOracle(spec, tol=tol)
+        orc.chebu_table(12)
+        table = orc._chebu_table
+        if factors is None:
+            ref = orc._table_at(len(table) - 1, 4 * orc._chebu_resolution)
+            ref /= ref[0, 0]
+        else:
+            ref = _exact_table(factors, len(table) - 1)
+        err = np.max(np.abs(table - ref))
+        assert err <= tol
+        assert orc._chebu_err >= err / 10
+        for y in EXACT_YS if factors is not None else ():
+            u, want = orc.univariate_chebu_moments(12, y), _exact_slice(factors, 12, y)
+            assert np.max(np.abs(u / u[0] - want / want[0])) <= tol
+
+    @pytest.mark.parametrize(
+        "a,resolutions",
+        [((0.5, -0.3), (256, 256)), ((0.96,), (1024, 2048)), ((0.975,), (2048, 4096)), ((0.98, -0.97), (2048, 4096))],
+    )
+    def test_stops_a_rung_or_two_below_the_increment_rule(self, a, resolutions):
+        # the increment rule stopped where the relative increment over R / 2 fell below tol
+        orc = MomentOracle(product_spec(a))
+        orc.chebu_table(12)
+        table = orc._table_at(15, 128)
+        resolution = 128
+        while True:
+            resolution *= 2
+            finer = orc._table_refined(table, 15, resolution)
+            if np.max(np.abs(finer - table) / (1.0 + np.abs(finer))) < orc.tol:
+                break
+            table = finer
+        assert (orc._chebu_resolution, resolution) == resolutions
+
+    def test_tol_below_rounding_never_converges(self):
+        # a product ladder's first ratio rho^64 is 5e-20 here, but no estimate falls below the rounding floor
+        orc = MomentOracle(product_spec([0.5, -0.3]), tol=1e-20, max_resolution=1024)
+        with pytest.raises(AccuracyError, match="no convergence below resolution 1024"):
+            orc.chebu_table(4)
 
 
 class TestSliceCache:
