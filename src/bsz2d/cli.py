@@ -228,15 +228,17 @@ def verify(ctx, weight, depth, report):
 
     for n in range(depth + 1):
         record(f"total orthonormality n={n}", gram_deviation(spec, build_total_vector(spec, n, orc), orc), 1e-7)
-    for n in range(1, depth):
-        record(f"three-term residual n={n}", total_blocks(spec, n, oracle=orc).residual, 1e-7)
+    # each level's blocks are computed once; the residual and structure checks read them
+    levels = {n: total_blocks(spec, n, oracle=orc) for n in range(1, depth)}
+    for n, blk in levels.items():
+        record(f"three-term residual n={n}", blk.residual, 1e-7)
     window = min(depth, 4)
     system = lex_system(spec, window, window, oracle=orc)
     record(f"lex orthonormality {window}x{window}", gram_deviation(spec, system, orc), 1e-7)
     n0 = spec.n_h // 2
     for n in range(max(1, n0), min(depth - 1, n0 + 2) + 1):
         try:
-            srep = verify_total_structure(spec, n, oracle=orc)
+            srep = verify_total_structure(spec, n, oracle=orc, blocks=levels[n])
             record(f"total structure n={n}", max((abs(v[3]) for v in srep.violations), default=0.0), 1e-8)
         except ValueError:
             pass

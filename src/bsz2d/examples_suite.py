@@ -157,6 +157,7 @@ def run_regression(example_id: str, depth: int = 5, tol: float = DEFAULT_TOL, **
         system = build_total_vector(spec, n, orc)
         rep.add(f"total orthonormality n={n}", "independent quadrature", gram_deviation(spec, system, orc), 1e-7)
 
+    # each level's blocks are computed once; the closed-form and structure checks read them
     blocks = {n: total_blocks(spec, n, oracle=orc) for n in range(depth)}
     if example_id == "ex1":
         a = params["a"]
@@ -216,7 +217,7 @@ def run_regression(example_id: str, depth: int = 5, tol: float = DEFAULT_TOL, **
     n0 = spec.n_h // 2
     for n in range(max(1, n0), min(depth, n0 + 3) + 1):
         try:
-            srep = verify_total_structure(spec, n, oracle=orc)
+            srep = verify_total_structure(spec, n, oracle=orc, blocks=blocks.get(n))
             worst = max((abs(v[3]) for v in srep.violations), default=0.0)
             rep.add(f"total structure n={n}", "section 4 block pattern", worst, gate)
         except ValueError:

@@ -49,7 +49,10 @@ One line of f at the nodes 2 pi k / R per resolution, computed on
 k <= R/2 and mirrored so f[k] == f[R - k] exactly, gives every block as H * T, where H[p, q] = f[j_p + j_q] and
 T[p, q] = f[|j_p - j_q|] are strided read-only views of the line.  That
 weight is symmetric in (theta, phi), so W_eo = W_oe^T and a refined rung
-sums S_o W_oe S_e^T once and adds its transpose.
+sums S_o W_oe S_e^T once and adds its transpose.  A product slice at
+y = cos phi reads the same f at theta +- phi from its factors, with cos and
+sin of theta from ``_sines(R)`` and the angle sums taken with (y, sqrt(1 - y^2)):
+the expanded |h|^2 of a generic slice cancels near a double root of h.
 
 An oracle accepts only weights that ``is_stable`` certifies.  An unstable
 h can vanish on the unit circle, where the weight is not integrable, and
@@ -239,25 +242,28 @@ def _sin_matrix(smax: int, j: np.ndarray, resolution: int) -> np.ndarray:
     return S
 
 
+def _szego(factors: tuple[float, ...], cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """The one-variable Bernstein-Szego weight f(psi) = prod_i 1 / |1 + a_i e^{i psi}|^2,
+    multiplied over the rows of the (m, n) arrays cos psi and sin psi: one value
+    per column.  Each modulus is the sum of squares (1 + a cos)^2 + (a sin)^2."""
+    a = np.reshape(factors, (-1, 1, 1))
+    re = 1.0 + a * cos
+    im = a * sin
+    re *= re
+    im *= im
+    re += im
+    return np.reciprocal(re.reshape(-1, re.shape[-1]).prod(0))
+
+
 @lru_cache(maxsize=16)
 def _szego_windows(factors: tuple[float, ...], resolution: int) -> np.ndarray:
     """The read-only windows V[k, q] = F[k + q], q < R/2 - 1, of the line
-    F[k] = f(2 pi k / R), k = 0 .. 2R - 1, where f(psi) = prod_i 1 / |1 + a_i e^{i psi}|^2
-    is the one-variable Bernstein-Szego weight, each modulus the sum of squares
-    (1 + a cos)^2 + (a sin)^2.  The half k <= R / 2 is computed from ``_sines(R)``
-    and mirrored, so F[k] == F[R - k] exactly, and F has period R."""
+    F[k] = f(2 pi k / R), k = 0 .. 2R - 1, of ``_szego``.  The half k <= R / 2 is
+    computed from ``_sines(R)`` and mirrored, so F[k] == F[R - k] exactly, and F
+    has period R."""
     sn = _sines(resolution)
     k = np.arange(resolution // 2 + 1)
-    sin, cos = sn[k], sn[(k + resolution // 4) % resolution]
-    den = np.ones(len(k))
-    for a in factors:
-        re = 1.0 + a * cos
-        im = a * sin
-        re *= re
-        im *= im
-        re += im
-        den *= re
-    f = np.reciprocal(den)
+    f = _szego(factors, sn[None, (k + resolution // 4) % resolution], sn[None, k])
     line = np.concatenate([f, f[-2:0:-1], f, f[-2:0:-1]])
     return np.lib.stride_tricks.sliding_window_view(line, resolution // 2 - 1)
 
@@ -467,11 +473,20 @@ class MomentOracle:
                 self._slices.move_to_end(key)
                 return u[: smax + 1]
         size = _rows(smax) - 1
+        factors = self.spec.factors if self.spec.variant == PRODUCT_OMEGA else None
+        # cos phi and the column (-sin phi, sin phi), whose rows give theta + phi and theta - phi
+        cp, sp = float(y), np.sqrt(1.0 - y * y) * np.array([[-1.0], [1.0]])
 
         def at(j: np.ndarray, res: int) -> np.ndarray:
+            if factors is None:
+                w = np.reciprocal(self.spec.h_abs2(2.0 * np.pi * j / res, y))
+            else:
+                # f(theta + phi) f(theta - phi), the angle sums read from the sine table
+                sn = _sines(res)
+                st, ct = sn[j], sn[(j + res // 4) % res]
+                w = _szego(factors, ct * cp + sp * st, st * cp - sp * ct)
             # dmu_y carries no 2/pi prefactor: 1/2 * trapezoid over [0, 2pi),
             # which is twice the sum over the interior half grid
-            w = np.reciprocal(self.spec.h_abs2(2.0 * np.pi * j / res, y))
             return (2.0 * np.pi / res) * (_sin_matrix(size, j, res) @ w)
 
         u = self._ladder(

@@ -154,7 +154,12 @@ def _check_zero(name: str, mat: np.ndarray, cells, tol: float, out: list):
 
 
 def verify_total_structure(
-    spec: WeightSpec, n: int, tol: float = 1e-8, oracle: MomentOracle | None = None
+    spec: WeightSpec,
+    n: int,
+    tol: float = 1e-8,
+    oracle: MomentOracle | None = None,
+    *,
+    blocks: BlockRecurrence | None = None,
 ) -> StructureReport:
     """Assert the frozen block patterns of the total-degree recurrence.
 
@@ -165,6 +170,10 @@ def verify_total_structure(
     corner C_x of size ceil((N+1)/2); B_x = diag(D_x, 0) with D_x of size
     ceil(N/2).  Entries at the ambiguous C_x seam are reported verbatim
     rather than asserted.
+
+    ``blocks`` is this level's ``total_blocks(spec, n)``, for a caller that
+    has already computed it; without it the blocks are computed here.
+    Blocks of another ordering or level raise ValueError.
     """
     big_n = spec.n_h
     c_y = big_n // 2  # ceil((N-1)/2)
@@ -173,7 +182,10 @@ def verify_total_structure(
     d_x = (big_n + 1) // 2  # ceil(N/2)
     if n < c_y:
         raise ValueError(f"theorem applies for n >= {c_y}")
-    blocks = total_blocks(spec, n, oracle=oracle)
+    if blocks is None:
+        blocks = total_blocks(spec, n, oracle=oracle)
+    elif (blocks.ordering, blocks.level) != (TOTAL, (n,)):
+        raise ValueError(f"blocks are {blocks.ordering} at level {blocks.level}, not total at ({n},)")
     bad: list[tuple[str, int, int, float]] = []
 
     a_y = blocks.a_y

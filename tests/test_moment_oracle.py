@@ -20,7 +20,7 @@ from bsz2d.moment_oracle import (
 )
 from bsz2d.ortho import LEX, REVLEX, TOTAL, index_sequence
 from bsz2d.poly_core import CHEB_U, MONOMIAL, BivariatePoly, mul
-from bsz2d.weights import InvalidWeightError, chebyshev_spec, generic_spec, is_stable, product_spec
+from bsz2d.weights import PRODUCT_OMEGA, InvalidWeightError, chebyshev_spec, generic_spec, is_stable, product_spec
 
 
 class TestChebyshevBaseline:
@@ -708,8 +708,7 @@ EXACT_YS = (-0.8, 0.1, 0.6)
 def _assert_exact(orc: MomentOracle, table: np.ndarray, factors: tuple[float, ...]):
     """``table`` and the oracle's slices at EXACT_YS, each divided by its mass,
     match the exact moments of the product weight of ``factors``: the table
-    within 1e-14, the slices within 1e-13 (a slice evaluates h_abs2, whose
-    rounding near the double root of [0.9, 0.9] reaches 1.4e-14)."""
+    within 1e-14, the slices within 1e-13."""
     smax = len(table) - 1
     assert np.max(np.abs(table / table[0, 0] - _exact_table(factors, smax))) <= 1e-14
     for y in EXACT_YS:
@@ -803,15 +802,21 @@ def test_oracle_registry_is_bounded():
 
 
 def _count_points(monkeypatch, spec) -> list[int]:
-    """Patch spec.h_abs2 to record the number of weight points of every call."""
+    """Patch spec.h_abs2 and the product kernel ``_szego`` to record the number of
+    weight points of every call; ``_szego`` takes the angles of a point in a column."""
     points = []
-    real = spec.h_abs2
+    real, real_szego = spec.h_abs2, moment_oracle._szego
 
     def counting(theta, y, hy=None):
         points.append(np.broadcast(np.asarray(theta), np.asarray(y)).size)
         return real(theta, y, hy)
 
+    def szego(factors, cos, sin):
+        points.append(cos.shape[-1])
+        return real_szego(factors, cos, sin)
+
     monkeypatch.setattr(spec, "h_abs2", counting)
+    monkeypatch.setattr(moment_oracle, "_szego", szego)
     return points
 
 
@@ -838,6 +843,15 @@ class TestProductKernel:
         orc = MomentOracle(product_spec(a))
         orc.chebu_table(12)
         _assert_exact(orc, orc._chebu_table, tuple(a))
+
+    @pytest.mark.parametrize("a", [[0.9, 0.9], [0.5, -0.3]], ids=["double-root", "two-factor"])
+    def test_slices_match_exact_moments_to_rounding(self, a):
+        # a slice reads f(theta + phi) f(theta - phi) from the factors: the expanded
+        # |h|^2 cancels near the double root of [0.9, 0.9] and erred by 1.7e-14 at y = -0.8
+        orc = MomentOracle(product_spec(a))
+        for y in EXACT_YS:
+            u, want = orc.univariate_chebu_moments(12, y), _exact_slice(tuple(a), 12, y)
+            assert np.max(np.abs(u - want)) <= 2e-15 * want[0]
 
     @pytest.mark.parametrize(
         "a,b",
@@ -894,20 +908,23 @@ class TestNestedLadder:
 
     @pytest.mark.parametrize("a", [[0.5, -0.3], [0.96]])
     def test_slice_evaluates_each_node_once(self, monkeypatch, a):
-        orc = MomentOracle(product_spec(a))
-        points = _count_points(monkeypatch, orc.spec)
-        ends = []
-        real = orc._ladder
+        for spec in (product_spec(a), _generic_form(product_spec(a))):
+            with monkeypatch.context() as mp:
+                orc = MomentOracle(spec)
+                points, ends = _count_points(mp, spec), []
+                if spec.variant == PRODUCT_OMEGA:
+                    mp.setattr(spec, "h_abs2", None)  # read from the factors: any evaluation of h would fail
+                real = orc._ladder
 
-        def spy(*args):
-            out = real(*args)
-            ends.append(out[2])  # the resolution the ladder stopped at
-            return out
+                def spy(*args):
+                    out = real(*args)
+                    ends.append(out[2])  # the resolution the ladder stopped at
+                    return out
 
-        monkeypatch.setattr(orc, "_ladder", spy)
-        orc.univariate_chebu_moments(2, 0.3)
-        assert len(ends) == 1 and ends[0] >= 256
-        assert sum(points) == ends[0] // 2 - 1
+                mp.setattr(orc, "_ladder", spy)
+                orc.univariate_chebu_moments(2, 0.3)
+                assert len(ends) == 1 and ends[0] >= 256
+                assert sum(points) == ends[0] // 2 - 1
 
     @pytest.mark.parametrize("spec", TestKernel.SPECS + [product_spec([0.96])], ids=TestKernel.IDS + ["a=0.96"])
     def test_nested_table_equals_the_one_grid_sum(self, spec):
@@ -1015,6 +1032,7 @@ class TestSliceCache:
         want = [orc.univariate_moment(i, 0.3) for i in range(4)]
         head = orc.univariate_chebu_moments(15, 0.3).copy()
         monkeypatch.setattr(orc.spec, "h_abs2", None)  # any quadrature would fail
+        monkeypatch.setattr(moment_oracle, "_szego", None)
         assert [orc.univariate_moment(i, 0.3) for i in range(4)] == want
         assert np.array_equal(orc.univariate_chebu_moments(15, 0.3), head)
         assert orc.univariate_moment(2, 0.3, tol=orc.tol) == want[2]

@@ -1,9 +1,12 @@
+import json
 from collections import OrderedDict
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from bsz2d import moment_oracle
+from bsz2d import cli, examples_suite, moment_oracle, recurrence
+from bsz2d.examples_suite import run_regression
 from bsz2d.lex_order import lex_system
 from bsz2d.moment_oracle import oracle_for
 from bsz2d.ortho import LEX, REVLEX, TOTAL
@@ -143,6 +146,17 @@ class TestStructureReports:
         with pytest.raises(ValueError):
             verify_total_structure(SPEC2, 1)
 
+    def test_total_structure_rejects_blocks_of_another_level(self):
+        for blocks in (total_blocks(SPEC2, 2), lex_blocks(SPEC2, 3, 3)):
+            with pytest.raises(ValueError, match="blocks are"):
+                verify_total_structure(SPEC2, 3, blocks=blocks)
+
+    def test_total_structure_reads_given_blocks(self):
+        want = verify_total_structure(SPEC2, 3)
+        got = verify_total_structure(SPEC2, 3, blocks=want.blocks)
+        assert got.blocks is want.blocks
+        assert (got.ok, got.sizes, got.violations, got.seam) == (want.ok, want.sizes, want.violations, want.seam)
+
     def test_seam_reported(self):
         rep = verify_total_structure(SPEC2, 3)
         assert isinstance(rep.seam, dict)
@@ -176,3 +190,60 @@ class TestMixedAction:
         orc = oracle_for(spec, 1e-6)
         assert mixed_action_deviation(spec, 3, oracle=orc) < 1e-7
         assert [o.tol for o in moment_oracle._ORACLES.values()] == [1e-6]
+
+
+class TestLevelsComputedOnce:
+    """``verify`` and ``run_regression`` compute each total-degree level once and
+    report exactly what recomputing the blocks inside every structure check does."""
+
+    @staticmethod
+    def _run(monkeypatch, command, recompute: bool):
+        """The (name, passed, margin) of every check of ``command()`` on fresh oracles,
+        and the levels ``total_blocks`` computed.  With ``recompute`` the structure
+        checks ignore the blocks they are handed and compute their own."""
+        levels = []
+        real_blocks, real_verify = recurrence.total_blocks, recurrence.verify_total_structure
+
+        def counting(spec, n, *args, **kwargs):
+            levels.append(n)
+            return real_blocks(spec, n, *args, **kwargs)
+
+        def ignoring(*args, blocks=None, **kwargs):
+            return real_verify(*args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(moment_oracle, "_ORACLES", OrderedDict())
+            for module in (recurrence, cli, examples_suite):
+                mp.setattr(module, "total_blocks", counting)
+            if recompute:
+                for module in (cli, examples_suite):
+                    mp.setattr(module, "verify_total_structure", ignoring)
+            checks = command()
+        return [(c["name"], c["passed"], c["margin"]) for c in checks], levels
+
+    @staticmethod
+    def _verify(path):
+        def command():
+            res = CliRunner().invoke(cli.main, ["verify", "--weight", path, "--depth", "5"])
+            assert res.exit_code == 0, res.output
+            return json.loads(res.output)["checks"]
+
+        return command
+
+    @staticmethod
+    def _example():
+        return run_regression("ex2", 5, a=0.6, b=0.3).to_dict()["entries"]
+
+    def test_verify(self, monkeypatch, tmp_path):
+        path = tmp_path / "weight.json"
+        path.write_text(json.dumps({"product": [0.5, -0.3]}))
+        checks, levels = self._run(monkeypatch, self._verify(str(path)), recompute=False)
+        assert sorted(levels) == sorted(set(levels)) == [1, 2, 3, 4]
+        assert any(name.startswith("total structure") for name, _, _ in checks)
+        assert checks == self._run(monkeypatch, self._verify(str(path)), recompute=True)[0]
+
+    def test_example(self, monkeypatch):
+        checks, levels = self._run(monkeypatch, self._example, recompute=False)
+        assert sorted(levels) == sorted(set(levels)) == [0, 1, 2, 3, 4]
+        assert any(name.startswith("total structure") for name, _, _ in checks)
+        assert checks == self._run(monkeypatch, self._example, recompute=True)[0]
