@@ -4,7 +4,11 @@ Moments are computed by the trapezoid rule after x = cos(theta),
 y = cos(phi); the integrands become smooth periodic functions, so the
 rule converges geometrically.  The resolution is doubled until the error
 predicted from the contraction of successive increments meets the
-tolerance.  The grids are nested, so each doubling evaluates the weight
+tolerance.  A product weight's ladder starts at a quarter of the
+resolution its rho = max |a_i| predicts for the tolerance, so a
+near-boundary table skips the coarse rungs; every rung reads its sine
+rows from one small shared cache.
+The grids are nested, so each doubling evaluates the weight
 only at the nodes the coarser grid lacks.  A product
 weight is read on the grid from one line of the one-variable Szego weight
 f, as f(theta + phi) f(theta - phi); a generic weight evaluates |h|^2.

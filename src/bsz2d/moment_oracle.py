@@ -5,7 +5,7 @@ which every integrand is a smooth doubly periodic function of (theta,
 phi); the trapezoid rule on [0, 2pi)^2 then converges geometrically,
 its error falling like rho^R when the weight is analytic for
 rho < |z| < 1/rho (L. N. Trefethen and J. A. C. Weideman, SIAM Rev. 56,
-2014).  Resolution is doubled from R = 128.  The increment d_R over R/2,
+2014).  Resolution is doubled from a start rung.  The increment d_R over R/2,
 taken on the values divided by their mass, is about the error at R/2, so
 it contracts by r = d_R / d_{R/2} ~ rho^{R/4} and the error left at R is
 about d_R r^2.  A product weight knows its rho = max |a_i| and takes r as
@@ -17,6 +17,16 @@ ladder's first refinement, with no ratio yet, stops when
 max(d_R, floor) < tol.  A tol below ten floors, at least 2.2e-15, is
 never met.
 
+A ladder over ``rows`` rows starts at max(128, 2 rows, R* / 4).  Below
+2 rows the sine rows of s + 1 > R / 2 fold onto lower ones on the nodes,
+and a product ladder's first ratio rho^{R/4} would accept that.  For a product
+weight R* is the first power of two with rho^R* < tol / 10, where the
+error rho^R is predicted to meet tol.  From R* / 4 the check at R* reads
+the observed ratio d_R* / d_{R*/2}, as a ladder from 128 does, so from R*
+on it takes the stop and estimate of a ladder from 128 (a start at R* / 2
+would judge R* by rho^{R/4} alone).  A ladder over at most 64 rows starts
+at 128 unless it is a product's with R* > 512.
+
 The trapezoid sums run over a quarter of the grid.  The weight
 1/|h(e^{i theta}, y)|^2 is even in theta (h has real coefficients) and
 in phi (it depends on y = cos phi only), and every row of the one sine
@@ -25,7 +35,12 @@ and pi.  So the nodes 2 pi j / R with j and R - j contribute equally,
 j = 0 and j = R/2 contribute nothing, and a table is 4 times its sum over
 the interior nodes theta, phi in (0, pi); a slice moment is 2 times its
 interior sum.  Each sine value is read from one table of sin(2 pi k / R)
-per resolution, with (s+1) j reduced mod R in integers.
+per resolution, with (s+1) j reduced mod R in integers.  One read-only
+sine matrix per (rows, R) over the interior nodes serves every rung: its
+columns [:, ::2] are the odd nodes and [:, 1::2] the even ones.  The
+matrices are kept across ladders and oracles, least recently used out
+first, while they total at most _SINE_ROWS_BYTES = 4 MiB; a larger one,
+such as 1024 rows at MAX_RESOLUTION (67 MB), is used and not kept.
 
 The doubling ladder is nested: the interior nodes of R are the nodes of
 even index at 2R, so rung 2R adds only the nodes of odd index.  A table
@@ -154,6 +169,9 @@ _ROUNDING = 2.0**-52
 # bytes of weights evaluated in one theta block of a table: the block and the
 # sine columns it is summed against stay in L2
 _CHUNK_BYTES = 2**18
+# bytes of interior sine matrices (``_sine_rows``) kept across ladders: the
+# 16-row ones of R = 128 .. 4096 take 0.5 MiB
+_SINE_ROWS_BYTES = 2**22
 MAX_SLICES = 64  # slice moment vectors kept per oracle
 # a table spill is one flat little-endian float64 record: _SPILL_MAGIC, rows,
 # mass, err and resolution, then the rows x rows table
@@ -230,23 +248,71 @@ def _sines(resolution: int) -> np.ndarray:
     return sn
 
 
-def _sin_matrix(smax: int, j: np.ndarray, resolution: int) -> np.ndarray:
-    """Rows s = 0..smax of sin((s+1) theta) sin(theta) = U_s(cos theta) sin^2(theta)
-    at the nodes theta = 2 pi j / R, read from ``_sines(R)``: (s+1) j is reduced
-    mod R in integers, so no rounding of (s+1) theta enters."""
+_SINE_ROWS: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+_SINE_ROWS_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=16)
+def _node_sines(resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sin(theta) and cos(theta) at the interior nodes theta = 2 pi j / R,
+    j = 1 .. R/2 - 1, read from ``_sines(R)``; the odd nodes are every other one."""
     sn = _sines(resolution)
-    k = np.arange(1, smax + 2)[:, None] * j
+    j = _indices(*_interior(resolution))
+    st, ct = sn[j], sn[(j + resolution // 4) % resolution]
+    st.setflags(write=False)
+    ct.setflags(write=False)
+    return st, ct
+
+
+def _sine_rows(rows: int, resolution: int) -> np.ndarray:
+    """The read-only rows s < ``rows`` of sin((s+1) theta) sin(theta) =
+    U_s(cos theta) sin^2(theta) at the interior nodes theta = 2 pi j / R,
+    j = 1 .. R/2 - 1, read from ``_sines(R)``: (s+1) j is reduced mod R in
+    integers, so no rounding of (s+1) theta enters.  Its columns [:, ::2] are
+    the odd nodes and [:, 1::2] the even ones.  The matrices are kept, least
+    recently used out first, while they total at most _SINE_ROWS_BYTES; a
+    larger one is not kept."""
+    key = (rows, resolution)
+    with _SINE_ROWS_LOCK:
+        S = _SINE_ROWS.get(key)
+        if S is not None:
+            _SINE_ROWS.move_to_end(key)
+            return S
+    sn = _sines(resolution)
+    j = _indices(*_interior(resolution))
+    k = np.arange(1, rows + 1)[:, None] * j
     k %= resolution
     S = sn[k]
     S *= sn[j]
+    S.setflags(write=False)
+    if S.nbytes <= _SINE_ROWS_BYTES:
+        with _SINE_ROWS_LOCK:
+            _SINE_ROWS[key] = S
+            total = sum(v.nbytes for v in _SINE_ROWS.values())
+            while total > _SINE_ROWS_BYTES:
+                total -= _SINE_ROWS.popitem(last=False)[1].nbytes
     return S
+
+
+def _start_resolution(rows: int, rho: float | None, tol: float) -> int:
+    """The first rung of a ladder over ``rows`` rows: max(_START_RESOLUTION,
+    2 rows, R* / 4), where R* is the first power of two with
+    rho^R* < tol / _SAFETY for a product weight of ``rho`` (see the module
+    docstring).  A generic weight (rho None) has no R*."""
+    start = max(_START_RESOLUTION, 2 * rows)
+    if rho is not None:
+        predicted = 1
+        while predicted < MAX_RESOLUTION and rho**predicted >= tol / _SAFETY:
+            predicted *= 2
+        start = max(start, predicted // 4)
+    return start
 
 
 def _szego(factors: tuple[float, ...], cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """The one-variable Bernstein-Szego weight f(psi) = prod_i 1 / |1 + a_i e^{i psi}|^2,
     multiplied over the rows of the (m, n) arrays cos psi and sin psi: one value
     per column.  Each modulus is the sum of squares (1 + a cos)^2 + (a sin)^2."""
-    a = np.reshape(factors, (-1, 1, 1))
+    a = np.array(factors)[:, None, None]
     re = 1.0 + a * cos
     im = a * sin
     re *= re
@@ -265,7 +331,9 @@ def _szego_windows(factors: tuple[float, ...], resolution: int) -> np.ndarray:
     k = np.arange(resolution // 2 + 1)
     f = _szego(factors, sn[None, (k + resolution // 4) % resolution], sn[None, k])
     line = np.concatenate([f, f[-2:0:-1], f, f[-2:0:-1]])
-    return np.lib.stride_tricks.sliding_window_view(line, resolution // 2 - 1)
+    width = resolution // 2 - 1
+    # the view sliding_window_view builds, without its argument checks
+    return np.lib.stride_tricks.as_strided(line, (len(line) - width + 1, width), line.strides * 2, writeable=False)
 
 
 def grid_size(polys: list[BivariatePoly]) -> int:
@@ -340,10 +408,10 @@ class MomentOracle:
         return SW @ Sb.T
 
     def _table_at(self, smax: int, resolution: int) -> np.ndarray:
-        """(1/pi^2) (2 pi / R)^2 * S W S^T, S = _sin_matrix(smax, .) on both axes,
-        summed over the interior quarter grid (times 4)."""
+        """(1/pi^2) (2 pi / R)^2 * S W S^T, S = _sine_rows(smax + 1, R) on both
+        axes, summed over the interior quarter grid (times 4)."""
         nodes = _interior(resolution)
-        S = _sin_matrix(smax, _indices(*nodes), resolution)
+        S = _sine_rows(smax + 1, resolution)
         return _table_scale(resolution) * self._weighted_sum(S, nodes, S, nodes, resolution)
 
     def _table_refined(self, coarse: np.ndarray, smax: int, resolution: int) -> np.ndarray:
@@ -357,7 +425,7 @@ class MomentOracle:
         X^T; otherwise odd theta meets every phi in one sum."""
         nodes = _interior(resolution)
         odd, even = _odd(resolution), (2, 2, resolution // 4 - 1)
-        S = _sin_matrix(smax, _indices(*nodes), resolution)
+        S = _sine_rows(smax + 1, resolution)
         So, Se = S[:, ::2], S[:, 1::2]
         if self.spec.variant == PRODUCT_OMEGA:
             new = self._weighted_sum(So, odd, So, odd, resolution)
@@ -369,27 +437,26 @@ class MomentOracle:
             new += self._weighted_sum(Se, even, So, odd, resolution)
         return coarse / 4.0 + _table_scale(resolution) * new
 
-    def _ladder(self, first, refine, tol: float) -> tuple[np.ndarray, float, int]:
-        """Double the resolution from _START_RESOLUTION: ``first(R)`` is the value
-        at the first rung and ``refine(value, R)`` the value at R from the one at
-        R / 2.  Returns the first value whose error estimate meets tol, with that
-        estimate and its resolution, by the stopping rule of the module docstring:
-        d_R is the increment of the values divided by their first entry (the
-        mass), r = d_R / d_{R/2}, at least rho^{R/4} for a product weight, and a
-        rung is accepted when r < 1/4 and _SAFETY max(d_R r^2, floor) < tol, where
-        floor = _ROUNDING max |values / mass| is their float64 rounding."""
+    def _ladder(self, rows: int, first, refine, tol: float) -> tuple[np.ndarray, float, int]:
+        """Double the resolution from ``_start_resolution(rows, rho, tol)``:
+        ``first(R)`` is the value at the first rung and ``refine(value, R)`` the
+        value at R from the one at R / 2.  Returns the first value whose error
+        estimate meets tol, with that estimate and its resolution, by the
+        stopping rule of the module docstring: d_R is the increment of the
+        values divided by their first entry (the mass), r = d_R / d_{R/2}, at
+        least rho^{R/4} for a product weight, and a rung is accepted when
+        r < 1/4 and _SAFETY max(d_R r^2, floor) < tol, where floor = _ROUNDING
+        max |values / mass| is their float64 rounding.  Nothing is computed
+        when the first refinement would pass max_resolution."""
         rho = max(map(abs, self.spec.factors), default=0.0) if self.spec.variant == PRODUCT_OMEGA else None
-        resolution = _START_RESOLUTION
-        prev = first(resolution)
-        prev_unit = prev / prev.flat[0]
+        resolution = _start_resolution(rows, rho, tol)
+        prev = prev_unit = None
         prev_step = err = np.inf
-        while True:
+        while 2 * resolution <= self.max_resolution:
+            if prev is None:
+                prev = first(resolution)
+                prev_unit = prev / prev.flat[0]
             resolution *= 2
-            if resolution > self.max_resolution:
-                raise AccuracyError(
-                    f"no convergence below resolution {self.max_resolution} "
-                    f"(last error estimate {err:.3e}, tol {tol:.3e})"
-                )
             cur = refine(prev, resolution)
             unit = cur / cur.flat[0]
             step = float(np.abs(unit - prev_unit).max())
@@ -407,6 +474,9 @@ class MomentOracle:
             if done:
                 return cur, err, resolution
             prev, prev_unit, prev_step = cur, unit, step
+        raise AccuracyError(
+            f"no convergence below resolution {self.max_resolution} (last error estimate {err:.3e}, tol {tol:.3e})"
+        )
 
     # -- Chebyshev-U moments ---------------------------------------------
     def chebu_table(self, smax: int) -> np.ndarray:
@@ -422,7 +492,7 @@ class MomentOracle:
             if self._chebu_table is None or self._chebu_table.shape[0] <= smax:
                 size = _rows(smax) - 1
                 table, err, res = self._ladder(
-                    lambda r: self._table_at(size, r), lambda t, r: self._table_refined(t, size, r), self.tol
+                    size + 1, lambda r: self._table_at(size, r), lambda t, r: self._table_refined(t, size, r), self.tol
                 )
                 self._mass = float(table[0, 0])
                 self._chebu_table = table / self._mass
@@ -472,26 +542,25 @@ class MomentOracle:
             if u is not None and len(u) > smax:
                 self._slices.move_to_end(key)
                 return u[: smax + 1]
-        size = _rows(smax) - 1
+        rows = _rows(smax)
         factors = self.spec.factors if self.spec.variant == PRODUCT_OMEGA else None
         # cos phi and the column (-sin phi, sin phi), whose rows give theta + phi and theta - phi
         cp, sp = float(y), np.sqrt(1.0 - y * y) * np.array([[-1.0], [1.0]])
 
-        def at(j: np.ndarray, res: int) -> np.ndarray:
+        def at(every: int, res: int) -> np.ndarray:
+            # the weighted sum over every interior node (every = 1) or the odd ones (every = 2)
             if factors is None:
-                w = np.reciprocal(self.spec.h_abs2(2.0 * np.pi * j / res, y))
+                w = np.reciprocal(self.spec.h_abs2(2.0 * np.pi * np.arange(1, res // 2, every) / res, y))
             else:
                 # f(theta + phi) f(theta - phi), the angle sums read from the sine table
-                sn = _sines(res)
-                st, ct = sn[j], sn[(j + res // 4) % res]
+                st, ct = (v[::every] for v in _node_sines(res))
                 w = _szego(factors, ct * cp + sp * st, st * cp - sp * ct)
             # dmu_y carries no 2/pi prefactor: 1/2 * trapezoid over [0, 2pi),
-            # which is twice the sum over the interior half grid
-            return (2.0 * np.pi / res) * (_sin_matrix(size, j, res) @ w)
+            # which is twice the sum over the interior half grid; np.dot hands a
+            # strided S to BLAS as a copy, where @ would sum it in its own loop
+            return (2.0 * np.pi / res) * np.dot(_sine_rows(rows, res)[:, ::every], w)
 
-        u = self._ladder(
-            lambda r: at(_indices(*_interior(r)), r), lambda v, r: v / 2.0 + at(_indices(*_odd(r)), r), tol
-        )[0]
+        u = self._ladder(rows, lambda r: at(1, r), lambda v, r: v / 2.0 + at(2, r), tol)[0]
         u.setflags(write=False)
         with self._lock:
             self._slices[key] = u

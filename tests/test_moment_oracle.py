@@ -1,6 +1,8 @@
 import math
 import os
 import random
+import sys
+import threading
 import tracemalloc
 from collections import OrderedDict
 from functools import lru_cache
@@ -253,7 +255,7 @@ class TestDegreeCap:
         def fail(*args, **kwargs):
             raise AssertionError("a sine matrix was built")
 
-        monkeypatch.setattr(moment_oracle, "_sin_matrix", fail)
+        monkeypatch.setattr(moment_oracle, "_sine_rows", fail)
         orc = MomentOracle(product_spec([0.3]))
         calls = [lambda: orc.univariate_chebu_moments(MAX_DEGREE + 1, 0.2), lambda: orc.univariate_moment(20000, 0.2)]
         for call in calls:
@@ -1024,6 +1026,162 @@ class TestStopRule:
         orc = MomentOracle(product_spec([0.5, -0.3]), tol=1e-20, max_resolution=1024)
         with pytest.raises(AccuracyError, match="no convergence below resolution 1024"):
             orc.chebu_table(4)
+
+
+# the edges of the benchmark's resolution tiers, and the rung each stops at at the default tol
+TIER_EDGES = [(0.2, 256), (0.6, 256), (0.72, 256), (0.8, 256), (0.92, 512), (0.935, 512)]
+TIER_EDGES += [(0.955, 1024), (0.965, 1024), (0.975, 2048), (0.98, 2048)]
+
+
+def _ladders(spec, tol: float, smax: int, ys) -> list[tuple[int, float, np.ndarray]]:
+    """(resolution, error estimate, values divided by their first entry) of the
+    table ladder to degree smax and then the slice ladders at ys, on a fresh oracle."""
+    orc, out = MomentOracle(spec, tol=tol), []
+    real = orc._ladder
+
+    def spy(*args):
+        value, err, resolution = real(*args)
+        out.append((resolution, err, value / value.flat[0]))
+        return value, err, resolution
+
+    orc._ladder = spy
+    orc.chebu_table(smax)
+    for y in ys:
+        orc.univariate_chebu_moments(smax, y)
+    return out
+
+
+def _from_128(monkeypatch):
+    """Start every ladder at R = 128, as a ladder over at most 64 rows did before the start rule."""
+    monkeypatch.setattr(moment_oracle, "_start_resolution", lambda rows, rho, tol: 128)
+
+
+def _assert_same_ladders(got: list, want: list, atol: float = 1e-15):
+    """The same stops, estimates equal but for the rounding of tiny increments,
+    and values within atol of the mass."""
+    assert [g[0] for g in got] == [w[0] for w in want]
+    for (_, err, value), (_, err_want, value_want) in zip(got, want):
+        assert err == pytest.approx(err_want, rel=1e-6)
+        assert np.max(np.abs(value - value_want)) <= atol
+
+
+class TestStartRung:
+    """A product ladder starts at R* / 4, where rho^R* < tol / _SAFETY, and a
+    ladder over many rows at twice their number; the stops, estimates and
+    values are those of a ladder from R = 128."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-11])
+    @pytest.mark.parametrize("spec,factors", STOP_CASES, ids=STOP_IDS)
+    def test_stop_rule_battery_matches_the_ladder_from_128(self, monkeypatch, spec, factors, tol):
+        got = _ladders(spec, tol, 12, EXACT_YS)
+        _from_128(monkeypatch)
+        _assert_same_ladders(got, _ladders(spec, tol, 12, EXACT_YS))
+
+    @pytest.mark.parametrize("a,resolution", TIER_EDGES, ids=[str(a) for a, _ in TIER_EDGES])
+    def test_tier_edges_match_the_ladder_from_128(self, monkeypatch, a, resolution):
+        spec, ys = product_spec([a]), (-0.7, 0.2, 0.9)
+        got = _ladders(spec, moment_oracle.DEFAULT_TOL, 12, ys)
+        assert [g[0] for g in got] == [resolution] * 4
+        _from_128(monkeypatch)
+        _assert_same_ladders(got, _ladders(spec, moment_oracle.DEFAULT_TOL, 12, ys))
+
+    def test_near_boundary_scan_matches_the_ladder_from_128(self, monkeypatch):
+        rng = random.Random(18)
+        cases = []
+        for _ in range(100):
+            rho = rng.uniform(0.85, 0.985)
+            a = [rng.choice((-1.0, 1.0)) * rho] + [rng.uniform(-0.8, 0.8) * rho for _ in range(rng.randint(0, 2))]
+            ys = [rng.uniform(-0.95, 0.95) for _ in range(2)]
+            cases.append((product_spec(a), rng.choice((1e-9, 1e-11, 1e-12)), rng.randint(0, 40), ys))
+        got = [_ladders(*case) for case in cases]
+        _from_128(monkeypatch)
+        for ladders, case in zip(got, cases):
+            # a one-grid rung of up to 64 rows sums its nodes in another order than the nested ones
+            _assert_same_ladders(ladders, _ladders(*case), atol=2e-15)
+
+    def test_first_rung_is_one_grid_at_a_quarter_of_the_predicted_stop(self, monkeypatch):
+        # 0.96^R < 1e-12 first at R* = 1024: one grid at 256, then the rungs 512 and 1024
+        orc, rungs = MomentOracle(product_spec([0.96])), []
+        at, refined = orc._table_at, orc._table_refined
+        monkeypatch.setattr(orc, "_table_at", lambda smax, r: rungs.append(("at", r)) or at(smax, r))
+        monkeypatch.setattr(orc, "_table_refined", lambda t, smax, r: rungs.append(("refined", r)) or refined(t, smax, r))
+        orc.chebu_table(12)
+        assert rungs == [("at", 256), ("refined", 512), ("refined", 1024)]
+        assert orc._chebu_resolution == 1024
+
+    @pytest.mark.parametrize(
+        "rows,rho,tol,start",
+        [(16, None, 1e-11, 128), (64, 0.6, 1e-11, 128), (16, 0.96, 1e-11, 256), (16, 0.99, 1e-11, 1024)]
+        + [(256, None, 1e-11, 512), (256, 0.5, 1e-11, 512), (1024, 0.96, 1e-11, 2048), (16, 0.5, 0.0, 4096)],
+    )
+    def test_start_resolution(self, rows, rho, tol, start):
+        # rows 64 at rho 0.6 is the benchmark's warm recurrence table; a tol of 0 is never met
+        assert moment_oracle._start_resolution(rows, rho, tol) == start
+
+    def test_rows_past_the_first_rung_do_not_alias(self):
+        # at R = 128 the rows sin((s+1) theta), s + 1 > 64, of a 256-row table are minus
+        # lower ones; a product ladder, whose first ratio is rho^{R/4} alone, stopped
+        # at R = 256 with an estimate of 2.2e-16 and a table 1.0 away from the exact one
+        spec = product_spec([0.5])
+        prod, gen = MomentOracle(spec), MomentOracle(_generic_form(spec))
+        prod.chebu_table(200)
+        gen.chebu_table(200)
+        assert np.max(np.abs(prod._chebu_table - _exact_table((0.5,), 255))) <= 1e-14
+        assert np.max(np.abs(prod._chebu_table - gen._chebu_table)) <= 1e-14
+        u = prod.univariate_chebu_moments(255, 0.3)
+        assert np.max(np.abs(u - _exact_slice((0.5,), 255, 0.3))) <= 1e-14
+        assert np.max(np.abs(u - gen.univariate_chebu_moments(255, 0.3))) <= 1e-14
+
+    def test_max_resolution_below_the_start_computes_nothing(self, monkeypatch):
+        monkeypatch.setattr(MomentOracle, "_table_at", _fail)
+        with pytest.raises(AccuracyError, match="no convergence below resolution 256"):
+            MomentOracle(product_spec([0.96]), max_resolution=256).chebu_table(12)
+
+
+class TestSineRows:
+    def test_rows_are_shared_read_only_and_exact(self):
+        S = moment_oracle._sine_rows(16, 256)
+        assert moment_oracle._sine_rows(16, 256) is S and not S.flags.writeable
+        th = 2.0 * np.pi * np.arange(1, 128) / 256
+        assert np.max(np.abs(S - np.sin(np.arange(1, 17)[:, None] * th) * np.sin(th))) < 1e-14
+
+    def test_cache_stays_under_its_byte_bound(self):
+        # 1024 rows: 8.4 MB at R = 2048 and 16.8 MB at 4096, and 67 MB at MAX_RESOLUTION
+        bound = moment_oracle._SINE_ROWS_BYTES
+        u = MomentOracle(product_spec([0.5])).univariate_chebu_moments(MAX_DEGREE, 0.3)
+        assert np.max(np.abs(u[:13] - _exact_slice((0.5,), 12, 0.3))) <= 1e-14
+        kept = moment_oracle._SINE_ROWS
+        assert sum(S.nbytes for S in kept.values()) <= bound
+        assert all(rows < MAX_DEGREE + 1 for rows, _ in kept)
+        for rows in range(16, 160, 8):  # 0.26 .. 2.5 MB each at R = 4096
+            moment_oracle._sine_rows(rows, 4096)
+            assert sum(S.nbytes for S in kept.values()) <= bound
+            assert (rows, 4096) in kept
+
+    def test_threads_share_the_cache_within_its_bound(self):
+        # 5 MB of matrices over 6 threads: each insert evicts under contention
+        keys = [(rows, res) for rows in (16, 32, 48, 64) for res in (256, 512, 1024, 2048, 4096)]
+        want = {key: moment_oracle._sine_rows(*key).copy() for key in keys}
+        wrong = []
+
+        def work(k):
+            for key in keys[k:] + keys[:k]:
+                if not np.array_equal(moment_oracle._sine_rows(*key), want[key]):
+                    wrong.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert sum(S.nbytes for S in moment_oracle._SINE_ROWS.values()) <= moment_oracle._SINE_ROWS_BYTES
 
 
 class TestSliceCache:
