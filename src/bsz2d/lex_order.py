@@ -11,7 +11,11 @@ with j running over 0 .. k-(m-N_f)-1.  Two independent constructions are
 provided: a nullspace solve that kills every forbidden tensor-Chebyshev
 slot (the production path), and the step-by-step Laurent elimination
 that determines the same combination by repeatedly cancelling the
-w^{-(m+1)} term of the tracked leading image.
+w^{-(m+1)} term of the tracked leading image.  That combination depends
+only on the step count J = k - (m - N_f), not on r or m, so ``lex_system``
+solves it once per J, on the first high row r = 2 N_f, and builds every
+later high slot from that vector when it kills the slot's forbidden
+slots; a slot where it does not is solved on its own.
 
 Every term above is one polynomial times one U_k, so a slot is built in
 coefficient space: ``poly_core.u_band`` applies the banded product by
@@ -146,10 +150,31 @@ def _null_vector(grids: np.ndarray, r: int, k: int, m: int, svd_ratio: float = 1
     return v
 
 
-def _high_band_sum(spec: WeightSpec, r: int, k: int, m: int) -> np.ndarray:
-    """The grid of the solved high-band combination at lex slot (r, k), un-normalized."""
+def _kills(v: np.ndarray, grids: np.ndarray, r: int, k: int, m: int, svd_ratio: float = 1e-8) -> bool:
+    """Whether the unit vector v is a null vector of the forbidden rows to
+    ``svd_ratio`` of their Frobenius norm, which bounds their largest singular value."""
+    M = _forbidden_rows(grids, r, k, m)
+    return bool(M.size) and float(np.linalg.norm(M @ v)) <= svd_ratio * float(np.linalg.norm(M))
+
+
+def _high_band_sum(
+    spec: WeightSpec, r: int, k: int, m: int, solved: dict[int, np.ndarray] | None = None
+) -> np.ndarray:
+    """The grid of the solved high-band combination at lex slot (r, k), un-normalized.
+
+    The combination depends only on J = k - (m - N_f): it is the k_j chain
+    ``eliminate`` builds from gamma alone.  ``solved`` maps J to the vector
+    of the first slot of the window that solved it; a later slot reuses that
+    vector when it kills the slot's forbidden rows, and is solved on its own
+    otherwise."""
     grids = _high_band_grids(spec, r, k, m)
-    return np.tensordot(_null_vector(grids, r, k, m), grids, axes=1)
+    steps = k - (m - spec.n_f)
+    v = None if solved is None else solved.get(steps)
+    if v is None or not _kills(v, grids, r, k, m):
+        v = _null_vector(grids, r, k, m)
+        if solved is not None:
+            solved.setdefault(steps, v)
+    return np.tensordot(v, grids, axes=1)
 
 
 def build_lex_high(
@@ -327,25 +352,34 @@ def lex_system(
     slots = [(r, k) if not swap else (k, r) for r in range(major + 1) for k in range(minor + 1)]
     cap_system(slots)  # before any closed-form grid is built
     closed = {}
+    solved: dict[int, np.ndarray] = {}  # one high-band combination per step count J
     if base is not None:
         for r in range(major + 1):
             q = qk_grid(base, r)  # shared by every low-band slot of the row
             for k in range(minor + 1):
-                grid = _closed_grid(base, r, k, minor, q)
+                grid = _closed_grid(base, r, k, minor, q, solved)
                 if grid is not None:
                     closed[(k, r) if swap else (r, k)] = grid.T if swap else grid
     return orc.assemble(ordering, slots, closed, n, m)
 
 
-def _closed_grid(base: WeightSpec, r: int, k: int, m: int, q: np.ndarray | None = None) -> np.ndarray | None:
+def _closed_grid(
+    base: WeightSpec,
+    r: int,
+    k: int,
+    m: int,
+    q: np.ndarray | None = None,
+    solved: dict[int, np.ndarray] | None = None,
+) -> np.ndarray | None:
     """Grid of the closed-form lex slot (r, k) of ``base`` on a width-m
     window, un-normalized, or None when only the oracle can build it.
-    ``q`` is ``qk_grid(base, r)`` when the caller already has it."""
+    ``q`` is ``qk_grid(base, r)`` when the caller already has it; ``solved``
+    holds the window's high-band combinations (see ``_high_band_sum``)."""
     if k <= m - base.kappa and r >= norm_threshold(base.n_h):
         return u_band(qk_grid(base, r) if q is None else q, k, 1)
     if base.variant == PRODUCT_OMEGA and m - base.n_f < k <= m and r >= 2 * base.n_f and m >= 2 * base.n_f:
         try:
-            return _high_band_sum(base, r, k, m)
+            return _high_band_sum(base, r, k, m, solved)
         except (ValueError, DegenerateWindowError):
             return None
     return None

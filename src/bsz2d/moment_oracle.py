@@ -106,14 +106,20 @@ A table or slice degree above MAX_DEGREE, and a Gram block (s^4 doubles)
 or a stack of K coefficient grids (K s^2 doubles) above MAX_BLOCK_BYTES,
 raise ResourceLimitError before anything is allocated.
 
-With BSZ2D_CACHE_DIR set, the Chebyshev-U table is spilled to one file per
-spec, ``<fingerprint>.f64``: one flat little-endian float64 record of a
-magic value, the rows, the mass, the error estimate and the resolution,
-then the rows x rows table.  It is written to a temporary file and renamed
-into place.  A record that is cut short, has another magic value, a rows
-field that does not match its length, a value that is not finite, or an
-error estimate above the oracle's tol is not adopted: the table is
-recomputed.  The ``.npz`` spills of older versions are never read.
+With BSZ2D_CACHE_DIR set, a Chebyshev-U table whose ladder stopped above
+2 _START_RESOLUTION (R >= 512) is spilled to one file per spec,
+``<fingerprint>.f64``: one flat little-endian float64 record of a magic
+value, the rows, the mass, the error estimate and the resolution, then the
+rows x rows table.  A table accepted at R = 256 (at most 64 rows) is not
+written: it recomputes, to the same bits, in 0.1 to 0.2 ms, while a write
+costs 0.15 ms into a warm directory and a 0.54 ms median under the
+``cold_quadrature`` benchmark, mostly creating the temporary file; a read
+costs 0.05 ms (one core of an x86-64 Xeon VM).  A spill is written to a
+temporary file and renamed into place.  Any valid spill is adopted,
+whatever its resolution.  A record that is cut short, has another magic
+value, a rows field that does not match its length, a value that is not
+finite, or an error estimate above the oracle's tol is not adopted: the
+table is recomputed.  The ``.npz`` spills of older versions are never read.
 
 Inner products under the full measure are c_f^T G c_g: c holds a
 polynomial's tensor Chebyshev-U coefficients, zero-padded to an s x s
@@ -497,7 +503,8 @@ class MomentOracle:
                 self._mass = float(table[0, 0])
                 self._chebu_table = table / self._mass
                 self._chebu_err, self._chebu_resolution = err, res
-                self._save_spill()
+                if res > 2 * _START_RESOLUTION:  # a table accepted at 256 recomputes faster than it spills
+                    self._save_spill()
             return self._chebu_table[: smax + 1, : smax + 1]
 
     @property

@@ -239,14 +239,6 @@ class BivariatePoly:
     def is_zero(self) -> bool:
         return self.coeffs.size == 0
 
-    @property
-    def xdeg(self) -> float:
-        return self.coeffs.shape[0] - 1 if self.coeffs.size else NEG_INF
-
-    @property
-    def ydeg(self) -> float:
-        return self.coeffs.shape[1] - 1 if self.coeffs.size else NEG_INF
-
     def support(self) -> list[tuple[int, int]]:
         if self.is_zero:
             return []

@@ -347,6 +347,34 @@ class TestRowGrids:
         assert high == 15 and len(calls) <= 9 + high
 
 
+class TestSharedHighBand:
+    """The high-band combination depends only on the step count J, so a window
+    solves it once per J and reuses it on every later high row."""
+
+    @pytest.mark.parametrize("ordering", [LEX, REVLEX])
+    @pytest.mark.parametrize("spec", [SPEC1, SPEC2, SPEC3, product_spec([0.9, -0.7, 0.3])], ids=["f1", "f2", "f3", "f3b"])
+    def test_one_solve_per_step_count(self, monkeypatch, spec, ordering):
+        calls = []  # the (r, k, m) of every solve
+        real = lex_order._null_vector
+        monkeypatch.setattr(lex_order, "_null_vector", lambda *a: calls.append(a[1:]) or real(*a))
+        shared = lex_system(spec, 8, 8, ordering, MomentOracle(spec))
+        assert 0 < len(calls) <= spec.n_f
+        assert {r for r, _, _ in calls} == {2 * spec.n_f}  # all from the first high row
+        monkeypatch.setattr(lex_order, "_kills", lambda *a: False)  # every slot solves its own
+        calls.clear()
+        per_slot = lex_system(spec, 8, 8, ordering, MomentOracle(spec))
+        assert len(calls) == (9 - 2 * spec.n_f) * spec.n_f  # one per high-band slot
+        scale = np.max(np.abs(per_slot.coeffs))
+        assert np.max(np.abs(shared.coeffs - per_slot.coeffs)) <= 1e-14 * scale
+        assert np.max(np.abs(shared.norms - per_slot.norms)) <= 1e-14 * np.max(per_slot.norms)
+
+    def test_vector_that_leaves_a_forbidden_slot_is_not_reused(self):
+        grids = _high_band_grids(SPEC2, 5, 5, 5)
+        v = high_band_coefficients(SPEC2, 5, 5, 5)[0]
+        assert lex_order._kills(v, grids, 5, 5, 5)
+        assert not lex_order._kills(v[::-1], grids, 5, 5, 5)
+
+
 class TestExplicitOracle:
     @pytest.mark.parametrize(
         "build",

@@ -408,9 +408,10 @@ def _spilled_table(path) -> np.ndarray:
 class TestSpill:
     def test_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
-        spec = product_spec([0.55])
+        spec = product_spec([0.93])  # stops at R = 512
         first = MomentOracle(spec)
         table = first.chebu_table(6).copy()
+        assert first._chebu_resolution == 512
         files = list(tmp_path.iterdir())
         assert len(files) == 1 and files[0].suffix == ".f64"
         assert files[0].stat().st_size == 8 * (5 + 16 * 16)
@@ -420,6 +421,41 @@ class TestSpill:
         assert np.array_equal(second.chebu_table(6), table)
         assert second.mass == first.mass
         assert (second._chebu_err, second._chebu_resolution) == (first._chebu_err, first._chebu_resolution)
+
+    def test_table_accepted_at_256_is_not_spilled(self, tmp_path, monkeypatch):
+        # recomputing such a table costs less than writing its file
+        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
+        spec = product_spec([0.55])
+        first = MomentOracle(spec)
+        table = first.chebu_table(6).copy()
+        assert first._chebu_resolution == 256
+        assert list(tmp_path.iterdir()) == []
+        second = MomentOracle(spec)
+        assert second._chebu_table is None
+        assert np.array_equal(second.chebu_table(6), table)
+        assert (second.mass, second._chebu_err, second._chebu_resolution) == (
+            first.mass,
+            first._chebu_err,
+            first._chebu_resolution,
+        )
+
+    def test_table_accepted_at_1024_is_spilled_and_adopted(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
+        MomentOracle(product_spec([0.55])).chebu_table(6)  # stops at R = 256: no file
+        spec = product_spec([0.96])
+        first = MomentOracle(spec)
+        table = first.chebu_table(6).copy()
+        assert first._chebu_resolution == 1024
+        (path,) = tmp_path.iterdir()
+        assert path.name == f"{spec.fingerprint}.f64"
+        reopened = MomentOracle(spec)
+        monkeypatch.setattr(reopened, "_ladder", None)  # any new quadrature would fail
+        assert np.array_equal(reopened.chebu_table(6), table)
+        assert (reopened.mass, reopened._chebu_err, reopened._chebu_resolution) == (
+            first.mass,
+            first._chebu_err,
+            first._chebu_resolution,
+        )
 
     def test_looser_spill_is_recomputed(self, tmp_path, monkeypatch):
         spec = product_spec([0.975])
@@ -457,7 +493,7 @@ class TestSpill:
     def test_only_a_write_creates_the_directory(self, tmp_path, monkeypatch):
         root = tmp_path / "cache"
         monkeypatch.setenv("BSZ2D_CACHE_DIR", str(root))
-        orc = MomentOracle(product_spec([0.35]))  # looks for a spill
+        orc = MomentOracle(product_spec([0.93]))  # looks for a spill
         assert not root.exists()
         orc.chebu_table(2)
         assert [p.suffix for p in root.iterdir()] == [".f64"]
@@ -483,7 +519,7 @@ class TestSpill:
         ids=["no-err", "chebu-1d", "chebu-not-square", "rows-fraction", "rows-zero", "magic", "chebu-nan", "mass-inf"],
     )
     def test_malformed_spill_is_recomputed(self, tmp_path, monkeypatch, corrupt):
-        spec = product_spec([0.45])
+        spec = product_spec([0.93])
         path, rec = self._spill(tmp_path, monkeypatch, spec)
         want = _spilled_table(path)[:5, :5].copy()
         corrupt(rec).astype("<f8").tofile(path)
@@ -494,7 +530,7 @@ class TestSpill:
     def test_old_npz_spill_is_ignored(self, tmp_path, monkeypatch):
         # the .npz format of older versions is never read: its table is recomputed and spilled anew
         monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
-        spec = product_spec([0.45])
+        spec = product_spec([0.93])
         old = tmp_path / f"{spec.fingerprint}.npz"
         np.savez(old, chebu=np.eye(16), mass=1.0, chebu_err=0.0, chebu_resolution=256)
         reopened = MomentOracle(spec)
@@ -504,7 +540,7 @@ class TestSpill:
         assert sorted(p.suffix for p in tmp_path.iterdir()) == [".f64", ".npz"]
 
     def test_truncated_spill_is_recomputed(self, tmp_path, monkeypatch):
-        spec = product_spec([0.45])
+        spec = product_spec([0.93])
         path, _ = self._spill(tmp_path, monkeypatch, spec)
         whole = path.read_bytes()
         for keep in (100, 8 * 40, 0):  # inside a float, on a float boundary, empty
@@ -512,7 +548,7 @@ class TestSpill:
             assert MomentOracle(spec)._chebu_table is None
 
     def test_failed_write_keeps_the_old_spill(self, tmp_path, monkeypatch):
-        spec = product_spec([0.45])
+        spec = product_spec([0.93])
         path, rec = self._spill(tmp_path, monkeypatch, spec)
         real = os.fdopen
 
@@ -540,7 +576,7 @@ class TestSpill:
 
 
 class TestTableSize:
-    SPEC = product_spec([0.75])
+    SPEC = product_spec([0.93])  # stops at R = 512 for 16 to 64 rows: every table is spilled
 
     def test_rows_grow_to_the_next_power_of_two(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
