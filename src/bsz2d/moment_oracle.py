@@ -126,7 +126,12 @@ polynomial's tensor Chebyshev-U coefficients, zero-padded to an s x s
 slot square, and G[i1, j1, i2, j2] = <U_i1(x) U_j1(y), U_i2(x) U_j2(y)>
 is a sum of moment-table entries over the linearization rule of
 ``poly_core._lin``.  Each oracle keeps one read-only G, grown to exactly
-the largest s a request has needed: s^4 doubles, 166 KB at s = 12.
+the largest s a request has needed: s^4 doubles, 166 KB at s = 12.  An
+inner product runs over the leading s x s square of G that its operands span,
+not over the whole block, so it does not depend on which requests grew
+G before it.  The entries of G do: a larger block is built from a larger
+moment table, whose low rows can differ from a smaller table's in the
+last bits.
 
 Monomial moments are not integrated separately.  x^i = sum_c M[c, i] U_c(x)
 with M exact, nonnegative and every column summing to at most 1 (J. C.
@@ -161,12 +166,13 @@ DEFAULT_TOL = 1e-11
 MAX_RESOLUTION = 2**14
 MAX_ORACLES = 8
 COND_CAP = 1e12  # largest Gram condition number Gram-Schmidt accepts
-# largest Chebyshev-U degree of a table or slice: at most 1024 rows, whose sine
-# matrix and its weighted sums take about 134 MB at MAX_RESOLUTION
-MAX_DEGREE = 1023
 # largest Gram block (s^4 doubles) or stack of K coefficient grids (K s^2 doubles) an
 # oracle allocates: a 40 x 40 lex window needs about 25 MB of each, lex --n 150 --m 150 4 GB
 MAX_BLOCK_BYTES = 2**27
+# largest Chebyshev-U degree of a table or slice: its rows of sine values and of
+# their weighted sums, two doubles per interior node at MAX_RESOLUTION, fit the
+# same budget (1024 rows)
+MAX_DEGREE = MAX_BLOCK_BYTES // (16 * (MAX_RESOLUTION // 2)) - 1
 _START_RESOLUTION = 128
 # a ladder stops when _SAFETY times its error estimate is below tol; the
 # estimate is never below _ROUNDING times the largest mass-normalized value
@@ -588,7 +594,8 @@ class MomentOracle:
     def gram_block(self, s: int) -> np.ndarray:
         """The read-only Gram block of the tensor Chebyshev-U slots,
         G[i1, j1, i2, j2] = <U_i1(x) U_j1(y), U_i2(x) U_j2(y)>, over the
-        S x S slot square, where S >= s is the largest size requested so far.
+        S x S slot square, where S >= s is the largest size requested so far;
+        ``_gram_matrix(s)`` is its leading s x s part.
 
         The block grows to exactly the size a request needs, never beyond
         it: it holds S^4 doubles, 166 KB at S = 12.
@@ -606,6 +613,12 @@ class MomentOracle:
                 self._gram = G
             return self._gram
 
+    def _gram_matrix(self, s: int) -> np.ndarray:
+        """The Gram block over the s x s slot square as an (s^2, s^2) matrix,
+        whatever size the shared block has grown to: a contraction over it
+        does not depend on which requests came before."""
+        return self.gram_block(s)[:s, :s, :s, :s].reshape(s * s, s * s)
+
     def inner(self, f: BivariatePoly, g: BivariatePoly) -> float:
         return float(self.inner_matrix([f], [g])[0, 0])
 
@@ -622,17 +635,15 @@ class MomentOracle:
         polynomial's coefficient at its key, its leading slot, is made
         positive.  The squared norms are the diagonal of C G C^T, one row of
         C per grid."""
-        # the stack is padded to the grids' extents and then to the Gram block's size
-        s = max([0 if self._gram is None else len(self._gram)] + [max(g.shape) for g in grids.values()])
+        # the stack is padded to the grids' extents, then cut to the square their polynomials fill
+        s = max(max(g.shape) for g in grids.values())
         _cap_bytes(len(grids) * s * s, f"a stack of {len(grids)} {s} x {s} coefficient grids")
         T = _padded(list(grids.values()))
         nx, ny = _extents(T)
         # trimmed, a grid grows the oracle's shared Gram block only as far as its polynomial reaches
         s = max(1, int(nx.max()), int(ny.max()))
-        G = self.gram_block(s)
-        S = len(G)
-        C = _square(T, S).reshape(len(T), S * S)
-        norms = np.sqrt(np.maximum(((C @ G.reshape(S * S, S * S)) * C).sum(1), 0.0))
+        C = _square(T, s).reshape(len(T), s * s)
+        norms = np.sqrt(np.maximum(((C @ self._gram_matrix(s)) * C).sum(1), 0.0))
         if np.any(norms == 0.0):
             raise ValueError("cannot normalize the zero polynomial")
         units = _square(T, s) * (1.0 / norms)[:, None, None]
@@ -650,12 +661,11 @@ class MomentOracle:
     def coefficient_inner(self, C: np.ndarray, D: np.ndarray | None = None) -> np.ndarray:
         """[<c, d>] for the grids c of the (K, a, b) Chebyshev-U stack C and d of
         D (default C), as C G D^T: each grid is one row of tensor Chebyshev-U
-        coefficients over the slot square of the Gram block G."""
-        G = self.gram_block(max(C.shape[1:] + (() if D is None else D.shape[1:])))
-        s = len(G)
+        coefficients over the s x s slot square the grids span."""
+        s = max(C.shape[1:] + (() if D is None else D.shape[1:]))
         Cs = _square(C, s).reshape(len(C), s * s)
         Ds = Cs if D is None else _square(D, s).reshape(len(D), s * s)
-        return Cs @ G.reshape(s * s, s * s) @ Ds.T
+        return Cs @ self._gram_matrix(s) @ Ds.T
 
     def gram(self, indices: list[tuple[int, int]]) -> np.ndarray:
         """Gram matrix of the tensor Chebyshev-U elements at the given

@@ -8,6 +8,14 @@ lexicographical elimination algorithm.  Coefficients are double precision.
 Every Chebyshev-U product reduces to the linearization rule
 U_a U_b = sum of U_c over c = |a-b|, |a-b|+2, ..., a+b, held as a 0/1
 tensor by ``_lin``.
+
+Every ``BivariatePoly`` holds a trimmed grid: its last row and last column
+each hold a nonzero entry (NaN counts as nonzero, -0.0 as zero), and the
+zero polynomial is the 0 x 0 grid.  Construction trims, after converting
+the coefficients to a 2-D float64 array when they are not one already;
+``_wrap`` takes a grid that is already trimmed and skips that step.  Sums
+and scalings are built by construction, so the arithmetic keeps the
+invariant.
 """
 
 from __future__ import annotations
@@ -36,9 +44,9 @@ def _trim1(c: np.ndarray) -> np.ndarray:
 
 def _trim2(c: np.ndarray) -> np.ndarray:
     nr, nc = c.shape
-    while nr > 0 and not np.any(c[nr - 1, :] != 0):
+    while nr > 0 and not c[nr - 1].any():
         nr -= 1
-    while nc > 0 and not np.any(c[:nr, nc - 1] != 0):
+    while nc > 0 and not c[:nr, nc - 1].any():
         nc -= 1
     return c[:nr, :nc]
 
@@ -220,7 +228,9 @@ class BivariatePoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
+        arr = self.coeffs
+        if type(arr) is not np.ndarray or arr.dtype != np.float64 or arr.ndim != 2:
+            arr = np.atleast_2d(np.asarray(arr, dtype=float))
         object.__setattr__(self, "coeffs", _trim2(arr))
         if self.basis not in (CHEB_U, MONOMIAL):
             raise ValueError(f"unknown basis {self.basis!r}")

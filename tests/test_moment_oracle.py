@@ -265,6 +265,14 @@ class TestDegreeCap:
     def test_is_a_value_error(self):
         assert issubclass(ResourceLimitError, ValueError)
 
+    def test_cap_is_the_byte_budget(self):
+        # each table row is a row of sine values and one of weighted sums, a double
+        # of each per interior node at MAX_RESOLUTION
+        row_bytes = 16 * (moment_oracle.MAX_RESOLUTION // 2)
+        assert (MAX_DEGREE + 1) * row_bytes <= moment_oracle.MAX_BLOCK_BYTES
+        assert (MAX_DEGREE + 2) * row_bytes > moment_oracle.MAX_BLOCK_BYTES
+        assert MAX_DEGREE == 1023
+
 
 def _fail(*args, **kwargs):
     raise AssertionError("a block was allocated")
@@ -379,6 +387,42 @@ class TestGramBlock:
         assert orc.gram_block(1).shape == (9, 9, 9, 9)
         m1 = orc.chebu_table(16)
         assert orc.gram_block(9)[2, 1, 3, 0] == pytest.approx(sum(m1[s, 1] for s in (1, 3, 5)), abs=1e-15)
+
+
+class TestGramHistory:
+    """A contraction over the Gram block runs over its operands' own slot
+    square, so the same call gives the same bits on a fresh oracle and on one
+    whose block an earlier, larger request grew from the same moment table
+    rows.  A request that regrows the table itself can still move G's
+    entries in the last bits; that is not checked here."""
+
+    @staticmethod
+    def _warm(spec) -> MomentOracle:
+        orc = MomentOracle(spec)
+        orc.gram_block(12)
+        return orc
+
+    @pytest.mark.parametrize("a", [[0.45], [0.5, -0.3], [0.4, 0.3, -0.5]])
+    def test_total_blocks(self, a):
+        from bsz2d.recurrence import total_blocks
+
+        spec = product_spec(a)
+        for n in range(1, 7):
+            fresh, warm = (total_blocks(spec, n, oracle=orc) for orc in (MomentOracle(spec), self._warm(spec)))
+            for name in ("a_x", "b_x", "a_y", "b_y"):
+                assert getattr(fresh, name).tobytes() == getattr(warm, name).tobytes(), (n, name)
+
+    @pytest.mark.parametrize("a", [[0.45], [0.6]])
+    def test_coefficient_inner_and_normalize(self, a):
+        spec = product_spec(a)
+        rng = np.random.default_rng(4)
+        C = rng.standard_normal((5, 4, 3))
+        D = rng.standard_normal((2, 2, 5))
+        grids = {(i, j): rng.standard_normal((i + 1, j + 1)) for i in range(7) for j in range(6)}
+        for make in (lambda orc: orc.coefficient_inner(C), lambda orc: orc.coefficient_inner(C, D)):
+            assert make(MomentOracle(spec)).tobytes() == make(self._warm(spec)).tobytes()
+        (u1, n1), (u2, n2) = (orc.normalize(grids) for orc in (MomentOracle(spec), self._warm(spec)))
+        assert n1.tobytes() == n2.tobytes() and u1.tobytes() == u2.tobytes()
 
 
 def test_doubly_hankel_structure():

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsz2d import poly_core
+from bsz2d.examples_suite import ex1, ex2, ex4
+from bsz2d.moment_oracle import MomentOracle
 from bsz2d.poly_core import (
     CHEB_U,
     MONOMIAL,
@@ -15,12 +18,14 @@ from bsz2d.poly_core import (
     UnivariatePoly,
     _extents,
     _square,
+    _trim2,
     mul,
     poly_from_dict,
     poly_to_dict,
     t_map,
     u_band,
 )
+from bsz2d.recurrence import total_blocks
 
 
 def cheb_u(n: int, x: float) -> float:
@@ -198,3 +203,181 @@ def test_wrap_takes_the_grid_as_is():
     grid = np.array([[1.0, 0.0], [0.0, 0.0]])  # not trimmed, so the difference shows
     p = BivariatePoly._wrap(CHEB_U, grid)
     assert p.coeffs is grid and p.basis == CHEB_U
+
+
+# -- the construct -> trim -> add path against its earlier form ----------------
+# The loops below are the earlier ``_trim2``, ``__post_init__`` and ``__add__``:
+# every test on raw arrays through np.any and np.asarray, and every sum over a
+# zero grid of the larger shape.  The current trim and conversion take neither
+# step for a 2-D float64 grid, and they and the sums built through them must
+# give the same shape and bytes.
+
+
+def _trim2_reference(c: np.ndarray) -> np.ndarray:
+    nr, nc = c.shape
+    while nr > 0 and not np.any(c[nr - 1, :] != 0):
+        nr -= 1
+    while nc > 0 and not np.any(c[:nr, nc - 1] != 0):
+        nc -= 1
+    return c[:nr, :nc]
+
+
+def _reference_grid(coeffs) -> np.ndarray:
+    return _trim2_reference(np.atleast_2d(np.asarray(coeffs, dtype=float)))
+
+
+def _post_init_reference(self):
+    object.__setattr__(self, "coeffs", _reference_grid(self.coeffs))
+    if self.basis not in (CHEB_U, MONOMIAL):
+        raise ValueError(f"unknown basis {self.basis!r}")
+
+
+def _add_reference(self, other):
+    self._check(other)
+    nr = max(self.coeffs.shape[0], other.coeffs.shape[0])
+    nc = max(self.coeffs.shape[1], other.coeffs.shape[1])
+    out = np.zeros((nr, nc))
+    a, b = self.coeffs, other.coeffs
+    out[: a.shape[0], : a.shape[1]] += a
+    out[: b.shape[0], : b.shape[1]] += b
+    return BivariatePoly(self.basis, out)
+
+
+def _same(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# entries that trim and sum differently: signed zeros, NaN, infinities, subnormals
+_SPECIAL = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -1.5, 2.0]
+
+
+def _grid(rng, shape) -> np.ndarray:
+    """A grid of random and special entries, with zero (or -0.0) trailing rows
+    and columns often enough that trimming has work to do."""
+    g = np.where(rng.random(shape) < 0.5, rng.standard_normal(shape), rng.choice(_SPECIAL, shape))
+    g[rng.random(shape) < 0.4] = 0.0
+    if shape[0] and rng.random() < 0.5:
+        g[-rng.integers(1, shape[0] + 1) :] = rng.choice([0.0, -0.0])
+    if shape[1] and rng.random() < 0.5:
+        g[:, -rng.integers(1, shape[1] + 1) :] = rng.choice([0.0, -0.0])
+    return g
+
+
+class _Subclass(np.ndarray):
+    """A float64 grid that is not a plain ndarray: construction converts it."""
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf + -inf
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # drawn floats near the float64 maximum
+class TestByteIdentity:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_trim_matches_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            g = _grid(rng, tuple(rng.integers(0, 6, 2)))
+            _same(_trim2(g), _trim2_reference(g))
+
+    def test_trim_edge_grids(self):
+        grids = [
+            np.zeros((0, 0)),
+            np.zeros((3, 0)),
+            np.zeros((0, 4)),
+            np.zeros((3, 4)),
+            np.full((2, 3), -0.0),
+            np.array([[1.0, 0.0], [0.0, 0.0]]),
+            np.array([[0.0, 0.0], [0.0, np.nan]]),
+            np.array([[0.0, -0.0], [-0.0, -0.0]]),
+            np.array([[0.0, 0.0], [5e-324, 0.0]]),
+            np.arange(12.0).reshape(3, 4)[:, ::2],  # a strided view
+        ]
+        for g in grids:
+            _same(_trim2(g), _trim2_reference(g))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [],
+            [[]],
+            [0.0, 0.0],
+            [1.0, 2.0, 0.0],
+            [[1, 0], [0, 0]],
+            [[0.5, -0.0], [np.nan, 0.0]],
+            np.array([3, 0, 1]),
+            np.array([[1, 2], [0, 0]], dtype=np.int64),
+            np.array([[1.5, 0.0], [0.0, 0.0]], dtype=np.float32),
+            np.array([[1.0, 2.0], [3.0, 0.0]], dtype=">f8"),
+            np.array(2.5),
+            np.zeros((0, 0)),
+            np.zeros((2, 2)),
+            np.array([[1.0, 0.0], [2.0, 0.0]]).view(_Subclass),
+        ],
+        ids=lambda c: type(c).__name__ + str(np.shape(c)) + getattr(getattr(c, "dtype", None), "str", ""),
+    )
+    def test_construction_matches_the_conversion(self, coeffs):
+        got = BivariatePoly(CHEB_U, coeffs).coeffs
+        _same(got, _reference_grid(coeffs))
+        assert type(got) is np.ndarray
+
+    def test_construction_keeps_a_float_grid(self):
+        grid = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert BivariatePoly(CHEB_U, grid).coeffs.base is grid  # a view, as np.asarray gives
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sum_matches_the_padded_sum(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(50):
+            shape = tuple(rng.integers(0, 5, 2))
+            other = shape if rng.random() < 0.5 else tuple(rng.integers(0, 5, 2))
+            p, q = BivariatePoly(CHEB_U, _grid(rng, shape)), BivariatePoly(CHEB_U, _grid(rng, other))
+            _same((p + q).coeffs, _add_reference(p, q).coeffs)
+            _same((p - q).coeffs, _add_reference(p, -q).coeffs)
+
+    def test_sum_of_signed_zeros_and_nan(self):
+        a = np.array([[-0.0, -0.0, 1.0], [0.0, np.nan, -0.0], [2.0, -0.0, 0.0]])
+        b = np.array([[-0.0, 0.0, -1.0], [-0.0, 1.0, np.nan], [-2.0, -0.0, 3.0]])
+        p, q = BivariatePoly._wrap(CHEB_U, a), BivariatePoly._wrap(CHEB_U, b)
+        got = (p + q).coeffs
+        _same(got, _add_reference(p, q).coeffs)
+        assert not np.signbit(got[0, 0])  # -0.0 + -0.0 is +0.0, as in the padded sum
+        zero = BivariatePoly.zero(CHEB_U)
+        for x, y in [(p, p), (p, zero), (zero, p), (zero, zero)]:
+            _same((x + y).coeffs, _add_reference(x, y).coeffs)
+
+    @given(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_grids(self, shape, other, equal, data):
+        other = shape if equal else other
+        entries = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+        grids = [
+            np.array(data.draw(st.lists(entries, min_size=r * c, max_size=r * c)), dtype=float).reshape(r, c)
+            for r, c in (shape, other)
+        ]
+        for g in grids:
+            _same(_trim2(g), _trim2_reference(g))
+            _same(BivariatePoly(CHEB_U, g).coeffs, _reference_grid(g))
+        p, q = (BivariatePoly(CHEB_U, g) for g in grids)
+        _same((p + q).coeffs, _add_reference(p, q).coeffs)
+        _same(p.scale(-0.5).coeffs, _reference_grid(p.coeffs * -0.5))
+
+    @pytest.mark.parametrize("spec", [ex1(0.45), ex4(0.5, -0.3), ex2(0.4, 0.3)], ids=["ex1", "ex4", "ex2"])
+    def test_total_blocks_are_the_same_bytes(self, spec, monkeypatch):
+        def blocks():
+            orc = MomentOracle(spec)
+            return [total_blocks(spec, n, oracle=orc) for n in range(1, 9)]
+
+        new = blocks()
+        monkeypatch.setattr(poly_core, "_trim2", _trim2_reference)
+        monkeypatch.setattr(BivariatePoly, "__post_init__", _post_init_reference)
+        monkeypatch.setattr(BivariatePoly, "__add__", _add_reference)
+        old = blocks()
+        for b_new, b_old in zip(new, old):
+            for name in ("a_x", "b_x", "a_y", "b_y"):
+                _same(getattr(b_new, name), getattr(b_old, name))
+            assert b_new.residual == b_old.residual
