@@ -6,19 +6,13 @@ families; the mixing coefficients come either from a nullspace solve
 (kill every tensor-Chebyshev slot that is out of window or beyond the
 target), or from the step-by-step elimination that tracks the Laurent
 image of the combination and cancels its w^{-(m+1)} term at each step.
-Both must produce the same polynomial.
+Both must produce the same polynomial, and so must the whole-window
+system ``lex_system`` builds.
 """
 
 import numpy as np
 
-from bsz2d.lex_order import (
-    build_lex_high,
-    build_lex_high_recursion,
-    eliminate,
-    high_band_coefficients,
-    high_band_range,
-    low_band_max_k,
-)
+from bsz2d.lex_order import build_lex_high, build_lex_high_recursion, eliminate, lex_system
 from bsz2d.weights import product_spec
 
 
@@ -26,28 +20,29 @@ def main():
     spec = product_spec([0.5, -0.3])
     m = 5
     print("spec:", spec)
-    print(f"window column m = {m}: low band k <= {low_band_max_k(spec, m)}, "
-          f"high band k in {list(high_band_range(spec, m))}")
+    print(f"window column m = {m}: low band k <= {m - spec.kappa}, "
+          f"high band k in {list(range(m - spec.n_f + 1, m + 1))}")
 
     r, k = 5, 5
-    v, terms = high_band_coefficients(spec, r, k, m)
-    j = len(terms) // 2
-    print(f"\nslot (r, k) = ({r}, {k}): {j} q-terms and {j} q~-terms")
-    print("  a coefficients:", np.round(v[:j], 6))
-    print("  b coefficients:", np.round(v[j:], 6))
-
-    print("\nelimination walk to the same slot:")
+    print(f"\nelimination walk to slot (r, k) = ({r}, {k}):")
     state = eliminate(spec, r, k, m)
     print("  cancellation constants k_j:", np.round(state.ks, 6))
     print("  final homogeneous factor gamma:", np.round(state.gamma, 6))
+    for kind, label in (("q", "q_alpha U_beta(y)"), ("qt", "q~_beta U_alpha(x)")):
+        terms = {(a, b): c for (t, a, b), c in state.s_atoms.items() if t == kind}
+        print(f"  {label} terms (alpha, beta): coefficient:",
+              {ab: round(c, 6) for ab, c in sorted(terms.items())})
     img = state.s_image().prune(1e-10)
     print("  lowest surviving w-exponent in the image:",
           min(b for _, b in img.support))
 
     direct = build_lex_high(spec, r, k, m)
     recursed = build_lex_high_recursion(spec, r, k, m)
-    dev = float(np.max(np.abs((direct - recursed).coeffs)))
+    window = lex_system(spec, r, m).poly((r, k))
+    dev = float(np.max(np.abs((direct - recursed).coeffs), initial=0.0))
     print(f"\nnullspace vs recursion coefficient deviation: {dev:.2e}")
+    dev = float(np.max(np.abs((direct - window).coeffs), initial=0.0))
+    print(f"nullspace vs lex_system slot deviation: {dev:.2e}")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ and moment tables are emitted as CSV, polynomials and reports as JSON.
 Exit codes: 0 success, 1 assertion failure, 2 usage or config error,
 3 numerical failure.  Bad input (a malformed weight config, a negative
 degree or window bound, an out-of-range example parameter or depth) exits
-2 with a usage message, and so does a request over a size cap of the
-oracle (``ResourceLimitError``).  A quadrature that does not meet the
+2 with a usage message, and so does a request over a size cap
+(``ResourceLimitError``).  A ``--tol`` that is not finite and positive
+exits 2 with a one-line message.  A quadrature that does not meet the
 tolerance below the resolution cap (``AccuracyError``), or a Gram matrix
 too ill conditioned to factor (``OracleUnreliableError``), exits 3 with a
 one-line message.
@@ -72,6 +73,10 @@ class _NumericalFailure(click.ClickException):
     exit_code = 3
 
 
+class _BadTolerance(click.ClickException):
+    exit_code = 2
+
+
 class _Main(click.Group):
     def invoke(self, ctx):
         try:
@@ -87,6 +92,9 @@ class _Main(click.Group):
 @click.pass_context
 def main(ctx, tol):
     """Two-variable Bernstein-Szego orthogonal polynomial toolkit."""
+    # click's float type takes nan and inf; the oracle would reject them only once a command builds it
+    if tol is not None and not 0.0 < tol < float("inf"):
+        raise _BadTolerance(f"--tol must be finite and positive, got {tol}")
     ctx.ensure_object(dict)
     ctx.obj["tol"] = DEFAULT_TOL if tol is None else tol
 

@@ -9,9 +9,10 @@ q~ families:
 
 with j running over 0 .. k-(m-N_f)-1.  Two independent constructions are
 provided: a nullspace solve that kills every forbidden tensor-Chebyshev
-slot (the production path), and the step-by-step Laurent elimination
-that determines the same combination by repeatedly cancelling the
-w^{-(m+1)} term of the tracked leading image.  That combination depends
+slot (the production path, ``build_lex_high`` for one slot), and the
+step-by-step Laurent elimination (``eliminate``) that determines the same
+combination by repeatedly cancelling the w^{-(m+1)} term of the tracked
+leading image.  That combination depends
 only on the step count J = k - (m - N_f), not on r or m, so ``lex_system``
 solves it once per J, on the first high row r = 2 N_f, and builds every
 later high slot from that vector when it kills the slot's forbidden
@@ -19,8 +20,10 @@ slots; a slot where it does not is solved on its own.
 
 Every term above is one polynomial times one U_k, so a slot is built in
 coefficient space: ``poly_core.u_band`` applies the banded product by
-U_k along one axis to the grid of q_r or q~_l.  ``lex_system`` builds
-the grids of all closed-form slots of a window and hands them to
+U_k along one axis to the grid of q_r or q~_l.  ``_closed_grid`` is the
+one place that holds the band rules; ``lex_system`` builds with it
+the grids of all closed-form slots of a window (revlex: those of the
+reflected weight, transposed) and hands them to
 ``MomentOracle.assemble``, which normalizes them together and fills the
 other slots from one oracle Gram-Schmidt system, factored only over the
 leading rows (revlex: columns) of the window that hold those slots.
@@ -51,44 +54,9 @@ class AnomalousSolutionError(RuntimeError):
     """The solved high-band combination has a_0 ~ 0."""
 
 
-# ---------------------------------------------------------------------------
-# Band geometry
-# ---------------------------------------------------------------------------
-
-
-def low_band_max_k(spec: WeightSpec, m: int) -> int:
-    """Largest k for which q_r U_k(y) is valid on a window with bound m."""
-    return m - spec.kappa
-
-
-def high_band_range(spec: WeightSpec, m: int) -> range:
-    """High-band slots m - N_f < k <= m (product weights only)."""
-    return range(m - spec.n_f + 1, m + 1)
-
-
-# ---------------------------------------------------------------------------
-# Low band
-# ---------------------------------------------------------------------------
-
-
-def build_lex_low(spec: WeightSpec, r: int, k: int, oracle: MomentOracle | None = None) -> BivariatePoly:
-    """q_r(x, y) U_k(y), unit norm: the lex slot (r, k) whenever k <= m - kappa.
-
-    Independent of the window bound m, so a slot survives window growth
-    unchanged.  For even N the value r = N/2 - 1 is accepted one step
-    below the threshold; the combination is then orthogonal only up to a
-    multiple and is normalized numerically like everything else.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    r_min = norm_threshold(spec.n_h)
-    if spec.n_h % 2 == 0 and r == r_min - 1:
-        pass  # boundary case, accepted
-    elif r < r_min:
-        raise ValueError(f"low-band closed form needs r >= {r_min} (N_h = {spec.n_h})")
-    p = BivariatePoly(CHEB_U, u_band(qk_grid(spec, r), k, 1))
-    unit, _ = (oracle_for(spec) if oracle is None else oracle).normalized(p, (r, k))
-    return unit
+# a singular value at most this fraction of the largest counts as zero in the
+# high-band nullspace solve
+_SVD_RATIO = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -120,26 +88,13 @@ def _forbidden_rows(grids: np.ndarray, r: int, k: int, m: int) -> np.ndarray:
     return rows[np.any(rows != 0.0, axis=1)]
 
 
-def high_band_coefficients(
-    spec: WeightSpec, r: int, k: int, m: int, svd_ratio: float = 1e-8
-) -> tuple[np.ndarray, list[BivariatePoly]]:
-    """Solve for the combination killing every tensor-Chebyshev slot that is
-    out of window (y-degree > m) or lex-greater than (r, k).
-
-    Returns the nullspace vector (a_0..a_{J-1}, b_0..b_{J-1}) and the
-    candidate terms.  The nullspace must be one-dimensional.
-    """
-    grids = _high_band_grids(spec, r, k, m)
-    return _null_vector(grids, r, k, m, svd_ratio), [BivariatePoly(CHEB_U, g) for g in grids]
-
-
-def _null_vector(grids: np.ndarray, r: int, k: int, m: int, svd_ratio: float = 1e-8) -> np.ndarray:
+def _null_vector(grids: np.ndarray, r: int, k: int, m: int) -> np.ndarray:
     """The combination of the stacked term grids that kills every forbidden slot."""
     M = _forbidden_rows(grids, r, k, m)
     n_terms = len(grids)
     _, s, Vt = np.linalg.svd(M) if M.size else (None, np.zeros(0), np.eye(n_terms))
     smax = s[0] if len(s) else 0.0
-    null_dim = n_terms - len(s) + int(np.sum(s <= svd_ratio * smax)) if smax > 0 else n_terms
+    null_dim = n_terms - len(s) + int(np.sum(s <= _SVD_RATIO * smax)) if smax > 0 else n_terms
     if null_dim != 1:
         raise DegenerateWindowError(
             f"nullspace dimension {null_dim} at slot (r, k, m) = ({r}, {k}, {m})"
@@ -150,11 +105,11 @@ def _null_vector(grids: np.ndarray, r: int, k: int, m: int, svd_ratio: float = 1
     return v
 
 
-def _kills(v: np.ndarray, grids: np.ndarray, r: int, k: int, m: int, svd_ratio: float = 1e-8) -> bool:
+def _kills(v: np.ndarray, grids: np.ndarray, r: int, k: int, m: int) -> bool:
     """Whether the unit vector v is a null vector of the forbidden rows to
-    ``svd_ratio`` of their Frobenius norm, which bounds their largest singular value."""
+    ``_SVD_RATIO`` of their Frobenius norm, which bounds their largest singular value."""
     M = _forbidden_rows(grids, r, k, m)
-    return bool(M.size) and float(np.linalg.norm(M @ v)) <= svd_ratio * float(np.linalg.norm(M))
+    return bool(M.size) and float(np.linalg.norm(M @ v)) <= _SVD_RATIO * float(np.linalg.norm(M))
 
 
 def _high_band_sum(
@@ -304,26 +259,6 @@ def build_lex_high_recursion(
     """Same slot as :func:`build_lex_high`, via the elimination recursion."""
     state = eliminate(spec, r, k, m)
     unit, _ = (oracle_for(spec) if oracle is None else oracle).normalized(state.s_poly(), (r, k))
-    return unit
-
-
-# ---------------------------------------------------------------------------
-# Reverse lexicographical
-# ---------------------------------------------------------------------------
-
-
-def build_revlex(
-    spec: WeightSpec, l: int, t: int, n: int, oracle: MomentOracle | None = None
-) -> BivariatePoly:
-    """Revlex slot (l, t) on a window with x-bound n: the closed-form lex slot
-    (t, l) of the reflected weight, variables exchanged afterwards.  Raises
-    ValueError where ``lex_system`` would fall back to the oracle."""
-    from .weights import tilde_expand
-
-    grid = _closed_grid(tilde_expand(spec), t, l, n)
-    if grid is None:
-        raise ValueError(f"revlex slot ({l}, {t}) on x-bound {n} has no closed form")
-    unit, _ = (oracle_for(spec) if oracle is None else oracle).normalized(BivariatePoly(CHEB_U, grid.T), (l, t))
     return unit
 
 

@@ -103,8 +103,9 @@ a lex window whose fallback slots all lie in its first rows factors only
 those rows (revlex: columns), and the condition gate sees only them.
 
 A table or slice degree above MAX_DEGREE, and a Gram block (s^4 doubles)
-or a stack of K coefficient grids (K s^2 doubles) above MAX_BLOCK_BYTES,
-raise ResourceLimitError before anything is allocated.
+or a stack of K coefficient grids (K s^2 doubles) above MAX_BLOCK_BYTES
+(the budget ``weights`` defines), raise ResourceLimitError before anything
+is allocated.  An oracle's tol must be finite and positive.
 
 With BSZ2D_CACHE_DIR set, a Chebyshev-U table whose ladder stopped above
 2 _START_RESOLUTION (R >= 512) is spilled to one file per spec,
@@ -160,15 +161,12 @@ import numpy as np
 
 from .ortho import LEX, REVLEX, OrthoSystem, index_sequence
 from .poly_core import CHEB_U, BivariatePoly, _extents, _lin, _mono_to_chebu, _padded, _square
-from .weights import PRODUCT_OMEGA, InvalidWeightError, WeightSpec
+from .weights import MAX_BLOCK_BYTES, PRODUCT_OMEGA, InvalidWeightError, ResourceLimitError, WeightSpec, _cap_bytes
 
 DEFAULT_TOL = 1e-11
 MAX_RESOLUTION = 2**14
 MAX_ORACLES = 8
 COND_CAP = 1e12  # largest Gram condition number Gram-Schmidt accepts
-# largest Gram block (s^4 doubles) or stack of K coefficient grids (K s^2 doubles) an
-# oracle allocates: a 40 x 40 lex window needs about 25 MB of each, lex --n 150 --m 150 4 GB
-MAX_BLOCK_BYTES = 2**27
 # largest Chebyshev-U degree of a table or slice: its rows of sine values and of
 # their weighted sums, two doubles per interior node at MAX_RESOLUTION, fit the
 # same budget (1024 rows)
@@ -200,20 +198,9 @@ class OracleUnreliableError(RuntimeError):
     """The Gram matrix is too ill conditioned to trust the oracle."""
 
 
-class ResourceLimitError(ValueError):
-    """A request exceeds a size cap; raised before anything is allocated."""
-
-
 def _cap_degree(smax: int):
     if smax > MAX_DEGREE:
         raise ResourceLimitError(f"degree {smax} exceeds the cap MAX_DEGREE = {MAX_DEGREE}")
-
-
-def _cap_bytes(doubles: int, what: str):
-    if 8 * doubles > MAX_BLOCK_BYTES:
-        raise ResourceLimitError(
-            f"{what} needs {8 * doubles / 2**20:.0f} MiB, over the cap MAX_BLOCK_BYTES = {MAX_BLOCK_BYTES >> 20} MiB"
-        )
 
 
 def cap_system(slots: list[tuple[int, int]]):
@@ -348,19 +335,6 @@ def _szego_windows(factors: tuple[float, ...], resolution: int) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(line, (len(line) - width + 1, width), line.strides * 2, writeable=False)
 
 
-def grid_size(polys: list[BivariatePoly]) -> int:
-    """The smallest s (at least 1) whose s x s slot square holds every
-    polynomial's coefficient grid; a basis change keeps a grid's shape."""
-    return max([1] + [max(p.coeffs.shape) for p in polys])
-
-
-def chebu_grids(polys: list[BivariatePoly]) -> np.ndarray:
-    """The polynomials' tensor Chebyshev-U coefficients, zero-padded to
-    shape (len(polys), s, s) with s = ``grid_size(polys)``."""
-    s = grid_size(polys)
-    return _padded([p.coeffs if p.basis == CHEB_U else p.to_basis(CHEB_U).coeffs for p in polys], (s, s))
-
-
 class MomentOracle:
     """Per-spec moment cache and Gram-Schmidt engine.
 
@@ -373,6 +347,8 @@ class MomentOracle:
     """
 
     def __init__(self, spec: WeightSpec, tol: float = DEFAULT_TOL, max_resolution: int = MAX_RESOLUTION):
+        if not 0.0 < tol < float("inf"):  # a NaN tol fails here too
+            raise ValueError(f"tol must be finite and positive, got {tol!r}")
         report = spec.stability
         if not report.stable:
             raise InvalidWeightError(
@@ -620,7 +596,8 @@ class MomentOracle:
         return self.gram_block(s)[:s, :s, :s, :s].reshape(s * s, s * s)
 
     def inner(self, f: BivariatePoly, g: BivariatePoly) -> float:
-        return float(self.inner_matrix([f], [g])[0, 0])
+        C, D = (p.to_basis(CHEB_U).coeffs[None] for p in (f, g))
+        return float(self.coefficient_inner(C, D)[0, 0])
 
     def norm(self, f: BivariatePoly) -> float:
         return float(np.sqrt(max(self.inner(f, f), 0.0)))
@@ -653,16 +630,11 @@ class MomentOracle:
         units[flip] = -units[flip]
         return units, norms
 
-    def inner_matrix(self, polys: list[BivariatePoly], others: list[BivariatePoly] | None = None) -> np.ndarray:
-        """[<p, q>] for p in ``polys`` and q in ``others`` (default ``polys``)."""
-        D = None if others is None or others is polys else chebu_grids(others)
-        return self.coefficient_inner(chebu_grids(polys), D)
-
     def coefficient_inner(self, C: np.ndarray, D: np.ndarray | None = None) -> np.ndarray:
         """[<c, d>] for the grids c of the (K, a, b) Chebyshev-U stack C and d of
         D (default C), as C G D^T: each grid is one row of tensor Chebyshev-U
-        coefficients over the s x s slot square the grids span."""
-        s = max(C.shape[1:] + (() if D is None else D.shape[1:]))
+        coefficients over the s x s slot square (s >= 1) the grids span."""
+        s = max((1,) + C.shape[1:] + (() if D is None else D.shape[1:]))
         Cs = _square(C, s).reshape(len(C), s * s)
         Ds = Cs if D is None else _square(D, s).reshape(len(D), s * s)
         return Cs @ self._gram_matrix(s) @ Ds.T

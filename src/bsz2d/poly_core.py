@@ -311,28 +311,6 @@ class BivariatePoly:
         return acc
 
 
-def mul(p: BivariatePoly, q: BivariatePoly) -> BivariatePoly:
-    """Exact product of two bivariate polynomials (same basis required)."""
-    if p.basis != q.basis:
-        raise BasisMismatchError(p.basis + " vs " + q.basis)
-    if p.is_zero or q.is_zero:
-        return BivariatePoly.zero(p.basis)
-    a, b = p.coeffs, q.coeffs
-    if p.basis == MONOMIAL:
-        out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-        for i in range(a.shape[0]):
-            for j in range(a.shape[1]):
-                c = a[i, j]
-                if c != 0:
-                    out[i : i + b.shape[0], j : j + b.shape[1]] += c * b
-        return BivariatePoly(MONOMIAL, out)
-    # out[x, y] = sum a[i1, j1] b[i2, j2] Lx[i1, i2, x] Ly[j1, j2, y]
-    t = np.tensordot(a, _lin(a.shape[0], b.shape[0]), axes=(0, 0))  # (j1, i2, x)
-    t = np.tensordot(t, b, axes=(1, 0))  # (j1, x, j2)
-    out = np.tensordot(t, _lin(a.shape[1], b.shape[1]), axes=([0, 2], [0, 1]))
-    return BivariatePoly(CHEB_U, out)
-
-
 # ---------------------------------------------------------------------------
 # Laurent side
 # ---------------------------------------------------------------------------

@@ -34,6 +34,24 @@ class UnsupportedWeightError(ValueError):
     """The requested view needs product structure the spec does not have."""
 
 
+# largest array one step of the package allocates: an oracle's Gram block (s^4
+# doubles) or stack of K coefficient grids (K s^2 doubles), where a 40 x 40 lex
+# window needs about 25 MB of each and lex --n 150 --m 150 4 GB, or the
+# companion matrices of a sampled stability certificate
+MAX_BLOCK_BYTES = 2**27
+
+
+class ResourceLimitError(ValueError):
+    """A request exceeds a size cap; raised before anything is allocated."""
+
+
+def _cap_bytes(doubles: int, what: str):
+    if 8 * doubles > MAX_BLOCK_BYTES:
+        raise ResourceLimitError(
+            f"{what} needs {8 * doubles / 2**20:.0f} MiB, over the cap MAX_BLOCK_BYTES = {MAX_BLOCK_BYTES >> 20} MiB"
+        )
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     stable: bool
@@ -143,17 +161,6 @@ class WeightSpec:
         return hashlib.sha1(payload).hexdigest()
 
     # -- evaluation -------------------------------------------------------
-    def h_eval(self, z, y):
-        """h(z, y) with complex z and real y (broadcasting elementwise)."""
-        z = np.asarray(z, dtype=complex)
-        y = np.asarray(y, dtype=float)
-        acc = np.zeros(np.broadcast(z, y).shape, dtype=complex)
-        zp = np.ones_like(z)
-        for hi in self.h:
-            acc = acc + hi(y) * zp
-            zp = zp * z
-        return acc
-
     def h_y(self, y) -> np.ndarray:
         """c_k = h_k(y) for k = 0 .. N_h, by Horner over ``h_mono``: shape (K,) + y.shape."""
         y = np.asarray(y, dtype=float)
@@ -276,7 +283,8 @@ def is_stable(spec: WeightSpec, y_samples: int = 129, tol: float = 1e-9) -> Stab
     Product specs are certified analytically: every factor has both roots
     of modulus 1/|a_i| > 1 uniformly in y.  Generic specs are sampled on a
     Chebyshev y-grid (plus the endpoints); this is a numerical
-    certificate with an explicit margin, not a proof.
+    certificate with an explicit margin, not a proof.  Companion matrices
+    above MAX_BLOCK_BYTES raise ResourceLimitError before they exist.
     """
     if y_samples < 2:
         raise ValueError("y_samples must be >= 2")
@@ -297,6 +305,7 @@ def is_stable(spec: WeightSpec, y_samples: int = 129, tol: float = 1e-9) -> Stab
         rows = np.flatnonzero(nz == n)
         # companion matrices of the reversed coefficients, as np.roots builds them
         p = c[rows, :n][:, ::-1]
+        _cap_bytes(len(rows) * (n - 1) ** 2, f"a stack of {len(rows)} companion matrices of degree {n - 1}")
         comp = np.zeros((len(rows), n - 1, n - 1))
         comp[:, 0, :] = -p[:, 1:] / p[:, :1]
         comp[:, np.arange(1, n - 1), np.arange(n - 2)] = 1.0

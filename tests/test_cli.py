@@ -179,6 +179,17 @@ class TestTolerance:
         assert res.exit_code == 0, res.output
         self._assert_one_oracle_at(EXAMPLES["ex1"](a=0.3), 1e-6)
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command", [["moments", "--max-degree", "2"], ["verify", "--depth", "2"]], ids=["moments", "verify"])
+    def test_tol_not_finite_and_positive_is_rejected(self, runner, product_weight, monkeypatch, tol, command):
+        # inf would accept the first rung's table; nan, 0 and -1 would climb to the resolution cap
+        monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
+        res = runner.invoke(main, ["--tol", tol, command[0], "--weight", product_weight, *command[1:]])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+        assert res.output.startswith("Error: --tol must be finite and positive") and res.output.count("\n") == 1
+        assert not moment_oracle._ORACLES
+
 
 class TestErrors:
     def test_missing_weight_file(self, runner, tmp_path):
@@ -239,6 +250,19 @@ def test_size_cap_is_a_usage_error(runner, product_weight, monkeypatch, args):
         monkeypatch.setattr(mod, name, fail)
     monkeypatch.setattr(moment_oracle.MomentOracle, "_table_at", fail)
     res = runner.invoke(main, [args[0], "--weight", product_weight, *args[1:]])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # a usage message, not a traceback
+    assert "MAX_BLOCK_BYTES" in res.output
+
+
+def test_stability_certificate_over_the_budget_is_a_usage_error(runner, tmp_path, monkeypatch):
+    # N_h = 20 sampled at 131 y values needs 131 * 20^2 doubles of companion matrices, 409 KiB
+    from bsz2d import weights
+
+    monkeypatch.setattr(weights, "MAX_BLOCK_BYTES", 2**18)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"generic_h": [[1.0]] + [[0.0]] * 19 + [[0.5]]}))
+    res = runner.invoke(main, ["moments", "--weight", str(path), "--max-degree", "2"])
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)  # a usage message, not a traceback
     assert "MAX_BLOCK_BYTES" in res.output

@@ -2,25 +2,23 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from conftest import chebu_mul_reference
 
 from bsz2d import lex_order, moment_oracle
 from bsz2d.lex_order import (
+    _closed_grid,
     _forbidden_rows,
     _high_band_grids,
+    _null_vector,
     build_lex_high,
     build_lex_high_recursion,
-    build_lex_low,
-    build_revlex,
     connection_reshape,
     eliminate,
-    high_band_coefficients,
-    high_band_range,
     lex_system,
-    low_band_max_k,
 )
 from bsz2d.moment_oracle import MomentOracle, OracleUnreliableError, oracle_for
 from bsz2d.ortho import LEX, REVLEX, index_sequence
-from bsz2d.poly_core import CHEB_U, BivariatePoly, mul
+from bsz2d.poly_core import CHEB_U, BivariatePoly
 from bsz2d.szego_core import build_qk, norm_threshold, tilde_ql_grid
 from bsz2d.weights import PRODUCT_OMEGA, generic_spec, product_spec
 
@@ -53,16 +51,21 @@ def _loop_forbidden_rows(grids: np.ndarray, r: int, k: int, m: int) -> np.ndarra
     return np.array(rows) if rows else np.zeros((0, len(grids)))
 
 
+def _product(a: np.ndarray, b: BivariatePoly) -> BivariatePoly:
+    """The polynomial of grid a times b, by the term-by-term product."""
+    return BivariatePoly(CHEB_U, chebu_mul_reference(a, b.coeffs))
+
+
+def _reference_low(spec, r, k) -> BivariatePoly:
+    """q_r(x, y) U_k(y), un-normalized: the low-band lex slot (r, k)."""
+    return _product(build_qk(spec, r).coeffs, u_xy(0, k))
+
+
 def _reference_terms(spec, r, k, m) -> list[BivariatePoly]:
     """The high-band candidate products, each by a general two-axis product."""
     steps = k - (m - spec.n_f)
-    terms = []
-    for j in range(steps):
-        uy = u_xy(0, k - j)
-        terms.append(mul(build_qk(spec, r + j), uy))
-    for j in range(steps):
-        ux = u_xy(r + k - m - 1 - j, 0)
-        terms.append(mul(BivariatePoly(CHEB_U, tilde_ql_grid(spec, m + 1 + j)), ux))
+    terms = [_product(build_qk(spec, r + j).coeffs, u_xy(0, k - j)) for j in range(steps)]
+    terms += [_product(tilde_ql_grid(spec, m + 1 + j), u_xy(r + k - m - 1 - j, 0)) for j in range(steps)]
     return terms
 
 
@@ -77,7 +80,7 @@ def _reference_slot(spec, r, k, m) -> BivariatePoly | None:
     """The closed-form lex slot (r, k), un-normalized, by general products
     and the looped high-band matrix; None where the oracle builds it."""
     if k <= m - spec.kappa and r >= norm_threshold(spec.n_h):
-        return mul(build_qk(spec, r), u_xy(0, k))
+        return _reference_low(spec, r, k)
     if not (spec.variant == PRODUCT_OMEGA and m - spec.n_f < k <= m and r >= 2 * spec.n_f and m >= 2 * spec.n_f):
         return None
     terms = _reference_terms(spec, r, k, m)
@@ -113,18 +116,30 @@ def _reference_system(spec, n, m, ordering):
 
 class TestBands:
     def test_band_geometry(self):
-        assert low_band_max_k(SPEC2, 5) == 3
-        assert list(high_band_range(SPEC2, 5)) == [4, 5]
+        # [0.5, -0.3] has kappa = N_f = 2: row 5 of a width-5 window is q_5 U_k for k <= 3,
+        # and the high band mixes in other terms at k = 4, 5
+        for k in range(6):
+            grid = BivariatePoly(CHEB_U, _closed_grid(SPEC2, 5, k, 5))
+            low = _reference_low(SPEC2, 5, k)
+            assert approx_eq(grid, low, 1e-13 * np.max(np.abs(low.coeffs))) == (k <= 3)
 
     def test_low_band_guards(self):
-        with pytest.raises(ValueError):
-            build_lex_low(SPEC2, 3, -1)
-        with pytest.raises(ValueError):
-            build_lex_low(SPEC2, 0, 0)  # r below even-N boundary r = N/2 - 1
+        # rows below the pi/2-norm threshold N_h / 2 = 2 have no closed form: the oracle builds them
+        assert [r for r in range(4) if _closed_grid(SPEC2, r, 0, 5) is None] == [0, 1]
+        assert _closed_grid(SPEC_CUBIC, 1, 0, 3) is not None  # a generic weight has the low band too
 
-    def test_even_boundary_accepted(self):
-        p = build_lex_low(SPEC2, 1, 0)  # one step below the pi/2-norm threshold
-        assert oracle_for(SPEC2).norm(p) == pytest.approx(1.0, abs=1e-8)
+    @pytest.mark.parametrize(
+        "spec, ks", [(SPEC2, range(5)), (product_spec([0.4, 0.3, -0.5, 0.2]), range(3))], ids=["n4", "n8"]
+    )
+    def test_even_boundary_row_matches_the_closed_form(self, spec, ks):
+        # for even N_h the row r = N_h / 2 - 1, one below the threshold, is still q_r U_k
+        orc = MomentOracle(spec)
+        r = spec.n_h // 2 - 1
+        assert r == norm_threshold(spec.n_h) - 1
+        system = orc.gram_schmidt(LEX, r, max(ks) + spec.kappa)
+        for k in ks:
+            want, _ = orc.normalized(_reference_low(spec, r, k), (r, k))
+            assert approx_eq(system.poly((r, k)), want, 1e-13)
 
 
 class TestLowBand:
@@ -132,35 +147,40 @@ class TestLowBand:
         orc = oracle_for(SPEC2)
         small = orc.gram_schmidt(LEX, 3, 3)
         wide = orc.gram_schmidt(LEX, 3, 5)
+        closed_small, closed_wide = lex_system(SPEC2, 3, 3), lex_system(SPEC2, 3, 5)
         for r in (2, 3):
             for k in (0, 1):
-                closed = build_lex_low(SPEC2, r, k)
+                closed, _ = orc.normalized(_reference_low(SPEC2, r, k), (r, k))
                 assert approx_eq(closed, small.poly((r, k)), 1e-7)
                 assert approx_eq(closed, wide.poly((r, k)), 1e-7)
+                assert approx_eq(closed_small.poly((r, k)), closed_wide.poly((r, k)), 1e-14)
 
     def test_one_factor_slot(self):
         orc = oracle_for(SPEC1)
         system = orc.gram_schmidt(LEX, 2, 2)
-        assert approx_eq(build_lex_low(SPEC1, 2, 0), system.poly((2, 0)), 1e-7)
+        closed, _ = orc.normalized(_reference_low(SPEC1, 2, 0), (2, 0))
+        assert approx_eq(closed, system.poly((2, 0)), 1e-7)
+        assert approx_eq(lex_system(SPEC1, 2, 2).poly((2, 0)), closed, 1e-13)
 
 
 class TestHighBand:
     def test_guards(self):
         with pytest.raises(ValueError):
-            high_band_coefficients(SPEC2, 5, 2, 5)  # k below the band
+            build_lex_high(SPEC2, 5, 2, 5)  # k below the band
         with pytest.raises(ValueError):
-            high_band_coefficients(SPEC2, 2, 5, 5)  # r < 2 N_f
+            build_lex_high(SPEC2, 2, 5, 5)  # r < 2 N_f
 
     def test_matches_oracle(self):
         orc = oracle_for(SPEC2)
         system = orc.gram_schmidt(LEX, 5, 5)
-        for k in high_band_range(SPEC2, 5):
+        for k in (4, 5):  # the high band m - N_f < k <= m
             p = build_lex_high(SPEC2, 5, k, 5)
             assert approx_eq(p, system.poly((5, k)), 1e-7)
 
     def test_leading_weight_present(self):
-        v, terms = high_band_coefficients(SPEC2, 5, 5, 5)
-        assert len(terms) == 2 * 2  # J = 2 a-terms plus J b-terms
+        grids = _high_band_grids(SPEC2, 5, 5, 5)
+        v = _null_vector(grids, 5, 5, 5)
+        assert len(grids) == 2 * 2  # J = 2 a-terms plus J b-terms
         assert abs(v[0]) > 1e-6 * np.max(np.abs(v))
 
     @pytest.mark.parametrize("spec, slots", [
@@ -180,7 +200,8 @@ class TestHighBand:
             assert np.max(np.abs(M - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_kills_forbidden_slots(self):
-        v, terms = high_band_coefficients(SPEC2, 4, 5, 5)
+        terms = _reference_terms(SPEC2, 4, 5, 5)
+        v = _null_vector(_high_band_grids(SPEC2, 4, 5, 5), 4, 5, 5)
         acc = np.zeros((max(t.coeffs.shape[0] for t in terms), max(t.coeffs.shape[1] for t in terms)))
         for c, t in zip(v, terms):
             si, sj = t.coeffs.shape
@@ -274,14 +295,6 @@ class TestSystems:
             assert oracle_calls["normalized"] == 0 and oracle_calls["gram_schmidt"] <= 1
             oracle_calls.clear()
 
-    def test_build_revlex_slots(self):
-        orc = oracle_for(SPEC2)
-        pure = orc.gram_schmidt(REVLEX, 4, 4)
-        for l, t, n in [(0, 2, 3), (1, 3, 3), (4, 4, 4)]:
-            assert approx_eq(build_revlex(SPEC2, l, t, n), pure.poly((l, t)), 1e-7)
-        with pytest.raises(ValueError):
-            build_revlex(SPEC2, 0, 0, 3)  # lex_system builds this slot by Gram-Schmidt
-
 
 class TestFallbackPrefix:
     """A Gram-Schmidt slot depends only on the slots before it, so lex_system
@@ -343,7 +356,7 @@ class TestRowGrids:
         monkeypatch.setattr(lex_order, "qk_grid", lambda spec, r: calls.append(r) or real(spec, r))
         lex_system(SPEC2, 8, 8, ordering, MomentOracle(SPEC2))
         n_f, m = SPEC2.n_f, 8
-        high = sum(k - (m - n_f) for r in range(2 * n_f, 9) for k in high_band_range(SPEC2, m))
+        high = sum(k - (m - n_f) for r in range(2 * n_f, 9) for k in range(m - n_f + 1, m + 1))
         assert high == 15 and len(calls) <= 9 + high
 
 
@@ -370,7 +383,7 @@ class TestSharedHighBand:
 
     def test_vector_that_leaves_a_forbidden_slot_is_not_reused(self):
         grids = _high_band_grids(SPEC2, 5, 5, 5)
-        v = high_band_coefficients(SPEC2, 5, 5, 5)[0]
+        v = _null_vector(grids, 5, 5, 5)
         assert lex_order._kills(v, grids, 5, 5, 5)
         assert not lex_order._kills(v[::-1], grids, 5, 5, 5)
 
@@ -379,10 +392,10 @@ class TestExplicitOracle:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda spec, orc: build_lex_low(spec, 3, 1, oracle=orc),
+            lambda spec, orc: lex_system(spec, 3, 3, LEX, orc).poly((3, 1)),
             lambda spec, orc: build_lex_high(spec, 5, 5, 5, oracle=orc),
             lambda spec, orc: build_lex_high_recursion(spec, 5, 5, 5, oracle=orc),
-            lambda spec, orc: build_revlex(spec, 4, 4, 4, oracle=orc),
+            lambda spec, orc: lex_system(spec, 4, 4, REVLEX, orc).poly((4, 4)),
         ],
         ids=["low", "high", "recursion", "revlex"],
     )

@@ -10,6 +10,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 import pytest
+from conftest import chebu_mul_reference, h_eval_reference
 
 from bsz2d import moment_oracle
 from bsz2d.moment_oracle import (
@@ -21,8 +22,22 @@ from bsz2d.moment_oracle import (
     oracle_for,
 )
 from bsz2d.ortho import LEX, REVLEX, TOTAL, index_sequence
-from bsz2d.poly_core import CHEB_U, MONOMIAL, BivariatePoly, mul
+from bsz2d.poly_core import CHEB_U, MONOMIAL, BivariatePoly
 from bsz2d.weights import PRODUCT_OMEGA, InvalidWeightError, chebyshev_spec, generic_spec, is_stable, product_spec
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0, -float("inf")])
+def test_tol_not_finite_and_positive_is_rejected(monkeypatch, tol):
+    # inf would accept the R = 256 table of [0.975], 3.3e-4 off; the others would climb to R = 16384
+    monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
+    spec = product_spec([0.975])
+    with pytest.raises(ValueError, match="finite and positive"):
+        MomentOracle(spec, tol=tol)
+    for _ in range(2):  # a NaN key never matches, so a kept oracle would be kept twice
+        with pytest.raises(ValueError, match="finite and positive"):
+            oracle_for(spec, tol)
+    assert not moment_oracle._ORACLES
+    assert MomentOracle(spec, tol=1e-3).tol == 1e-3
 
 
 class TestChebyshevBaseline:
@@ -331,18 +346,30 @@ class TestBlockCap:
         assert len(orc.gram_block(1)) == n + 3
 
 
-def test_inner_matrix_matches_pairwise_inner():
+def _stack(polys: list[BivariatePoly]) -> np.ndarray:
+    """The polynomials' Chebyshev-U grids, zero-padded into one (K, s, s) stack."""
+    grids = [p.to_basis(CHEB_U).coeffs for p in polys]
+    s = max(max(g.shape) for g in grids)
+    out = np.zeros((len(grids), s, s))
+    for k, g in enumerate(grids):
+        out[k, : g.shape[0], : g.shape[1]] = g
+    return out
+
+
+def test_coefficient_inner_matches_pairwise_inner():
+    # one contraction over the square the whole stack spans gives every pair's inner product
     orc = oracle_for(product_spec([0.5, -0.3]))
     polys = [p for _, p in orc.gram_schmidt(LEX, 3, 4).entries]
     polys += [BivariatePoly(MONOMIAL, [[0.5, 1.0], [0.0, -2.0]]), BivariatePoly.zero(CHEB_U)]
     want = np.array([[orc.inner(p, q) for q in polys] for p in polys])
-    assert np.max(np.abs(orc.inner_matrix(polys) - want)) < 1e-14
+    assert np.max(np.abs(orc.coefficient_inner(_stack(polys)) - want)) < 1e-14
+    assert orc.inner(polys[-1], polys[-1]) == 0.0
 
 
 def _mul_inner(orc: MomentOracle, f: BivariatePoly, g: BivariatePoly) -> float:
     """<f, g> by its definition: the Chebyshev-U coefficients of f g summed
     against the moment table."""
-    prod = mul(f.to_basis(CHEB_U), g.to_basis(CHEB_U))
+    prod = BivariatePoly(CHEB_U, chebu_mul_reference(f.to_basis(CHEB_U).coeffs, g.to_basis(CHEB_U).coeffs))
     if prod.is_zero:
         return 0.0
     c = prod.coeffs
@@ -366,8 +393,9 @@ class TestGramBlock:
         scale = np.maximum(np.outer(norms, norms), 1e-300)  # rel to |p| |q|: most pairs are orthogonal
         got = np.array([[orc.inner(p, q) for q in polys] for p in polys])
         assert np.max(np.abs(got - want) / scale) < 1e-13
-        assert np.max(np.abs(orc.inner_matrix(polys) - want) / scale) < 1e-13
-        assert np.max(np.abs(orc.inner_matrix(polys[:4], polys[4:]) - want[:4, 4:]) / scale[:4, 4:]) < 1e-13
+        assert np.max(np.abs(orc.coefficient_inner(_stack(polys)) - want) / scale) < 1e-13
+        C, D = _stack(polys[:4]), _stack(polys[4:])
+        assert np.max(np.abs(orc.coefficient_inner(C, D) - want[:4, 4:]) / scale[:4, 4:]) < 1e-13
         got_norms = np.array([orc.norm(p) for p in polys])
         assert np.max(np.abs(got_norms - norms) / np.maximum(norms, 1e-300)) < 1e-13
         assert orc.inner(polys[5], polys[0]) == 0.0
@@ -694,7 +722,7 @@ def _trapezoid_moments(spec, k: int) -> np.ndarray:
         A = _cos_matrix(k, th)
         AW = np.zeros((k + 1, res))
         for lo in range(0, res, 256):
-            W = 1.0 / np.abs(spec.h_eval(np.exp(1j * th[lo : lo + 256, None]), np.cos(th)[None, :])) ** 2
+            W = 1.0 / np.abs(h_eval_reference(spec, np.exp(1j * th[lo : lo + 256, None]), np.cos(th)[None, :])) ** 2
             AW += A[:, lo : lo + 256] @ W
         T = AW @ A.T
         return T / T[0, 0]
@@ -708,7 +736,7 @@ def _trapezoid_slice_moments(spec, k: int, y: float) -> np.ndarray:
 
     def at(res):
         th = 2.0 * np.pi * np.arange(res) / res
-        return (np.pi / res) * (_cos_matrix(k, th) @ (1.0 / np.abs(spec.h_eval(np.exp(1j * th), y)) ** 2))
+        return (np.pi / res) * (_cos_matrix(k, th) @ (1.0 / np.abs(h_eval_reference(spec, np.exp(1j * th), y)) ** 2))
 
     return _ladder(at)
 
@@ -836,10 +864,11 @@ class TestKernel:
 
     @pytest.mark.parametrize("spec", SPECS, ids=IDS)
     def test_h_abs2_matches_h_eval(self, spec):
+        # against h(z, y) summed in complex arithmetic
         rng = np.random.default_rng(1)
         th = rng.uniform(0.0, 2.0 * np.pi, 7)
         y = np.concatenate([[-1.0, 1.0], rng.uniform(-1.0, 1.0, 5)])
-        ref = lambda t, v: np.abs(spec.h_eval(np.exp(1j * t), v)) ** 2
+        ref = lambda t, v: np.abs(h_eval_reference(spec, np.exp(1j * t), v)) ** 2
         cases = [(th[:, None], y[None, :]), (th, 0.3), (th, 1.0), (th, -1.0), (th, np.cos(th)), (th[:7], y), (0.4, -0.2)]
         for t, v in cases:
             got, want = spec.h_abs2(t, v), ref(t, v)
@@ -850,7 +879,7 @@ class TestKernel:
     def test_table_matches_full_grid(self, spec):
         res, size = 256, 9
         th = 2.0 * np.pi * np.arange(res) / res
-        W = 1.0 / np.abs(spec.h_eval(np.exp(1j * th)[:, None], np.cos(th)[None, :])) ** 2
+        W = 1.0 / np.abs(h_eval_reference(spec, np.exp(1j * th)[:, None], np.cos(th)[None, :])) ** 2
         A = np.sin(np.arange(1, size + 2)[:, None] * th) * np.sin(th)  # U_s(cos th) sin^2 th
         want = (2.0 * np.pi / res) ** 2 / np.pi**2 * (A @ W @ A.T)
         got = MomentOracle(spec)._table_at(size, res)

@@ -4,13 +4,14 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import chebu_mul_reference
 
 from bsz2d import cli, examples_suite, moment_oracle, recurrence
 from bsz2d.examples_suite import run_regression
 from bsz2d.lex_order import lex_system
 from bsz2d.moment_oracle import oracle_for
 from bsz2d.ortho import LEX, REVLEX, TOTAL
-from bsz2d.poly_core import CHEB_U, BivariatePoly, mul
+from bsz2d.poly_core import CHEB_U, BivariatePoly
 from bsz2d.recurrence import (
     lex_blocks,
     mixed_action_deviation,
@@ -100,9 +101,9 @@ def _pairwise(spec, t, rows, cols) -> np.ndarray:
     m1 = oracle_for(spec).chebu_table(40)
     out = np.zeros((len(rows.entries), len(cols.entries)))
     for i, (_, p) in enumerate(rows.entries):
-        tp = mul(p, t)
+        tp = chebu_mul_reference(p.coeffs, t.coeffs)
         for j, (_, q) in enumerate(cols.entries):
-            c = mul(tp, q).coeffs
+            c = BivariatePoly(CHEB_U, chebu_mul_reference(tp, q.coeffs)).coeffs
             out[i, j] = np.sum(c * m1[: c.shape[0], : c.shape[1]])
     return out
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import h_eval_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsz2d import moment_oracle, weights
 from bsz2d.examples_suite import ex2, remark_n4
 from bsz2d.poly_core import CHEB_U, MONOMIAL, UnivariatePoly
 from bsz2d.weights import (
@@ -43,7 +45,7 @@ class TestProductExpansion:
         spec = product_spec(factors)
         for z, y in [(0.3 + 0.4j, 0.2), (-0.8j, -0.7), (1.0, 0.5)]:
             want = np.prod([1 + 2 * a * y * z + a * a * z * z for a in factors])
-            assert spec.h_eval(z, y) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert h_eval_reference(spec, z, y) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     @given(factors_st)
     @settings(max_examples=40, deadline=None)
@@ -204,6 +206,16 @@ def test_stability_is_computed_once_per_spec():
     assert is_stable(spec, y_samples=33) is not rep  # other arguments still compute
 
 
+def test_stability_certificate_checks_its_budget(monkeypatch):
+    # h = 1 + 0.5 z^20 at 131 y values: 131 companion matrices of 20^2 doubles, 409 KiB
+    spec = generic_spec([[1.0]] + [[0.0]] * 19 + [[0.5]])
+    assert is_stable(spec).stable  # roots of modulus 2^(1/20)
+    monkeypatch.setattr(weights, "MAX_BLOCK_BYTES", 2**18)
+    with pytest.raises(moment_oracle.ResourceLimitError, match="a stack of 131 companion matrices of degree 20"):
+        is_stable(spec)
+    assert is_stable(spec, y_samples=2).stable  # 4 matrices fit
+
+
 class TestConfig:
     def test_round_trip_product(self):
         spec = product_spec([-0.5, 0.3])
@@ -228,7 +240,7 @@ def test_chebyshev_degenerate_spec():
     ch = chebyshev_spec()
     assert ch.variant == PRODUCT_OMEGA
     assert ch.n_h == 0 and ch.n_f == 0 and ch.kappa == 0
-    assert float(np.real(ch.h_eval(0.5 + 0.1j, 0.3))) == pytest.approx(1.0)
+    assert ch.h_abs2(0.5, 0.3) == pytest.approx(1.0)
 
 
 def test_fingerprint_is_order_insensitive_for_products():
