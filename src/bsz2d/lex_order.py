@@ -280,12 +280,12 @@ def lex_system(
         raise ValueError("ordering must be lex or revlex")
     if n < 0 or m < 0:
         raise ValueError("window bounds n and m must be nonnegative")
+    cap_system(1 + max(n, m))  # before the slots are listed
     orc = oracle_for(spec) if oracle is None else oracle
     swap = ordering == REVLEX
     major, minor = (n, m) if not swap else (m, n)
     base = tilde_expandable(spec) if swap else spec
     slots = [(r, k) if not swap else (k, r) for r in range(major + 1) for k in range(minor + 1)]
-    cap_system(slots)  # before any closed-form grid is built
     closed = {}
     solved: dict[int, np.ndarray] = {}  # one high-band combination per step count J
     if base is not None:

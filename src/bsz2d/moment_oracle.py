@@ -105,22 +105,9 @@ those rows (revlex: columns), and the condition gate sees only them.
 A table or slice degree above MAX_DEGREE, and a Gram block (s^4 doubles)
 or a stack of K coefficient grids (K s^2 doubles) above MAX_BLOCK_BYTES
 (the budget ``weights`` defines), raise ResourceLimitError before anything
-is allocated.  An oracle's tol must be finite and positive.
-
-With BSZ2D_CACHE_DIR set, a Chebyshev-U table whose ladder stopped above
-2 _START_RESOLUTION (R >= 512) is spilled to one file per spec,
-``<fingerprint>.f64``: one flat little-endian float64 record of a magic
-value, the rows, the mass, the error estimate and the resolution, then the
-rows x rows table.  A table accepted at R = 256 (at most 64 rows) is not
-written: it recomputes, to the same bits, in 0.1 to 0.2 ms, while a write
-costs 0.15 ms into a warm directory and a 0.54 ms median under the
-``cold_quadrature`` benchmark, mostly creating the temporary file; a read
-costs 0.05 ms (one core of an x86-64 Xeon VM).  A spill is written to a
-temporary file and renamed into place.  Any valid spill is adopted,
-whatever its resolution.  A record that is cut short, has another magic
-value, a rows field that does not match its length, a value that is not
-finite, or an error estimate above the oracle's tol is not adopted: the
-table is recomputed.  The ``.npz`` spills of older versions are never read.
+is allocated; a window's Gram block is capped from its bounds, before its
+slots are listed.  An oracle's tol, and a per-call one, must be finite and
+positive.
 
 Inner products under the full measure are c_f^T G c_g: c holds a
 polynomial's tensor Chebyshev-U coefficients, zero-padded to an s x s
@@ -151,15 +138,13 @@ cached rows, or another tol, runs a new ladder.
 
 from __future__ import annotations
 
-import os
-import tempfile
 import threading
 from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
 
-from .ortho import LEX, REVLEX, OrthoSystem, index_sequence
+from .ortho import LEX, REVLEX, TOTAL, OrthoSystem, index_sequence
 from .poly_core import CHEB_U, BivariatePoly, _extents, _lin, _mono_to_chebu, _padded, _square
 from .weights import MAX_BLOCK_BYTES, PRODUCT_OMEGA, InvalidWeightError, ResourceLimitError, WeightSpec, _cap_bytes
 
@@ -183,11 +168,6 @@ _CHUNK_BYTES = 2**18
 # 16-row ones of R = 128 .. 4096 take 0.5 MiB
 _SINE_ROWS_BYTES = 2**22
 MAX_SLICES = 64  # slice moment vectors kept per oracle
-# a table spill is one flat little-endian float64 record: _SPILL_MAGIC, rows,
-# mass, err and resolution, then the rows x rows table
-_SPILL_MAGIC = float(np.frombuffer(b"bsz2d.t1", "<f8")[0])
-_SPILL_HEAD = 5
-_SPILL_SUFFIX = ".f64"
 
 
 class AccuracyError(RuntimeError):
@@ -198,18 +178,24 @@ class OracleUnreliableError(RuntimeError):
     """The Gram matrix is too ill conditioned to trust the oracle."""
 
 
+def _check_tol(tol: float) -> float:
+    """``tol``, if it is finite and positive (a NaN is not)."""
+    if not 0.0 < tol < float("inf"):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    return tol
+
+
 def _cap_degree(smax: int):
     if smax > MAX_DEGREE:
         raise ResourceLimitError(f"degree {smax} exceeds the cap MAX_DEGREE = {MAX_DEGREE}")
 
 
-def cap_system(slots: list[tuple[int, int]]):
-    """Raise ResourceLimitError, before anything is allocated, when a system over
-    ``slots`` needs a Gram block or coefficient stack above MAX_BLOCK_BYTES: its
-    polynomials fill at least the s x s square, s = 1 + the largest slot index."""
-    s = 1 + max((max(idx) for idx in slots), default=0)
+def cap_system(s: int):
+    """Raise ResourceLimitError, before anything is allocated, when a system
+    whose slots fill the s x s square (s = 1 + the largest slot index) needs a
+    Gram block above MAX_BLOCK_BYTES.  Its polynomials fill at least that
+    square, and their stack of K <= s^2 grids is no larger than the block."""
     _cap_bytes(s**4, f"a Gram block of s = {s}")
-    _cap_bytes(len(slots) * s * s, f"a stack of {len(slots)} {s} x {s} coefficient grids")
 
 
 def _indices(start: int, step: int, count: int) -> np.ndarray:
@@ -346,9 +332,8 @@ class MomentOracle:
     read-only one a caller may still hold.
     """
 
-    def __init__(self, spec: WeightSpec, tol: float = DEFAULT_TOL, max_resolution: int = MAX_RESOLUTION):
-        if not 0.0 < tol < float("inf"):  # a NaN tol fails here too
-            raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    def __init__(self, spec: WeightSpec, tol: float = DEFAULT_TOL):
+        _check_tol(tol)
         report = spec.stability
         if not report.stable:
             raise InvalidWeightError(
@@ -356,7 +341,6 @@ class MomentOracle:
             )
         self.spec = spec
         self.tol = tol
-        self.max_resolution = max_resolution
         self._lock = threading.RLock()
         self._chebu_table: np.ndarray | None = None
         self._mass = 1.0
@@ -365,7 +349,6 @@ class MomentOracle:
         self._gram: np.ndarray | None = None
         self._slices: OrderedDict[tuple[float, float], np.ndarray] = OrderedDict()
         self._systems: dict[tuple, OrthoSystem] = {}
-        self._load_spill()
 
     # -- quadrature cores -------------------------------------------------
     def _weighted_sum(self, Sa: np.ndarray, a: tuple, Sb: np.ndarray, b: tuple, resolution: int) -> np.ndarray:
@@ -435,12 +418,12 @@ class MomentOracle:
         least rho^{R/4} for a product weight, and a rung is accepted when
         r < 1/4 and _SAFETY max(d_R r^2, floor) < tol, where floor = _ROUNDING
         max |values / mass| is their float64 rounding.  Nothing is computed
-        when the first refinement would pass max_resolution."""
+        when the first refinement would pass MAX_RESOLUTION."""
         rho = max(map(abs, self.spec.factors), default=0.0) if self.spec.variant == PRODUCT_OMEGA else None
         resolution = _start_resolution(rows, rho, tol)
         prev = prev_unit = None
         prev_step = err = np.inf
-        while 2 * resolution <= self.max_resolution:
+        while 2 * resolution <= MAX_RESOLUTION:
             if prev is None:
                 prev = first(resolution)
                 prev_unit = prev / prev.flat[0]
@@ -463,7 +446,7 @@ class MomentOracle:
                 return cur, err, resolution
             prev, prev_unit, prev_step = cur, unit, step
         raise AccuracyError(
-            f"no convergence below resolution {self.max_resolution} (last error estimate {err:.3e}, tol {tol:.3e})"
+            f"no convergence below resolution {MAX_RESOLUTION} (last error estimate {err:.3e}, tol {tol:.3e})"
         )
 
     # -- Chebyshev-U moments ---------------------------------------------
@@ -485,8 +468,6 @@ class MomentOracle:
                 self._mass = float(table[0, 0])
                 self._chebu_table = table / self._mass
                 self._chebu_err, self._chebu_resolution = err, res
-                if res > 2 * _START_RESOLUTION:  # a table accepted at 256 recomputes faster than it spills
-                    self._save_spill()
             return self._chebu_table[: smax + 1, : smax + 1]
 
     @property
@@ -507,7 +488,7 @@ class MomentOracle:
         error is no larger than the table's."""
         if i < 0 or j < 0:
             raise ValueError("moment exponents must be nonnegative")
-        if tol is not None and tol < self.tol:
+        if tol is not None and _check_tol(tol) < self.tol:
             raise ValueError(f"tol {tol:.3e} is tighter than this oracle's {self.tol:.3e}; use oracle_for(spec, tol)")
         return float(self.moment_table(max(i, j))[i, j]), self._chebu_err
 
@@ -524,7 +505,7 @@ class MomentOracle:
         if smax < 0 or not abs(y) <= 1.0:  # a NaN y fails here too
             raise ValueError("need a nonnegative degree and |y| <= 1")
         _cap_degree(smax)
-        tol = float(self.tol if tol is None else tol)
+        tol = float(self.tol if tol is None else _check_tol(tol))
         key = (float(y), tol)
         with self._lock:
             u = self._slices.get(key)
@@ -662,7 +643,7 @@ class MomentOracle:
         system, asked for at most once: ``gram_schmidt(ordering, n, m)``,
         except that a lex window ends at the row of the last such slot and
         a revlex window at its column, a leading block of the (n, m) one."""
-        cap_system(slots)
+        cap_system(1 + max((max(idx) for idx in slots), default=0))
         pos = {idx: k for k, idx in enumerate(slots)}
         parts = []
         if closed:
@@ -696,6 +677,7 @@ class MomentOracle:
             return self._systems.setdefault(key, system)
 
     def _orthonormalize(self, ordering: str, n: int, m: int | None) -> OrthoSystem:
+        cap_system(1 + max(n, 0 if ordering == TOTAL or m is None else m))  # before the slots are listed
         idx = index_sequence(ordering, n, m)
         G = self.gram(idx)
         # G is symmetric, so its singular values are the moduli of its eigenvalues
@@ -714,52 +696,6 @@ class MomentOracle:
         T = np.zeros((len(idx), s, s))
         T[:, ii, jj] = C
         return OrthoSystem(ordering, idx, T, np.diag(L))
-
-    # -- disk spill --------------------------------------------------------
-    def _spill_path(self) -> str | None:
-        root = os.environ.get("BSZ2D_CACHE_DIR")
-        return os.path.join(root, f"{self.spec.fingerprint}{_SPILL_SUFFIX}") if root else None
-
-    def _save_spill(self):
-        path = self._spill_path()
-        if path is None or self._chebu_table is None:
-            return
-        head = [_SPILL_MAGIC, len(self._chebu_table), self._mass, self._chebu_err, self._chebu_resolution]
-        record = np.concatenate([head, self._chebu_table.ravel()]).astype("<f8").tobytes()
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        # write beside the target, then rename over it: a reader never sees half a file
-        fd, tmp = tempfile.mkstemp(suffix=_SPILL_SUFFIX + ".tmp", dir=os.path.dirname(path))
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(record)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-
-    def _load_spill(self):
-        """Adopt the spill if it is whole, well formed and at least as tight
-        as the oracle's tol; otherwise leave the oracle empty to recompute."""
-        path = self._spill_path()
-        if path is None:
-            return
-        try:
-            with open(path, "rb") as f:
-                raw = f.read()
-            record = np.frombuffer(raw, "<f8").astype(float)
-        except (OSError, ValueError):  # missing, or not a whole number of float64s
-            return
-        if len(record) < _SPILL_HEAD or record[0] != _SPILL_MAGIC:
-            return
-        _, rows, mass, err, resolution = record[:_SPILL_HEAD]
-        if rows < 1 or rows * rows != len(record) - _SPILL_HEAD or not np.all(np.isfinite(record)):
-            return
-        if not err <= self.tol:
-            return  # written at a looser tolerance: recompute
-        self._chebu_table = record[_SPILL_HEAD:].reshape(int(rows), int(rows))
-        self._mass = float(mass)
-        self._chebu_err = float(err)
-        self._chebu_resolution = int(resolution)
 
 
 _ORACLES: OrderedDict[tuple[str, float], MomentOracle] = OrderedDict()

@@ -36,8 +36,8 @@ def build_total_vector(spec: WeightSpec, n: int, oracle: MomentOracle | None = N
 
 
 def _total_vector(spec: WeightSpec, n: int, orc: MomentOracle) -> OrthoSystem:
+    cap_system(n + 1)  # before any closed-form grid is built
     slots = [(k, n - k) for k in range(n + 1)]
-    cap_system(slots)  # before any closed-form grid is built
     # q_k(x, y) U_{n-k}(y) from the threshold on; the oracle builds the rest
     closed = {(k, n - k): u_band(qk_grid(spec, k), n - k, 1) for k in range(total_threshold(spec), n + 1)}
     return orc.assemble(TOTAL, slots, closed, n)

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -112,11 +113,12 @@ class TestGeneralOracle:
         ],
         ids=["table", "moment-table", "slice-chebu", "slice-moment", "slice-chebu-nan-y", "slice-moment-nan-y"],
     )
-    def test_negative_degree_or_nan_y_raises_value_error(self, call):
+    def test_negative_degree_or_nan_y_raises_value_error(self, call, monkeypatch):
         # the cap keeps a NaN y from climbing a long ladder if it slipped past the guard;
         # the match rules out numpy's own ValueError for an empty reduction
+        monkeypatch.setattr(moment_oracle, "MAX_RESOLUTION", 256)
         with pytest.raises(ValueError, match="nonnegative"):
-            call(MomentOracle(product_spec([0.3]), max_resolution=256))
+            call(MomentOracle(product_spec([0.3])))
 
     def test_normalized_zero_polynomial_raises(self):
         # a fresh oracle has no Gram block yet; the zero grid still needs a 1 x 1 one
@@ -336,6 +338,38 @@ class TestBlockCap:
             with pytest.raises(ResourceLimitError, match="MAX_BLOCK_BYTES"):
                 lex_order.lex_system(self.SPEC, 150, 150, ordering, MomentOracle(self.SPEC))
 
+    def test_huge_windows_are_capped_before_their_slots_are_listed(self):
+        # 20001^2 slots take tens of GB as a list: under a 1 GiB address space, listing
+        # them before the cap ran out of memory after seconds
+        script = """
+import resource
+from bsz2d.lex_order import lex_system
+from bsz2d.moment_oracle import MomentOracle, ResourceLimitError
+from bsz2d.ortho import LEX, REVLEX, TOTAL
+from bsz2d.recurrence import lex_blocks
+from bsz2d.weights import product_spec
+
+spec = product_spec([0.5, -0.3])
+orc = MomentOracle(spec)
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+for call in [
+    lambda: lex_system(spec, 20000, 20000, LEX, orc),
+    lambda: lex_system(spec, 20000, 20000, REVLEX, orc),
+    lambda: lex_blocks(spec, 20000, 20000, oracle=orc),
+    lambda: orc.gram_schmidt(LEX, 20000, 20000),
+    lambda: orc.gram_schmidt(TOTAL, 20000),
+]:
+    try:
+        call()
+    except Exception as exc:
+        print(type(exc).__name__)
+"""
+        src = os.path.dirname(os.path.dirname(moment_oracle.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["ResourceLimitError"] * 5
+
     @pytest.mark.parametrize("n", [28, 40])
     def test_large_windows_still_run(self, n):
         from bsz2d.lex_order import lex_system
@@ -465,193 +499,10 @@ def test_doubly_hankel_structure():
     assert M[2, 3] == pytest.approx(M[3, 2])  # both are moment(1, 2)
 
 
-def _record(path) -> np.ndarray:
-    """A table spill as its flat float64 record: magic, rows, mass, err and
-    resolution, then the table."""
-    return np.fromfile(path, "<f8")
-
-
-def _spilled_table(path) -> np.ndarray:
-    rec = _record(path)
-    rows = int(rec[1])
-    return rec[5:].reshape(rows, rows)
-
-
-class TestSpill:
-    def test_round_trip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
-        spec = product_spec([0.93])  # stops at R = 512
-        first = MomentOracle(spec)
-        table = first.chebu_table(6).copy()
-        assert first._chebu_resolution == 512
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1 and files[0].suffix == ".f64"
-        assert files[0].stat().st_size == 8 * (5 + 16 * 16)
-        # a reloading oracle capped below the converged resolution can only
-        # succeed by reading the spill
-        second = MomentOracle(spec, max_resolution=first._chebu_resolution // 2)
-        assert np.array_equal(second.chebu_table(6), table)
-        assert second.mass == first.mass
-        assert (second._chebu_err, second._chebu_resolution) == (first._chebu_err, first._chebu_resolution)
-
-    def test_table_accepted_at_256_is_not_spilled(self, tmp_path, monkeypatch):
-        # recomputing such a table costs less than writing its file
-        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
-        spec = product_spec([0.55])
-        first = MomentOracle(spec)
-        table = first.chebu_table(6).copy()
-        assert first._chebu_resolution == 256
-        assert list(tmp_path.iterdir()) == []
-        second = MomentOracle(spec)
-        assert second._chebu_table is None
-        assert np.array_equal(second.chebu_table(6), table)
-        assert (second.mass, second._chebu_err, second._chebu_resolution) == (
-            first.mass,
-            first._chebu_err,
-            first._chebu_resolution,
-        )
-
-    def test_table_accepted_at_1024_is_spilled_and_adopted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
-        MomentOracle(product_spec([0.55])).chebu_table(6)  # stops at R = 256: no file
-        spec = product_spec([0.96])
-        first = MomentOracle(spec)
-        table = first.chebu_table(6).copy()
-        assert first._chebu_resolution == 1024
-        (path,) = tmp_path.iterdir()
-        assert path.name == f"{spec.fingerprint}.f64"
-        reopened = MomentOracle(spec)
-        monkeypatch.setattr(reopened, "_ladder", None)  # any new quadrature would fail
-        assert np.array_equal(reopened.chebu_table(6), table)
-        assert (reopened.mass, reopened._chebu_err, reopened._chebu_resolution) == (
-            first.mass,
-            first._chebu_err,
-            first._chebu_resolution,
-        )
-
-    def test_looser_spill_is_recomputed(self, tmp_path, monkeypatch):
-        spec = product_spec([0.975])
-        monkeypatch.delenv("BSZ2D_CACHE_DIR", raising=False)
-        fresh = MomentOracle(spec)
-        want = fresh.chebu_table(4).copy()
-        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
-        MomentOracle(spec, tol=1e-3).chebu_table(4)
-        (path,) = tmp_path.iterdir()
-        assert _record(path)[3] > 1e-11  # the spilled error estimate is looser than the reopening tol
-        reopened = MomentOracle(spec, tol=1e-11)
-        assert reopened._chebu_table is None  # the spill was not adopted
-        assert np.array_equal(reopened.chebu_table(4), want)  # what a fresh oracle computes
-        assert (reopened._chebu_err, reopened._chebu_resolution) == (fresh._chebu_err, fresh._chebu_resolution)
-
-    def test_spill_with_an_increment_estimate_is_adopted(self, tmp_path, monkeypatch):
-        # earlier versions wrote the same record, with the last doubling increment as the
-        # error estimate, from a ladder that stopped later: [0.975] at R = 4096
-        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
-        spec = product_spec([0.975])
-        raw = MomentOracle(spec)._table_at(15, 4096)
-        table = raw / raw[0, 0]
-        head = [moment_oracle._SPILL_MAGIC, 16, raw[0, 0], 5.811690917270181e-16, 4096]
-        np.concatenate([head, table.ravel()]).astype("<f8").tofile(tmp_path / f"{spec.fingerprint}.f64")
-        reopened = MomentOracle(spec)
-        monkeypatch.setattr(reopened, "_table_at", None)  # any new quadrature would fail
-        assert np.array_equal(reopened.chebu_table(12), table[:13, :13])
-        assert (reopened.mass, reopened._chebu_err, reopened._chebu_resolution) == (raw[0, 0], 5.811690917270181e-16, 4096)
-
-    def test_no_spill_without_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("BSZ2D_CACHE_DIR", raising=False)
-        MomentOracle(product_spec([0.15])).chebu_table(2)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_only_a_write_creates_the_directory(self, tmp_path, monkeypatch):
-        root = tmp_path / "cache"
-        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(root))
-        orc = MomentOracle(product_spec([0.93]))  # looks for a spill
-        assert not root.exists()
-        orc.chebu_table(2)
-        assert [p.suffix for p in root.iterdir()] == [".f64"]
-
-    def _spill(self, tmp_path, monkeypatch, spec):
-        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
-        MomentOracle(spec).moment(1, 1)  # fills and spills the chebU table
-        (path,) = tmp_path.iterdir()
-        return path, _record(path)
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda r: r[:4],  # the header ends before err
-            lambda r: np.concatenate([r[:1], [1.0], r[2:]]),  # rows 1 against a 16 x 16 body
-            lambda r: r[: -int(r[1])],  # one row of the square short
-            lambda r: np.concatenate([r[:1], [15.5], r[2:]]),
-            lambda r: np.concatenate([r[:1], [0.0], r[2:5]]),
-            lambda r: np.concatenate([[1.0], r[1:]]),
-            lambda r: np.where(np.arange(len(r)) == 5 + 17 * 3, np.nan, r),
-            lambda r: np.where(np.arange(len(r)) == 2, np.inf, r),
-        ],
-        ids=["no-err", "chebu-1d", "chebu-not-square", "rows-fraction", "rows-zero", "magic", "chebu-nan", "mass-inf"],
-    )
-    def test_malformed_spill_is_recomputed(self, tmp_path, monkeypatch, corrupt):
-        spec = product_spec([0.93])
-        path, rec = self._spill(tmp_path, monkeypatch, spec)
-        want = _spilled_table(path)[:5, :5].copy()
-        corrupt(rec).astype("<f8").tofile(path)
-        reopened = MomentOracle(spec)
-        assert reopened._chebu_table is None  # the spill was not adopted
-        assert np.max(np.abs(reopened.chebu_table(4) - want)) < 1e-14
-
-    def test_old_npz_spill_is_ignored(self, tmp_path, monkeypatch):
-        # the .npz format of older versions is never read: its table is recomputed and spilled anew
-        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
-        spec = product_spec([0.93])
-        old = tmp_path / f"{spec.fingerprint}.npz"
-        np.savez(old, chebu=np.eye(16), mass=1.0, chebu_err=0.0, chebu_resolution=256)
-        reopened = MomentOracle(spec)
-        assert reopened._chebu_table is None
-        want = MomentOracle(spec, tol=reopened.tol).chebu_table(4).copy()
-        assert np.array_equal(reopened.chebu_table(4), want)
-        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".f64", ".npz"]
-
-    def test_truncated_spill_is_recomputed(self, tmp_path, monkeypatch):
-        spec = product_spec([0.93])
-        path, _ = self._spill(tmp_path, monkeypatch, spec)
-        whole = path.read_bytes()
-        for keep in (100, 8 * 40, 0):  # inside a float, on a float boundary, empty
-            path.write_bytes(whole[:keep])
-            assert MomentOracle(spec)._chebu_table is None
-
-    def test_failed_write_keeps_the_old_spill(self, tmp_path, monkeypatch):
-        spec = product_spec([0.93])
-        path, rec = self._spill(tmp_path, monkeypatch, spec)
-        real = os.fdopen
-
-        class Partial:
-            """A file that takes 100 bytes of a write and then fails."""
-
-            def __init__(self, fd, mode):
-                self.f = real(fd, mode)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.f.close()
-
-            def write(self, data):
-                self.f.write(data[:100])
-                raise OSError("disk full")
-
-        monkeypatch.setattr(os, "fdopen", Partial)
-        with pytest.raises(OSError, match="disk full"):
-            MomentOracle(spec).chebu_table(70)  # beyond the spilled 16-row table: computes and saves
-        assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
-        assert np.array_equal(_record(path), rec)
-
-
 class TestTableSize:
-    SPEC = product_spec([0.93])  # stops at R = 512 for 16 to 64 rows: every table is spilled
+    SPEC = product_spec([0.93])  # stops at R = 512 for 16 to 64 rows
 
-    def test_rows_grow_to_the_next_power_of_two(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
+    def test_rows_grow_to_the_next_power_of_two(self):
         orc = MomentOracle(self.SPEC)
         prev = None
         for smax, rows in [(12, 16), (16, 32), (63, 64)]:
@@ -660,17 +511,7 @@ class TestTableSize:
             assert table.shape == (rows, rows)
             if prev is not None:  # the regrown table extends the previous one
                 assert np.max(np.abs(table[: len(prev), : len(prev)] - prev)) < orc.tol
-            (path,) = tmp_path.iterdir()
-            assert np.array_equal(_spilled_table(path), table)  # every growth rewrites the spill
             prev = table.copy()
-
-    def test_reopened_oracle_serves_the_16_row_spill(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path))
-        want = MomentOracle(self.SPEC).chebu_table(12).copy()
-        reopened = MomentOracle(self.SPEC)
-        assert reopened._chebu_table.shape == (16, 16)
-        monkeypatch.setattr(reopened, "_table_at", None)  # any new quadrature would fail
-        assert np.array_equal(reopened.chebu_table(12), want)
 
 
 class TestTolContract:
@@ -690,6 +531,23 @@ class TestTolContract:
         monkeypatch.setattr(orc, "_table_at", None)  # any new quadrature would fail
         assert orc.moment_with_error(2, 2, tol=1e-3) == want
         assert orc.moment(3, 1, tol=1e-6) == orc.moment_table(3)[3, 1]
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_per_call_tol_not_finite_and_positive_is_rejected(self, monkeypatch, tol):
+        # the checks the constructor makes: at tol inf a slice of [0.975] was 9.0e-2 off and
+        # cached under (y, inf), at NaN, 0 or -1 it climbed to AccuracyError, and a moment took NaN
+        orc = MomentOracle(product_spec([0.975]))
+        monkeypatch.setattr(orc, "_ladder", _fail)  # nothing may be computed
+        calls = [
+            lambda: orc.univariate_chebu_moments(8, 0.3, tol),
+            lambda: orc.univariate_moment(2, 0.3, tol),
+            lambda: orc.moment(1, 1, tol=tol),
+            lambda: orc.moment_with_error(1, 1, tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite and positive"):
+                call()
+        assert not orc._slices
 
     def test_nearby_tol_gets_its_own_oracle(self, monkeypatch):
         # both tols print as 1.000e-11; each request gets an oracle at its own exact tol
@@ -1058,8 +916,9 @@ class TestNestedLadder:
                 _assert_exact(orc, table, tuple(a))
 
     @pytest.mark.parametrize("cap", [128, 512])
-    def test_both_ladders_stop_at_the_cap(self, cap):
-        orc = MomentOracle(product_spec([0.96]), max_resolution=cap)
+    def test_both_ladders_stop_at_the_cap(self, cap, monkeypatch):
+        monkeypatch.setattr(moment_oracle, "MAX_RESOLUTION", cap)
+        orc = MomentOracle(product_spec([0.96]))
         with pytest.raises(AccuracyError, match=f"no convergence below resolution {cap}"):
             orc.chebu_table(4)
         with pytest.raises(AccuracyError, match=f"no convergence below resolution {cap}"):
@@ -1130,9 +989,10 @@ class TestStopRule:
             table = finer
         assert (orc._chebu_resolution, resolution) == resolutions
 
-    def test_tol_below_rounding_never_converges(self):
+    def test_tol_below_rounding_never_converges(self, monkeypatch):
         # a product ladder's first ratio rho^64 is 5e-20 here, but no estimate falls below the rounding floor
-        orc = MomentOracle(product_spec([0.5, -0.3]), tol=1e-20, max_resolution=1024)
+        monkeypatch.setattr(moment_oracle, "MAX_RESOLUTION", 1024)
+        orc = MomentOracle(product_spec([0.5, -0.3]), tol=1e-20)
         with pytest.raises(AccuracyError, match="no convergence below resolution 1024"):
             orc.chebu_table(4)
 
@@ -1242,9 +1102,11 @@ class TestStartRung:
         assert np.max(np.abs(u - gen.univariate_chebu_moments(255, 0.3))) <= 1e-14
 
     def test_max_resolution_below_the_start_computes_nothing(self, monkeypatch):
+        # degree 200 takes 256 rows, whose ladder starts at 2 x 256 = 512, above the cap
         monkeypatch.setattr(MomentOracle, "_table_at", _fail)
+        monkeypatch.setattr(moment_oracle, "MAX_RESOLUTION", 256)
         with pytest.raises(AccuracyError, match="no convergence below resolution 256"):
-            MomentOracle(product_spec([0.96]), max_resolution=256).chebu_table(12)
+            MomentOracle(product_spec([0.96])).chebu_table(200)
 
 
 class TestSineRows:
@@ -1338,13 +1200,15 @@ class TestSliceCache:
         assert sum(points) > 0
 
 
-def test_accuracy_error_on_tiny_cap():
-    orc = MomentOracle(product_spec([0.9]), max_resolution=128)
+def test_accuracy_error_on_tiny_cap(monkeypatch):
+    monkeypatch.setattr(moment_oracle, "MAX_RESOLUTION", 128)
+    orc = MomentOracle(product_spec([0.9]))
     with pytest.raises(AccuracyError):
         orc.chebu_table(4)
 
 
-def test_slice_accuracy_error_on_tiny_cap():
-    orc = MomentOracle(product_spec([0.9]), max_resolution=128)
+def test_slice_accuracy_error_on_tiny_cap(monkeypatch):
+    monkeypatch.setattr(moment_oracle, "MAX_RESOLUTION", 128)
+    orc = MomentOracle(product_spec([0.9]))
     with pytest.raises(AccuracyError, match="no convergence below resolution 128"):
         orc.univariate_chebu_moments(4, 0.3)
