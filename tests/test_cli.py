@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import OrderedDict
 
 import numpy as np
@@ -253,6 +256,54 @@ def test_size_cap_is_a_usage_error(runner, product_weight, monkeypatch, args):
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)  # a usage message, not a traceback
     assert "MAX_BLOCK_BYTES" in res.output
+
+
+def _console(args: list[str], env: dict, limit: int | None = None) -> subprocess.CompletedProcess:
+    """``bsz2d *args`` in a new process, under an address-space limit if one is given."""
+    script = (
+        "import resource, sys\n"
+        "from bsz2d.cli import main\n"
+        "if int(sys.argv[1]):\n"
+        "    resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2)\n"
+        "main(sys.argv[2:], prog_name='bsz2d')\n"
+    )
+    src = os.path.dirname(os.path.dirname(moment_oracle.__file__))
+    env = dict(os.environ, **env, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    cmd = [sys.executable, "-c", script, str(limit or 0), *args]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["lex", "--n", "20000", "--m", "20000"],
+        ["lex", "--n", "20000", "--m", "20000", "--revlex"],
+        ["recurrence", "--ordering", "lex", "--n", "20000", "--m", "20000"],
+        ["total", "--n", "20000"],
+    ],
+    ids=["lex", "revlex", "lex-recurrence", "total"],
+)
+def test_huge_window_is_a_usage_error_under_a_memory_limit(product_weight, args):
+    # 20001^2 slots take tens of GB as a list; the cap must come before it, not a MemoryError after
+    res = _console([args[0], "--weight", product_weight, *args[1:]], {}, limit=2**30)
+    assert res.returncode == 2, res.stderr
+    assert "MAX_BLOCK_BYTES" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_second_process_prints_the_same_moments(tmp_path):
+    # moment tables live in memory only: each process recomputes [0.975] (R = 2048) with the
+    # same bits, and a BSZ2D_CACHE_DIR that older versions wrote tables to stays empty
+    weight = tmp_path / "near.json"
+    weight.write_text(json.dumps({"product": [0.975]}))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    args = ["moments", "--weight", str(weight), "--max-degree", "4"]
+    first = _console(args, {})
+    again = _console(args, {"BSZ2D_CACHE_DIR": str(cache)})
+    assert first.returncode == again.returncode == 0, first.stderr + again.stderr
+    assert len(first.stdout.splitlines()) == 26
+    assert again.stdout == first.stdout
+    assert list(cache.iterdir()) == []
 
 
 def test_stability_certificate_over_the_budget_is_a_usage_error(runner, tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from conftest import chebu_mul_reference, h_eval_reference
 
 from bsz2d import moment_oracle
 from bsz2d.moment_oracle import (
+    DEFAULT_TOL,
     MAX_DEGREE,
     AccuracyError,
     MomentOracle,
@@ -338,6 +339,27 @@ class TestBlockCap:
             with pytest.raises(ResourceLimitError, match="MAX_BLOCK_BYTES"):
                 lex_order.lex_system(self.SPEC, 150, 150, ordering, MomentOracle(self.SPEC))
 
+    def test_cap_system_reads_the_side_of_the_slot_square(self):
+        # 64^4 doubles are exactly MAX_BLOCK_BYTES; one more row and column passes it
+        moment_oracle.cap_system(64)
+        with pytest.raises(ResourceLimitError, match="a Gram block of s = 65"):
+            moment_oracle.cap_system(65)
+
+    @pytest.mark.parametrize("ordering, n, m", [(LEX, 150, 150), (REVLEX, 150, 150), (TOTAL, 150, None)])
+    def test_gram_schmidt_over_the_cap_lists_no_slots(self, monkeypatch, ordering, n, m):
+        monkeypatch.setattr(moment_oracle, "index_sequence", _fail)
+        monkeypatch.setattr(MomentOracle, "_table_at", _fail)
+        with pytest.raises(ResourceLimitError, match="a Gram block of s = 151"):
+            MomentOracle(self.SPEC).gram_schmidt(ordering, n, m)
+
+    def test_total_vector_over_the_cap(self, monkeypatch):
+        from bsz2d import total_order
+
+        monkeypatch.setattr(total_order, "qk_grid", _fail)
+        monkeypatch.setattr(MomentOracle, "_table_at", _fail)
+        with pytest.raises(ResourceLimitError, match="a Gram block of s = 151"):
+            total_order.build_total_vector(self.SPEC, 150, MomentOracle(self.SPEC))
+
     def test_huge_windows_are_capped_before_their_slots_are_listed(self):
         # 20001^2 slots take tens of GB as a list: under a 1 GiB address space, listing
         # them before the cap ran out of memory after seconds
@@ -514,6 +536,52 @@ class TestTableSize:
             prev = table.copy()
 
 
+class TestMemoryOnly:
+    """An oracle's tables live in its own fields: nothing is read from or written to disk."""
+
+    # [0.93] stops at R = 512 and [0.975] at R = 2048 for 16 rows
+    SPECS = [product_spec([0.93]), product_spec([0.975])]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["0.93", "0.975"])
+    def test_fresh_oracle_recomputes_the_same_bits(self, spec):
+        first = MomentOracle(spec)
+        table = first.chebu_table(12).copy()
+        again = MomentOracle(spec)
+        assert again.chebu_table(12).tobytes() == table.tobytes()
+        assert again._chebu_err == first._chebu_err
+        assert again.univariate_chebu_moments(8, 0.3).tobytes() == first.univariate_chebu_moments(8, 0.3).tobytes()
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["0.93", "0.975"])
+    def test_cache_dir_variable_writes_nothing(self, tmp_path, monkeypatch, spec):
+        # older versions wrote the tables of R = 1024 and above under BSZ2D_CACHE_DIR
+        monkeypatch.setenv("BSZ2D_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.chdir(tmp_path)
+        orc = MomentOracle(spec)
+        orc.chebu_table(63)
+        orc.univariate_chebu_moments(8, 0.3)
+        orc.gram_schmidt(TOTAL, 3)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_evicted_oracle_is_rebuilt_with_the_same_table(self, monkeypatch):
+        monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
+        spec = self.SPECS[1]
+        first = oracle_for(spec)
+        table = first.chebu_table(12).copy()
+        for k in range(1, moment_oracle.MAX_ORACLES + 1):
+            oracle_for(product_spec([0.05 * k]))
+        again = oracle_for(spec)
+        assert again is not first
+        assert again.chebu_table(12).tobytes() == table.tobytes()
+
+    def test_ladder_reads_the_cap_at_call_time(self, monkeypatch):
+        orc = MomentOracle(product_spec([0.9]))  # built before the cap changes
+        monkeypatch.setattr(moment_oracle, "MAX_RESOLUTION", 128)
+        with pytest.raises(AccuracyError, match="no convergence below resolution 128"):
+            orc.chebu_table(4)
+        monkeypatch.setattr(moment_oracle, "MAX_RESOLUTION", 2**14)
+        assert orc.chebu_table(4).shape == (5, 5)
+
+
 class TestTolContract:
     SPEC = product_spec([0.9])
 
@@ -532,7 +600,7 @@ class TestTolContract:
         assert orc.moment_with_error(2, 2, tol=1e-3) == want
         assert orc.moment(3, 1, tol=1e-6) == orc.moment_table(3)[3, 1]
 
-    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0, -float("inf")])
     def test_per_call_tol_not_finite_and_positive_is_rejected(self, monkeypatch, tol):
         # the checks the constructor makes: at tol inf a slice of [0.975] was 9.0e-2 off and
         # cached under (y, inf), at NaN, 0 or -1 it climbed to AccuracyError, and a moment took NaN
@@ -548,6 +616,22 @@ class TestTolContract:
             with pytest.raises(ValueError, match="finite and positive"):
                 call()
         assert not orc._slices
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1.0, sys.float_info.max], ids=["default", "one", "largest"])
+    def test_per_call_tol_finite_and_positive_is_accepted(self, monkeypatch, tol):
+        orc = MomentOracle(self.SPEC)
+        want = orc.moment_with_error(2, 2)
+        monkeypatch.setattr(orc, "_table_at", None)  # the moments come from the table
+        assert orc.moment_with_error(2, 2, tol) == want
+        assert orc.moment(1, 1, tol=tol) == orc.moment_table(1)[1, 1]
+        u = orc.univariate_chebu_moments(8, 0.3, tol)
+        assert u.shape == (9,) and np.all(np.isfinite(u))
+        assert (0.3, tol) in orc._slices
+
+    def test_per_call_tol_below_the_oracle_is_the_tighter_tol_error(self):
+        # the smallest positive double passes the finite-and-positive check
+        with pytest.raises(ValueError, match=r"oracle_for\(spec, tol\)"):
+            MomentOracle(self.SPEC).moment_with_error(1, 1, 5e-324)
 
     def test_nearby_tol_gets_its_own_oracle(self, monkeypatch):
         # both tols print as 1.000e-11; each request gets an oracle at its own exact tol
