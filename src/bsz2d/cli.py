@@ -33,6 +33,7 @@ from .moment_oracle import (
     ResourceLimitError,
     oracle_for,
 )
+from . import recurrence as recurrence_module  # the name recurrence is the command below
 from .ortho import LEX, REVLEX, TOTAL
 from .recurrence import lex_blocks, total_blocks, verify_lex_structure, verify_total_structure
 from .total_order import build_total_vector, gram_deviation
@@ -231,15 +232,15 @@ def verify(ctx, weight, depth, report):
     orc = oracle_for(spec, ctx.obj["tol"])
     checks: list[dict] = []
 
-    def record(name, margin, tol):
-        checks.append({"name": name, "margin": float(margin), "tol": tol, "passed": margin <= tol})
+    def record(name, margin, bound):
+        checks.append({"name": name, "margin": float(margin), "tol": bound, "passed": margin <= bound})
 
     for n in range(depth + 1):
         record(f"total orthonormality n={n}", gram_deviation(spec, build_total_vector(spec, n, orc), orc), 1e-7)
     # each level's blocks are computed once; the residual and structure checks read them
     levels = {n: total_blocks(spec, n, oracle=orc) for n in range(1, depth)}
     for n, blk in levels.items():
-        record(f"three-term residual n={n}", blk.residual, 1e-7)
+        record(f"three-term residual n={n}", blk.residual, recurrence_module.RESIDUAL_TOL)
     window = min(depth, 4)
     system = lex_system(spec, window, window, oracle=orc)
     record(f"lex orthonormality {window}x{window}", gram_deviation(spec, system, orc), 1e-7)
@@ -247,7 +248,8 @@ def verify(ctx, weight, depth, report):
     for n in range(max(1, n0), min(depth - 1, n0 + 2) + 1):
         try:
             srep = verify_total_structure(spec, n, oracle=orc, blocks=levels[n])
-            record(f"total structure n={n}", max((abs(v[3]) for v in srep.violations), default=0.0), 1e-8)
+            worst = max((abs(v[3]) for v in srep.violations), default=0.0)
+            record(f"total structure n={n}", worst, recurrence_module.STRUCTURE_TOL)
         except ValueError:
             pass
     text = json.dumps({"weight": weight, "checks": checks, "ok": all(c["passed"] for c in checks)}) + "\n"

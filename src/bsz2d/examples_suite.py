@@ -127,8 +127,8 @@ class Report:
     def ok(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def add(self, name: str, location: str, margin: float, tol: float):
-        self.entries.append(ReportEntry(name, location, margin <= tol, float(margin)))
+    def add(self, name: str, location: str, margin: float, bound: float):
+        self.entries.append(ReportEntry(name, location, margin <= bound, float(margin)))
 
     def to_dict(self) -> dict:
         return {

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moment_oracle import MomentOracle, cap_system, oracle_for
+from .moment_oracle import MomentOracle, _oracle, cap_system
 from .ortho import LEX, REVLEX, OrthoSystem
 from .poly_core import CHEB_U, MONOMIAL, BivariatePoly, LaurentPoly, _padded, t_map, u_band
 from .szego_core import norm_threshold, qk_grid, tilde_ql_grid
@@ -137,7 +137,7 @@ def build_lex_high(
 ) -> BivariatePoly:
     """Unit-norm high-band polynomial at lex slot (r, k) on a width-m window."""
     p = BivariatePoly(CHEB_U, _high_band_sum(spec, r, k, m))
-    unit, _ = (oracle_for(spec) if oracle is None else oracle).normalized(p, (r, k))
+    unit, _ = _oracle(spec, oracle).normalized(p, (r, k))
     return unit
 
 
@@ -205,20 +205,21 @@ class EliminationState:
         homog = LaurentPoly({(i, deg - i): g for i, g in enumerate(self.gamma)})
         return (omega * homog).shift(-self.r, -self.m)
 
-    def check_invariants(self, tol: float = 1e-9):
+    def check_invariants(self):
         if self.step == 0:
             return
         img = self.s_image()
-        scale = max((abs(v) for v in img.coeffs.values()), default=1.0)
+        # a deviation above 1e-9 of the image's largest coefficient is a breakdown
+        cutoff = 1e-9 * max((abs(v) for v in img.coeffs.values()), default=1.0)
         dev = img.max_abs_diff(self.predicted_image())
-        if dev > tol * scale:
+        if dev > cutoff:
             raise RecursionBreakdownError(f"image invariant violated at step {self.step}: {dev:.3e}")
-        low_w = [b for (_, b) in img.prune(tol * scale).support if b <= -(self.m + 1)]
+        low_w = [b for (_, b) in img.prune(cutoff).support if b <= -(self.m + 1)]
         if low_w:
             raise RecursionBreakdownError(f"w^{min(low_w)} survives step {self.step}")
 
 
-def eliminate(spec: WeightSpec, r: int, k: int, m: int, tol: float = 1e-12) -> EliminationState:
+def eliminate(spec: WeightSpec, r: int, k: int, m: int) -> EliminationState:
     """Run the elimination to slot (r, k): J = k - (m - N_f) steps.
 
     Each step cancels the w^{-(m+1)} term of the tracked image; the
@@ -238,7 +239,7 @@ def eliminate(spec: WeightSpec, r: int, k: int, m: int, tol: float = 1e-12) -> E
     state = EliminationState(spec, r, m, 0, s, st, homogeneous_corner(spec))
     for j in range(1, steps + 1):
         d = len(state.gamma) - 1
-        if abs(state.gamma[0]) < tol:
+        if abs(state.gamma[0]) < 1e-12:
             raise RecursionBreakdownError(f"gamma_0 ~ 0 entering step {j}")
         kj = float(state.gamma[d] / state.gamma[0])
         if j == 1:
@@ -258,7 +259,7 @@ def build_lex_high_recursion(
 ) -> BivariatePoly:
     """Same slot as :func:`build_lex_high`, via the elimination recursion."""
     state = eliminate(spec, r, k, m)
-    unit, _ = (oracle_for(spec) if oracle is None else oracle).normalized(state.s_poly(), (r, k))
+    unit, _ = _oracle(spec, oracle).normalized(state.s_poly(), (r, k))
     return unit
 
 
@@ -281,7 +282,7 @@ def lex_system(
     if n < 0 or m < 0:
         raise ValueError("window bounds n and m must be nonnegative")
     cap_system(1 + max(n, m))  # before the slots are listed
-    orc = oracle_for(spec) if oracle is None else oracle
+    orc = _oracle(spec, oracle)
     swap = ordering == REVLEX
     major, minor = (n, m) if not swap else (m, n)
     base = tilde_expandable(spec) if swap else spec
@@ -339,9 +340,9 @@ class ConnectionView:
     max_violation: float
 
 
-def connection_reshape(system: OrthoSystem, n: int, m: int, tol: float = 1e-8) -> ConnectionView:
+def connection_reshape(system: OrthoSystem, n: int, m: int) -> ConnectionView:
     """Reshape the x-index-n lex components into matrix-polynomial form and
-    check the leading matrix is lower triangular with positive diagonal."""
+    check the leading matrix is lower triangular, to 1e-8, with positive diagonal."""
     mats = [np.zeros((m + 1, m + 1)) for _ in range(n + 1)]
     for i in range(m + 1):
         p = system.poly((n, i)).to_basis(MONOMIAL)
@@ -352,5 +353,5 @@ def connection_reshape(system: OrthoSystem, n: int, m: int, tol: float = 1e-8) -
     lead = mats[n]
     upper = np.triu(lead, 1)
     viol = float(np.max(np.abs(upper))) if upper.size else 0.0
-    ok = viol <= tol and bool(np.all(np.diag(lead) > 0.0))
+    ok = viol <= 1e-8 and bool(np.all(np.diag(lead) > 0.0))
     return ConnectionView(mats, ok, viol)

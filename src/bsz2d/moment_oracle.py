@@ -106,8 +106,7 @@ A table or slice degree above MAX_DEGREE, and a Gram block (s^4 doubles)
 or a stack of K coefficient grids (K s^2 doubles) above MAX_BLOCK_BYTES
 (the budget ``weights`` defines), raise ResourceLimitError before anything
 is allocated; a window's Gram block is capped from its bounds, before its
-slots are listed.  An oracle's tol, and a per-call one, must be finite and
-positive.
+slots are listed.  An oracle's tol must be finite and positive.
 
 Inner products under the full measure are c_f^T G c_g: c holds a
 polynomial's tensor Chebyshev-U coefficients, zero-padded to an s x s
@@ -126,14 +125,15 @@ with M exact, nonnegative and every column summing to at most 1 (J. C.
 Mason and D. C. Handscomb, Chebyshev Polynomials, 2003), so the monomial
 table is M^T m1 M and a slice moment is M^T u(y): their errors are no
 larger than the Chebyshev-U ones.  Every cache belongs to one oracle,
-that is to one (spec fingerprint, tol) pair.  A per-call tol looser than
-the oracle's is served from its table; a tighter one raises ValueError,
-since only ``oracle_for(spec, tol)`` can honour it.  Slice moments run
-their own 1-D ladder at the tol they are given, which may be tighter:
-each oracle keeps an LRU of at most MAX_SLICES = 64 read-only slice
-vectors keyed on the exact (y, tol), so every degree of one slice is
-read from the leading rows of one ladder's result.  A degree above the
-cached rows, or another tol, runs a new ladder.
+that is to one (spec fingerprint, tol) pair, and every result an oracle
+returns is at its own tol: another tol is another oracle, from
+``oracle_for(spec, tol)``.  A function that takes an optional ``oracle``
+refuses one built for another spec with ValueError, so no oracle caches a
+result of another spec.  Slice moments run their own 1-D ladder: each
+oracle keeps an LRU of at most MAX_SLICES = 64 read-only slice vectors
+keyed on the exact y, so every degree of one slice is read from the
+leading rows of one ladder's result.  A degree above the cached rows runs
+a new ladder.
 """
 
 from __future__ import annotations
@@ -176,13 +176,6 @@ class AccuracyError(RuntimeError):
 
 class OracleUnreliableError(RuntimeError):
     """The Gram matrix is too ill conditioned to trust the oracle."""
-
-
-def _check_tol(tol: float) -> float:
-    """``tol``, if it is finite and positive (a NaN is not)."""
-    if not 0.0 < tol < float("inf"):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    return tol
 
 
 def _cap_degree(smax: int):
@@ -333,7 +326,8 @@ class MomentOracle:
     """
 
     def __init__(self, spec: WeightSpec, tol: float = DEFAULT_TOL):
-        _check_tol(tol)
+        if not 0.0 < tol < float("inf"):  # a NaN fails here too
+            raise ValueError(f"tol must be finite and positive, got {tol!r}")
         report = spec.stability
         if not report.stable:
             raise InvalidWeightError(
@@ -347,7 +341,7 @@ class MomentOracle:
         self._chebu_err = 0.0
         self._chebu_resolution = 0
         self._gram: np.ndarray | None = None
-        self._slices: OrderedDict[tuple[float, float], np.ndarray] = OrderedDict()
+        self._slices: OrderedDict[float, np.ndarray] = OrderedDict()
         self._systems: dict[tuple, OrthoSystem] = {}
 
     # -- quadrature cores -------------------------------------------------
@@ -408,19 +402,19 @@ class MomentOracle:
             new += self._weighted_sum(Se, even, So, odd, resolution)
         return coarse / 4.0 + _table_scale(resolution) * new
 
-    def _ladder(self, rows: int, first, refine, tol: float) -> tuple[np.ndarray, float, int]:
-        """Double the resolution from ``_start_resolution(rows, rho, tol)``:
+    def _ladder(self, rows: int, first, refine) -> tuple[np.ndarray, float, int]:
+        """Double the resolution from ``_start_resolution(rows, rho, self.tol)``:
         ``first(R)`` is the value at the first rung and ``refine(value, R)`` the
         value at R from the one at R / 2.  Returns the first value whose error
-        estimate meets tol, with that estimate and its resolution, by the
-        stopping rule of the module docstring: d_R is the increment of the
+        estimate meets the oracle's tol, with that estimate and its resolution,
+        by the stopping rule of the module docstring: d_R is the increment of the
         values divided by their first entry (the mass), r = d_R / d_{R/2}, at
         least rho^{R/4} for a product weight, and a rung is accepted when
         r < 1/4 and _SAFETY max(d_R r^2, floor) < tol, where floor = _ROUNDING
         max |values / mass| is their float64 rounding.  Nothing is computed
         when the first refinement would pass MAX_RESOLUTION."""
         rho = max(map(abs, self.spec.factors), default=0.0) if self.spec.variant == PRODUCT_OMEGA else None
-        resolution = _start_resolution(rows, rho, tol)
+        resolution = _start_resolution(rows, rho, self.tol)
         prev = prev_unit = None
         prev_step = err = np.inf
         while 2 * resolution <= MAX_RESOLUTION:
@@ -434,19 +428,19 @@ class MomentOracle:
             floor = _ROUNDING * float(np.abs(unit).max())
             if rho is None and prev_step == np.inf:
                 err = max(step, floor)
-                done = err < tol
+                done = err < self.tol
             else:
                 # step / inf is 0: a product's first ratio is rho^{R/4} alone
                 ratio = step / prev_step if prev_step > 0.0 else (np.inf if step > 0.0 else 0.0)
                 if rho is not None:
                     ratio = max(ratio, rho ** (resolution / 4))
                 err = max(step * ratio * ratio, floor)
-                done = ratio < 0.25 and _SAFETY * err < tol
+                done = ratio < 0.25 and _SAFETY * err < self.tol
             if done:
                 return cur, err, resolution
             prev, prev_unit, prev_step = cur, unit, step
         raise AccuracyError(
-            f"no convergence below resolution {MAX_RESOLUTION} (last error estimate {err:.3e}, tol {tol:.3e})"
+            f"no convergence below resolution {MAX_RESOLUTION} (last error estimate {err:.3e}, tol {self.tol:.3e})"
         )
 
     # -- Chebyshev-U moments ---------------------------------------------
@@ -463,7 +457,7 @@ class MomentOracle:
             if self._chebu_table is None or self._chebu_table.shape[0] <= smax:
                 size = _rows(smax) - 1
                 table, err, res = self._ladder(
-                    size + 1, lambda r: self._table_at(size, r), lambda t, r: self._table_refined(t, size, r), self.tol
+                    size + 1, lambda r: self._table_at(size, r), lambda t, r: self._table_refined(t, size, r)
                 )
                 self._mass = float(table[0, 0])
                 self._chebu_table = table / self._mass
@@ -482,31 +476,28 @@ class MomentOracle:
         m1 = self.chebu_table(k)  # rejects a negative k
         return _mono_to_chebu(k).T @ m1 @ _mono_to_chebu(k)
 
-    def moment_with_error(self, i: int, j: int, tol: float | None = None) -> tuple[float, float]:
+    def moment_with_error(self, i: int, j: int) -> tuple[float, float]:
         """The moment of x^i y^j and the error estimate of the Chebyshev-U
         table it is derived from (see ``_ladder``); a monomial moment's
         error is no larger than the table's."""
         if i < 0 or j < 0:
             raise ValueError("moment exponents must be nonnegative")
-        if tol is not None and _check_tol(tol) < self.tol:
-            raise ValueError(f"tol {tol:.3e} is tighter than this oracle's {self.tol:.3e}; use oracle_for(spec, tol)")
         return float(self.moment_table(max(i, j))[i, j]), self._chebu_err
 
-    def moment(self, i: int, j: int, tol: float | None = None) -> float:
-        return self.moment_with_error(i, j, tol)[0]
+    def moment(self, i: int, j: int) -> float:
+        return self.moment_with_error(i, j)[0]
 
     # -- univariate slice measure ----------------------------------------
-    def univariate_moment(self, i: int, y: float, tol: float | None = None) -> float:
+    def univariate_moment(self, i: int, y: float) -> float:
         """integral of x^i dmu_y(x), as M^T u(y)."""
-        return float(self.univariate_chebu_moments(i, y, tol) @ _mono_to_chebu(i)[:, i])  # checks i first
+        return float(self.univariate_chebu_moments(i, y) @ _mono_to_chebu(i)[:, i])  # checks i first
 
-    def univariate_chebu_moments(self, smax: int, y: float, tol: float | None = None) -> np.ndarray:
+    def univariate_chebu_moments(self, smax: int, y: float) -> np.ndarray:
         """integral of U_s(x) dmu_y(x) for s = 0..smax, read-only."""
         if smax < 0 or not abs(y) <= 1.0:  # a NaN y fails here too
             raise ValueError("need a nonnegative degree and |y| <= 1")
         _cap_degree(smax)
-        tol = float(self.tol if tol is None else _check_tol(tol))
-        key = (float(y), tol)
+        key = float(y)
         with self._lock:
             u = self._slices.get(key)
             if u is not None and len(u) > smax:
@@ -530,7 +521,7 @@ class MomentOracle:
             # strided S to BLAS as a copy, where @ would sum it in its own loop
             return (2.0 * np.pi / res) * np.dot(_sine_rows(rows, res)[:, ::every], w)
 
-        u = self._ladder(rows, lambda r: at(1, r), lambda v, r: v / 2.0 + at(2, r), tol)[0]
+        u = self._ladder(rows, lambda r: at(1, r), lambda v, r: v / 2.0 + at(2, r))[0]
         u.setflags(write=False)
         with self._lock:
             self._slices[key] = u
@@ -717,6 +708,17 @@ def oracle_for(spec: WeightSpec, tol: float = DEFAULT_TOL) -> MomentOracle:
             if len(_ORACLES) > MAX_ORACLES:
                 _ORACLES.popitem(last=False)
         return _ORACLES[key]
+
+
+def _oracle(spec: WeightSpec, oracle: MomentOracle | None) -> MomentOracle:
+    """``oracle``, or the shared one of ``spec`` at DEFAULT_TOL when it is None.
+    An oracle built for another spec raises ValueError: its caches would keep
+    what is computed for ``spec`` and serve it as its own spec's."""
+    if oracle is None:
+        return oracle_for(spec)
+    if oracle.spec != spec:
+        raise ValueError(f"the oracle is built for {oracle.spec!r}, not {spec!r}")
+    return oracle
 
 
 def moment(spec: WeightSpec, i: int, j: int, tol: float = DEFAULT_TOL) -> float:

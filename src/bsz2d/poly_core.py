@@ -359,8 +359,8 @@ class LaurentPoly:
         keys = self.support | other.support
         return max((abs(self.get(*k) - other.get(*k)) for k in keys), default=0.0)
 
-    def prune(self, tol: float) -> "LaurentPoly":
-        return LaurentPoly({k: v for k, v in self.coeffs.items() if abs(v) > tol})
+    def prune(self, cutoff: float) -> "LaurentPoly":
+        return LaurentPoly({k: v for k, v in self.coeffs.items() if abs(v) > cutoff})
 
 
 def t_map(p: BivariatePoly) -> LaurentPoly:

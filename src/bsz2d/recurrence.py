@@ -20,12 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moment_oracle import MomentOracle, oracle_for
+from .moment_oracle import MomentOracle, _oracle
 from .ortho import LEX, REVLEX, TOTAL, OrthoSystem
 from .poly_core import CHEB_U, BivariatePoly, _square, u_band
 from .total_order import build_total_vector
 from .lex_order import lex_system
 from .weights import PRODUCT_OMEGA, WeightSpec
+
+RESIDUAL_TOL = 1e-7  # largest three-term residual (lex: B asymmetry) the block builders accept
+STRUCTURE_TOL = 1e-8  # largest deviation from a frozen block pattern the verify_* functions accept
 
 
 class ConstructionInconsistencyError(RuntimeError):
@@ -61,17 +64,16 @@ class BlockRecurrence:
     residual: float = 0.0
 
 
-def total_blocks(
-    spec: WeightSpec, n: int, tol: float = 1e-7, oracle: MomentOracle | None = None
-) -> BlockRecurrence:
-    """A_x, B_x, A_y, B_y at level n, with the three-term residual checked.
+def total_blocks(spec: WeightSpec, n: int, oracle: MomentOracle | None = None) -> BlockRecurrence:
+    """A_x, B_x, A_y, B_y at level n, with the three-term residual checked
+    against RESIDUAL_TOL.
 
     The residual expands x P_n and y P_n by polynomial arithmetic, with
     t = U_1(t) / 2 applied as a one-axis band, so it checks the matrix-form
     blocks independently."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    orc = oracle_for(spec) if oracle is None else oracle
+    orc = _oracle(spec, oracle)
     p_n = build_total_vector(spec, n, orc)
     p_up = build_total_vector(spec, n + 1, orc)
     p_dn = build_total_vector(spec, n - 1, orc) if n > 0 else None
@@ -92,21 +94,17 @@ def total_blocks(
                 for j, (_, q) in enumerate(p_dn.entries):
                     acc = acc + q.scale(-a_prev[j, i])
             res = max(res, float(np.max(np.abs(acc.coeffs), initial=0.0)))
-    if res > tol:
+    if res > RESIDUAL_TOL:
         raise ConstructionInconsistencyError(f"three-term residual {res:.3e} at level {n}")
     return BlockRecurrence(TOTAL, (n,), a_x=a_x, b_x=b_x, a_y=a_y, b_y=b_y, residual=res)
 
 
 def lex_blocks(
-    spec: WeightSpec,
-    n: int,
-    m: int,
-    tol: float = 1e-7,
-    ordering: str = LEX,
-    oracle: MomentOracle | None = None,
+    spec: WeightSpec, n: int, m: int, ordering: str = LEX, oracle: MomentOracle | None = None
 ) -> BlockRecurrence:
     """A_{n,m} and B_{n,m} (or the revlex mirror, where the roles of the
-    variables and of n, m are exchanged)."""
+    variables and of n, m are exchanged), with the asymmetry of B checked
+    against RESIDUAL_TOL."""
     if ordering == LEX:
         if n < 1:
             raise ValueError("need n >= 1 for A_{n,m}")
@@ -117,7 +115,7 @@ def lex_blocks(
         hi, axis, size = m, 1, n + 1
     else:
         raise ValueError("ordering must be lex or revlex")
-    orc = oracle_for(spec) if oracle is None else oracle
+    orc = _oracle(spec, oracle)
     # the (n-1, m) window (revlex: (n, m-1)) is a leading block of this one: a closed-form
     # slot depends only on itself and the minor bound, a Gram-Schmidt slot only on earlier slots
     system = lex_system(spec, n, m, ordering, orc)
@@ -127,7 +125,7 @@ def lex_blocks(
     if a.shape != (size, size) or b.shape != (size, size):
         raise ConstructionInconsistencyError("unexpected block shape")
     res = float(np.max(np.abs(b - b.T)))
-    if res > tol:
+    if res > RESIDUAL_TOL:
         raise ConstructionInconsistencyError(f"B asymmetry {res:.3e}")
     return BlockRecurrence(ordering, (n, m), a=a, b=b, residual=res)
 
@@ -146,20 +144,15 @@ class StructureReport:
     blocks: BlockRecurrence | None = None
 
 
-def _check_zero(name: str, mat: np.ndarray, cells, tol: float, out: list):
+def _check_zero(name: str, mat: np.ndarray, cells, out: list):
     for i, j in cells:
         v = float(mat[i, j])
-        if abs(v) > tol:
+        if abs(v) > STRUCTURE_TOL:
             out.append((name, i, j, v))
 
 
 def verify_total_structure(
-    spec: WeightSpec,
-    n: int,
-    tol: float = 1e-8,
-    oracle: MomentOracle | None = None,
-    *,
-    blocks: BlockRecurrence | None = None,
+    spec: WeightSpec, n: int, oracle: MomentOracle | None = None, *, blocks: BlockRecurrence | None = None
 ) -> StructureReport:
     """Assert the frozen block patterns of the total-degree recurrence.
 
@@ -170,6 +163,12 @@ def verify_total_structure(
     corner C_x of size ceil((N+1)/2); B_x = diag(D_x, 0) with D_x of size
     ceil(N/2).  Entries at the ambiguous C_x seam are reported verbatim
     rather than asserted.
+
+    A violation is (name, i, j, deviation), with deviation above
+    STRUCTURE_TOL: a cell asserted to be 0 or 1/2 reports its entry minus
+    that value, a symmetry check (i = j = -1) the largest entry of M - M^T,
+    and a sign check ("C_y diag", "A_x superdiag") the entry itself, which
+    is its own deviation from positivity.
 
     ``blocks`` is this level's ``total_blocks(spec, n)``, for a caller that
     has already computed it; without it the blocks are computed here.
@@ -189,34 +188,29 @@ def verify_total_structure(
     bad: list[tuple[str, int, int, float]] = []
 
     a_y = blocks.a_y
-    _check_zero("A_y", a_y, [(i, j) for i in range(n + 1) for j in range(n + 2) if j > i], tol, bad)
-    _check_zero(
-        "A_y", a_y, [(i, j) for i in range(c_y, n + 1) for j in range(i) ], tol, bad
-    )
+    _check_zero("A_y", a_y, [(i, j) for i in range(n + 1) for j in range(n + 2) if j > i], bad)
+    _check_zero("A_y", a_y, [(i, j) for i in range(c_y, n + 1) for j in range(i)], bad)
     for i in range(n + 1):
-        if i >= c_y and abs(a_y[i, i] - 0.5) > tol:
-            bad.append(("A_y diag", i, i, float(a_y[i, i])))
+        if i >= c_y and abs(a_y[i, i] - 0.5) > STRUCTURE_TOL:
+            bad.append(("A_y diag", i, i, float(a_y[i, i] - 0.5)))
         if i < min(c_y, n + 1) and a_y[i, i] <= 0.0:
             bad.append(("C_y diag", i, i, float(a_y[i, i])))
 
     b_y = blocks.b_y
-    _check_zero(
-        "B_y", b_y,
-        [(i, j) for i in range(n + 1) for j in range(n + 1) if i >= d_y or j >= d_y], tol, bad,
-    )
+    _check_zero("B_y", b_y, [(i, j) for i in range(n + 1) for j in range(n + 1) if i >= d_y or j >= d_y], bad)
 
     a_x = blocks.a_x
     seam = {}
     for i in range(n + 1):
         for j in range(n + 2):
             v = float(a_x[i, j])
-            if j > i + 1 and abs(v) > tol:
+            if j > i + 1 and abs(v) > STRUCTURE_TOL:
                 bad.append(("A_x", i, j, v))
             elif i >= c_x:
                 if j == i + 1:
-                    if abs(v - 0.5) > tol:
-                        bad.append(("A_x shift", i, j, v))
-                elif abs(v) > tol:
+                    if abs(v - 0.5) > STRUCTURE_TOL:
+                        bad.append(("A_x shift", i, j, v - 0.5))
+                elif abs(v) > STRUCTURE_TOL:
                     bad.append(("A_x", i, j, v))
             elif j <= min(c_x, i + 1) and (j == c_x or i == c_x - 1):
                 seam[(i, j)] = v
@@ -224,13 +218,10 @@ def verify_total_structure(
             bad.append(("A_x superdiag", i, i + 1, float(a_x[i, i + 1])))
 
     b_x = blocks.b_x
-    _check_zero(
-        "B_x", b_x,
-        [(i, j) for i in range(n + 1) for j in range(n + 1) if i >= d_x or j >= d_x], tol, bad,
-    )
+    _check_zero("B_x", b_x, [(i, j) for i in range(n + 1) for j in range(n + 1) if i >= d_x or j >= d_x], bad)
     for name, mat in (("B_x sym", b_x), ("B_y sym", b_y)):
         dev = float(np.max(np.abs(mat - mat.T), initial=0.0))
-        if dev > tol:
+        if dev > STRUCTURE_TOL:
             bad.append((name, -1, -1, dev))
 
     sizes = {"C_y": c_y, "D_y": d_y, "C_x": c_x, "D_x": d_x}
@@ -238,10 +229,14 @@ def verify_total_structure(
 
 
 def verify_lex_structure(
-    spec: WeightSpec, n: int, m: int, tol: float = 1e-8, oracle: MomentOracle | None = None
+    spec: WeightSpec, n: int, m: int, oracle: MomentOracle | None = None
 ) -> StructureReport:
     """Assert the lex pattern A = diag(1/2 I_{m-kappa+1}, C), B = diag(0, D),
-    and for product weights past 2 N_f the full collapse A = 1/2 I, B = 0."""
+    and for product weights past 2 N_f the full collapse A = 1/2 I, B = 0.
+
+    Violations are reported as by ``verify_total_structure``: a cell asserted
+    to be 0 or 1/2 reports its entry minus that value, a collapse check
+    (i = j = -1) its largest deviation, and the sign check "C diag" the entry."""
     kappa = spec.kappa
     if n < spec.n_h // 2 + 1:
         raise ValueError(f"theorem applies for n >= {spec.n_h // 2 + 1}")
@@ -256,12 +251,12 @@ def verify_lex_structure(
             v = float(a[i, j])
             if i < cut or j < cut:
                 want = 0.5 if i == j else 0.0
-                if abs(v - want) > tol:
-                    bad.append(("A", i, j, v))
-            elif j > i and abs(v) > tol:
+                if abs(v - want) > STRUCTURE_TOL:
+                    bad.append(("A", i, j, v - want))
+            elif j > i and abs(v) > STRUCTURE_TOL:
                 bad.append(("C", i, j, v))
             v = float(b[i, j])
-            if (i < cut or j < cut) and abs(v) > tol:
+            if (i < cut or j < cut) and abs(v) > STRUCTURE_TOL:
                 bad.append(("B", i, j, v))
     for i in range(cut, m + 1):
         if a[i, i] <= 0.0:
@@ -269,9 +264,9 @@ def verify_lex_structure(
     if spec.variant == PRODUCT_OMEGA and min(n, m) > 2 * spec.n_f:
         dev_a = float(np.max(np.abs(a - 0.5 * np.eye(m + 1))))
         dev_b = float(np.max(np.abs(b)))
-        if dev_a > tol:
+        if dev_a > STRUCTURE_TOL:
             bad.append(("A collapse", -1, -1, dev_a))
-        if dev_b > tol:
+        if dev_b > STRUCTURE_TOL:
             bad.append(("B collapse", -1, -1, dev_b))
     sizes = {"C": kappa, "D": kappa, "identity": cut}
     return StructureReport(not bad, sizes, bad, {}, blocks)
@@ -287,7 +282,7 @@ def mixed_action_deviation(spec: WeightSpec, n: int, oracle: MomentOracle | None
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    orc = oracle_for(spec) if oracle is None else oracle
+    orc = _oracle(spec, oracle)
     blk = {lev: total_blocks(spec, lev, oracle=orc) for lev in (n - 1, n, n + 1)}
     ax, bx = blk[n].a_x, blk[n].b_x
     ay, by = blk[n].a_y, blk[n].b_y

@@ -39,14 +39,20 @@ def qk_grid(spec: WeightSpec, k: int) -> np.ndarray:
     """The x-by-y Chebyshev-U coefficient grid of q_k, from the z-coefficients
     of the weight.
 
-    Row k - i collects +h_i for i <= k, and row i - k - 2 collects -h_i for
-    i >= k + 2 (the folding U_{-n-2} = -U_n).  The grid is not trimmed.
+    The grid is ``_fold(spec.h_chebu, k)``, not trimmed.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    H = spec.h_chebu
+    return _fold(spec.h_chebu, k)
+
+
+def _fold(H: np.ndarray, k: int) -> np.ndarray:
+    """The Chebyshev-U coefficients of sum_i H[i] U_{k-i}, one row per degree
+    and one column per column of H (a 1-D H gives a vector).  Row k - i
+    collects +H[i] for i <= k, and row i - k - 2 collects -H[i] for
+    i >= k + 2 (the folding U_{-1} = 0, U_{-n-2} = -U_n)."""
     up, down = H[: k + 1], H[k + 2 :]
-    grid = np.zeros((max(k + 1, len(down)), H.shape[1]))
+    grid = np.zeros((max(k + 1, len(down)),) + H.shape[1:])
     grid[k + 1 - len(up) : k + 1] += up[::-1]
     grid[: len(down)] -= down
     return grid
@@ -89,28 +95,7 @@ class Completion1D:
     corrections: dict[int, float]  # j -> multiplier attached to q_j
 
 
-def _qk_1d(h: np.ndarray, k: int) -> np.ndarray:
-    """Chebyshev-U coefficient vector of q_k for constant coefficients h."""
-    size = 1
-    for i, hi in enumerate(h):
-        if hi == 0.0:
-            continue
-        t = k - i
-        d = t if t >= 0 else (-t - 2 if t <= -2 else -1)
-        size = max(size, d + 1)
-    out = np.zeros(size)
-    for i, hi in enumerate(h):
-        if hi == 0.0:
-            continue
-        t = k - i
-        if t >= 0:
-            out[t] += hi
-        elif t <= -2:
-            out[-t - 2] -= hi
-    return out
-
-
-def complete_1d(h, k: int, tol: float = 1e-10) -> Completion1D:
+def complete_1d(h, k: int) -> Completion1D:
     """Degree reduction of q_k for a one-variable weight (constant h_i).
 
     The top Chebyshev coefficients U_t, t = N-k-2 down to k+1, are
@@ -119,7 +104,8 @@ def complete_1d(h, k: int, tol: float = 1e-10) -> Completion1D:
     degree N-t-2), so the chain is obtained by solving the square linear
     system the cancellation conditions form; this is the fixed point the
     top-down pass converges to.  The diagonal pivots are h_0 - h_{2t+2}
-    (h_j = 0 beyond N) and breakdown is reported when one degenerates.
+    (h_j = 0 beyond N) and breakdown is reported when one is below
+    1e-10.  q_k of the constant h is ``_fold(h, k)``.
     """
     h = np.asarray(h, dtype=float)
     n = len(h) - 1
@@ -134,10 +120,10 @@ def complete_1d(h, k: int, tol: float = 1e-10) -> Completion1D:
 
     chain = list(range(n - k - 2, k, -1))  # top-down
     for t in chain:
-        if abs(h_at(0) - h_at(2 * t + 2)) < tol:
-            raise EliminationBreakdownError(f"pivot |h_0 - h_{2*t+2}| < {tol} at degree t = {t}")
-    qk = _qk_1d(h, k)
-    q_chain = {t: _qk_1d(h, t) for t in chain}
+        if abs(h_at(0) - h_at(2 * t + 2)) < 1e-10:
+            raise EliminationBreakdownError(f"pivot |h_0 - h_{2*t+2}| < 1e-10 at degree t = {t}")
+    qk = _fold(h, k)
+    q_chain = {t: _fold(h, t) for t in chain}
     size = max([len(qk)] + [len(q) for q in q_chain.values()])
 
     def coeff(vec: np.ndarray, t: int) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .moment_oracle import MomentOracle, cap_system, oracle_for
+from .moment_oracle import MomentOracle, _oracle, cap_system
 from .ortho import TOTAL, OrthoSystem
 from .poly_core import u_band
 from .szego_core import low_band_threshold, qk_grid
@@ -31,7 +31,7 @@ def build_total_vector(spec: WeightSpec, n: int, oracle: MomentOracle | None = N
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    orc = oracle_for(spec) if oracle is None else oracle
+    orc = _oracle(spec, oracle)
     return orc._memo(("total vector", n), lambda: _total_vector(spec, n, orc))
 
 
@@ -45,6 +45,6 @@ def _total_vector(spec: WeightSpec, n: int, orc: MomentOracle) -> OrthoSystem:
 
 def gram_deviation(spec: WeightSpec, system: OrthoSystem, oracle: MomentOracle | None = None) -> float:
     """Max deviation of the oracle Gram matrix of ``system`` from identity."""
-    orc = oracle_for(spec) if oracle is None else oracle
+    orc = _oracle(spec, oracle)
     C = system.coeffs
     return float(np.max(np.abs(orc.coefficient_inner(C) - np.eye(len(C))))) if len(C) else 0.0

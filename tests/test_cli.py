@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bsz2d import moment_oracle
+from bsz2d import moment_oracle, recurrence
 from bsz2d.cli import main
 from bsz2d.examples_suite import EXAMPLES
 from bsz2d.weights import product_spec
@@ -152,6 +152,16 @@ class TestExampleAndVerify:
         blob = json.loads(out.read_text())
         assert blob["ok"] is True
         assert blob["checks"]
+
+    def test_verify_reports_the_library_thresholds(self, runner, product_weight, monkeypatch):
+        # the residual and structure gates are the recurrence module's constants, read at call time
+        monkeypatch.setattr(recurrence, "RESIDUAL_TOL", 2e-7)
+        monkeypatch.setattr(recurrence, "STRUCTURE_TOL", 3e-8)
+        res = runner.invoke(main, ["verify", "--weight", product_weight, "--depth", "3"])
+        assert res.exit_code == 0, res.output
+        checks = json.loads(res.output)["checks"]
+        tols = {c["name"].split(" n=")[0]: c["tol"] for c in checks}
+        assert tols["three-term residual"] == 2e-7 and tols["total structure"] == 3e-8
 
 
 class TestTolerance:

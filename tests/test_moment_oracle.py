@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import random
@@ -15,7 +16,6 @@ from conftest import chebu_mul_reference, h_eval_reference
 
 from bsz2d import moment_oracle
 from bsz2d.moment_oracle import (
-    DEFAULT_TOL,
     MAX_DEGREE,
     AccuracyError,
     MomentOracle,
@@ -585,54 +585,6 @@ class TestMemoryOnly:
 class TestTolContract:
     SPEC = product_spec([0.9])
 
-    def test_tighter_tol_raises(self):
-        orc = MomentOracle(self.SPEC, tol=1e-6)
-        with pytest.raises(ValueError, match=r"oracle_for\(spec, tol\)"):
-            orc.moment_with_error(2, 2, tol=1e-13)
-        with pytest.raises(ValueError):
-            orc.moment(1, 0, tol=1e-7)
-
-    def test_looser_tol_is_served_from_the_table(self, monkeypatch):
-        orc = MomentOracle(self.SPEC)
-        want = orc.moment_with_error(2, 2)
-        assert want[1] == orc._chebu_err < 1e-11
-        monkeypatch.setattr(orc, "_table_at", None)  # any new quadrature would fail
-        assert orc.moment_with_error(2, 2, tol=1e-3) == want
-        assert orc.moment(3, 1, tol=1e-6) == orc.moment_table(3)[3, 1]
-
-    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0, -float("inf")])
-    def test_per_call_tol_not_finite_and_positive_is_rejected(self, monkeypatch, tol):
-        # the checks the constructor makes: at tol inf a slice of [0.975] was 9.0e-2 off and
-        # cached under (y, inf), at NaN, 0 or -1 it climbed to AccuracyError, and a moment took NaN
-        orc = MomentOracle(product_spec([0.975]))
-        monkeypatch.setattr(orc, "_ladder", _fail)  # nothing may be computed
-        calls = [
-            lambda: orc.univariate_chebu_moments(8, 0.3, tol),
-            lambda: orc.univariate_moment(2, 0.3, tol),
-            lambda: orc.moment(1, 1, tol=tol),
-            lambda: orc.moment_with_error(1, 1, tol),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError, match="finite and positive"):
-                call()
-        assert not orc._slices
-
-    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1.0, sys.float_info.max], ids=["default", "one", "largest"])
-    def test_per_call_tol_finite_and_positive_is_accepted(self, monkeypatch, tol):
-        orc = MomentOracle(self.SPEC)
-        want = orc.moment_with_error(2, 2)
-        monkeypatch.setattr(orc, "_table_at", None)  # the moments come from the table
-        assert orc.moment_with_error(2, 2, tol) == want
-        assert orc.moment(1, 1, tol=tol) == orc.moment_table(1)[1, 1]
-        u = orc.univariate_chebu_moments(8, 0.3, tol)
-        assert u.shape == (9,) and np.all(np.isfinite(u))
-        assert (0.3, tol) in orc._slices
-
-    def test_per_call_tol_below_the_oracle_is_the_tighter_tol_error(self):
-        # the smallest positive double passes the finite-and-positive check
-        with pytest.raises(ValueError, match=r"oracle_for\(spec, tol\)"):
-            MomentOracle(self.SPEC).moment_with_error(1, 1, 5e-324)
-
     def test_nearby_tol_gets_its_own_oracle(self, monkeypatch):
         # both tols print as 1.000e-11; each request gets an oracle at its own exact tol
         monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
@@ -645,6 +597,11 @@ class TestTolContract:
         monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
         moment_oracle.moment(self.SPEC, 2, 2, tol=1e-13)
         assert [o.tol for o in moment_oracle._ORACLES.values()] == [1e-13]
+
+    @pytest.mark.parametrize("method", ["moment_with_error", "moment", "univariate_moment", "univariate_chebu_moments"])
+    def test_methods_answer_at_the_oracle_tol_only(self, method):
+        # a result at another tol comes from another oracle, never from a per-call argument
+        assert "tol" not in inspect.signature(getattr(MomentOracle, method)).parameters
 
 
 def _cos_matrix(imax: int, theta: np.ndarray) -> np.ndarray:
@@ -1248,7 +1205,7 @@ class TestSliceCache:
         monkeypatch.setattr(moment_oracle, "_szego", None)
         assert [orc.univariate_moment(i, 0.3) for i in range(4)] == want
         assert np.array_equal(orc.univariate_chebu_moments(15, 0.3), head)
-        assert orc.univariate_moment(2, 0.3, tol=orc.tol) == want[2]
+        assert list(orc._slices) == [0.3]
 
     def test_vectors_are_read_only(self):
         u = MomentOracle(product_spec([0.85])).univariate_chebu_moments(3, -0.2)
@@ -1260,9 +1217,10 @@ class TestSliceCache:
         points = _count_points(monkeypatch, orc.spec)
         rows = orc.univariate_chebu_moments(2, 0.3)
         assert sum(points) > 0
-        for smax, tol in [(2, 1e-8), (16, None)]:
+        # another tol is another oracle, with slices of its own
+        for other, smax in [(MomentOracle(orc.spec, tol=1e-8), 2), (orc, 16)]:
             points.clear()
-            got = orc.univariate_chebu_moments(smax, 0.3, tol)
+            got = other.univariate_chebu_moments(smax, 0.3)
             assert sum(points) > 0
             assert np.max(np.abs(got[:3] - rows)) < 1e-8
         points.clear()

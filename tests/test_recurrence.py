@@ -1,5 +1,7 @@
+import inspect
 import json
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from conftest import chebu_mul_reference
 
 from bsz2d import cli, examples_suite, moment_oracle, recurrence
 from bsz2d.examples_suite import run_regression
-from bsz2d.lex_order import lex_system
+from bsz2d import lex_order, szego_core
+from bsz2d.lex_order import build_lex_high, build_lex_high_recursion, lex_system
 from bsz2d.moment_oracle import oracle_for
 from bsz2d.ortho import LEX, REVLEX, TOTAL
 from bsz2d.poly_core import CHEB_U, BivariatePoly
@@ -19,7 +22,7 @@ from bsz2d.recurrence import (
     verify_lex_structure,
     verify_total_structure,
 )
-from bsz2d.total_order import build_total_vector
+from bsz2d.total_order import build_total_vector, gram_deviation
 from bsz2d.weights import chebyshev_spec, generic_spec, product_spec
 
 SPEC1 = product_spec([-0.6])       # N_f = 1, N_h = 2
@@ -174,6 +177,100 @@ class TestStructureReports:
             verify_lex_structure(SPEC2, 1, 5)
         with pytest.raises(ValueError):
             verify_lex_structure(SPEC2, 4, 1)
+
+
+class TestViolationsReportTheirDeviation:
+    """A perturbed cell is reported as its deviation from the asserted pattern;
+    a sign check reports the entry itself.  Level 3 of SPEC2: C_y is 2 x 2,
+    D_y 1 x 1, C_x 3 x 3 and D_x 2 x 2."""
+
+    MISS = 2e-8
+
+    @staticmethod
+    def _total(field, i, j, change):
+        blocks = total_blocks(SPEC2, 3)
+        mat = getattr(blocks, field).copy()
+        mat[i, j] = change(mat[i, j])
+        return verify_total_structure(SPEC2, 3, blocks=replace(blocks, **{field: mat})).violations
+
+    @pytest.mark.parametrize(
+        "field,i,j,name",
+        [
+            ("a_y", 2, 2, "A_y diag"),
+            ("a_y", 0, 2, "A_y"),
+            ("a_x", 3, 4, "A_x shift"),
+            ("a_x", 0, 3, "A_x"),
+            ("b_y", 3, 3, "B_y"),
+            ("b_x", 3, 3, "B_x"),
+        ],
+    )
+    def test_total_cell(self, field, i, j, name):
+        (got,) = self._total(field, i, j, lambda v: v + self.MISS)
+        assert got[:3] == (name, i, j) and abs(got[3] - self.MISS) < 1e-12
+
+    @pytest.mark.parametrize("field,i,j,name", [("a_y", 0, 0, "C_y diag"), ("a_x", 0, 1, "A_x superdiag")])
+    def test_total_sign(self, field, i, j, name):
+        want = -float(getattr(total_blocks(SPEC2, 3), field)[i, j])
+        assert want < 0.0
+        assert self._total(field, i, j, lambda v: -v) == [(name, i, j, want)]
+
+    @pytest.mark.parametrize("which,i,j,name", [("a", 1, 1, "A"), ("a", 0, 1, "A"), ("a", 4, 5, "C"), ("b", 0, 0, "B")])
+    def test_lex_cell(self, monkeypatch, which, i, j, name):
+        # at window (3, 5) kappa = 2: the first 4 rows and columns hold the half-identity and zero B
+        blocks = lex_blocks(SPEC2, 3, 5)
+        mat = getattr(blocks, which).copy()
+        mat[i, j] += self.MISS
+        monkeypatch.setattr(recurrence, "lex_blocks", lambda *args, **kwargs: replace(blocks, **{which: mat}))
+        (got,) = verify_lex_structure(SPEC2, 3, 5).violations
+        assert got[:3] == (name, i, j) and abs(got[3] - self.MISS) < 1e-12
+
+
+class TestOracleOfAnotherSpec:
+    """Every function that takes an oracle refuses one built for another spec,
+    and leaves that oracle's caches as they were."""
+
+    OWN = product_spec([-0.7, 0.3])
+    CALLS = {
+        "build_total_vector": lambda orc: build_total_vector(SPEC2, 3, orc),
+        "gram_deviation": lambda orc: gram_deviation(SPEC2, build_total_vector(SPEC2, 2), orc),
+        "total_blocks": lambda orc: total_blocks(SPEC2, 3, oracle=orc),
+        "lex_blocks": lambda orc: lex_blocks(SPEC2, 3, 3, oracle=orc),
+        "lex_system": lambda orc: lex_system(SPEC2, 3, 3, oracle=orc),
+        "build_lex_high": lambda orc: build_lex_high(SPEC2, 4, 4, 4, orc),
+        "build_lex_high_recursion": lambda orc: build_lex_high_recursion(SPEC2, 4, 4, 4, orc),
+        "mixed_action_deviation": lambda orc: mixed_action_deviation(SPEC2, 2, orc),
+        "verify_total_structure": lambda orc: verify_total_structure(SPEC2, 3, oracle=orc),
+        "verify_lex_structure": lambda orc: verify_lex_structure(SPEC2, 3, 5, oracle=orc),
+    }
+
+    def test_refused_and_caches_untouched(self, monkeypatch):
+        monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
+        orc = oracle_for(self.OWN)
+        own = build_total_vector(self.OWN, 3, orc)
+        state = (dict(orc._systems), orc._gram, orc._chebu_table, dict(orc._slices))
+        for name, call in self.CALLS.items():
+            with pytest.raises(ValueError, match="oracle is built for"):
+                call(orc)
+            assert (dict(orc._systems), orc._gram, orc._chebu_table, dict(orc._slices)) == state, name
+        assert build_total_vector(self.OWN, 3) is own
+        assert gram_deviation(self.OWN, own, orc) <= 1e-12
+        assert total_blocks(self.OWN, 3, oracle=orc).residual <= recurrence.RESIDUAL_TOL
+
+
+def test_check_thresholds_are_constants():
+    # a parameter named tol is the quadrature tolerance: the check thresholds are module constants
+    for fn in (
+        total_blocks,
+        lex_blocks,
+        verify_total_structure,
+        verify_lex_structure,
+        lex_order.connection_reshape,
+        lex_order.eliminate,
+        lex_order.EliminationState.check_invariants,
+        szego_core.complete_1d,
+    ):
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+    assert (recurrence.RESIDUAL_TOL, recurrence.STRUCTURE_TOL) == (1e-7, 1e-8)
 
 
 class TestMixedAction:

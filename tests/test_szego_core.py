@@ -9,6 +9,7 @@ from bsz2d.moment_oracle import oracle_for
 from bsz2d.poly_core import CHEB_U, BivariatePoly, UnivariatePoly
 from bsz2d.szego_core import (
     EliminationBreakdownError,
+    _fold,
     build_qk,
     complete_1d,
     low_band_threshold,
@@ -211,3 +212,20 @@ class TestComplete1D:
         # h_0 - h_4 = 0 degenerates the t = 1 pivot
         with pytest.raises(EliminationBreakdownError):
             complete_1d([1.0, 0.2, 0.1, 0.05, 1.0, 0.02], 0)
+
+
+def test_fold_of_a_constant_h_is_the_scalar_rule():
+    # complete_1d folds a constant h with the rule qk_grid uses: +h_i at U_{k-i},
+    # nothing at U_{-1} and -h_i at U_{i-k-2}, added in the order of i
+    rng = np.random.default_rng(3)
+    for n in range(3, 12):
+        h = np.concatenate([[1.0], rng.uniform(-0.3, 0.3, n)])
+        h[rng.integers(1, n + 1)] = 0.0
+        for k in range(n + 2):
+            want = np.zeros(max(k + 1, n - k - 1))
+            for i, hi in enumerate(h):
+                if k - i >= 0:
+                    want[k - i] += hi
+                elif k - i <= -2:
+                    want[i - k - 2] -= hi
+            assert np.array_equal(_fold(h, k), want)
