@@ -37,7 +37,7 @@ from . import recurrence as recurrence_module  # the name recurrence is the comm
 from .ortho import LEX, REVLEX, TOTAL
 from .recurrence import lex_blocks, total_blocks, verify_lex_structure, verify_total_structure
 from .total_order import build_total_vector, gram_deviation
-from .weights import InvalidWeightError, WeightSpec, spec_from_config
+from .weights import WeightSpec, require_stable, spec_from_config
 
 
 _NONNEG = click.IntRange(min=0)
@@ -48,9 +48,7 @@ def _load_spec(path: str) -> WeightSpec:
         with open(path) as fh:
             cfg = json.load(fh)
         spec = spec_from_config(cfg)
-        report = spec.stability
-        if not report.stable:
-            raise InvalidWeightError(f"weight is not stable (min root modulus {report.min_modulus:.6f})")
+        require_stable(spec)
         return spec
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise click.UsageError(f"cannot load weight config {path}: {exc}")

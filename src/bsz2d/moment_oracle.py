@@ -69,9 +69,12 @@ y = cos phi reads the same f at theta +- phi from its factors, with cos and
 sin of theta from ``_sines(R)`` and the angle sums taken with (y, sqrt(1 - y^2)):
 the expanded |h|^2 of a generic slice cancels near a double root of h.
 
-An oracle accepts only weights that ``is_stable`` certifies.  An unstable
-h can vanish on the unit circle, where the weight is not integrable, and
-the doubling would then climb to MAX_RESOLUTION before failing.
+An oracle accepts only weights that ``is_stable`` certifies: a product,
+or a generic h that is stable at y = 0 and whose roots cross |z| = 1 at
+no y in [-1, 1], by the resultant test (``weights.require_stable``, which
+reads only the verdict, so no sampled scan runs).  An unstable h can
+vanish on the unit circle, where the weight is not integrable, and the
+doubling would then climb to MAX_RESOLUTION before failing.
 
 The probability measure is
     dmu = (4/pi^2) sqrt(1-x^2) sqrt(1-y^2) / |h(e^{i theta}, y)|^2 dx dy,
@@ -83,7 +86,10 @@ Chebyshev-U basis ordered exactly like the monomial sequence of the
 requested ordering, from one Cholesky factorization G = L L^T of the Gram
 matrix of those slots: C = L^{-1} is lower triangular with a positive
 diagonal and C G C^T = I, so row k of C is the k-th orthonormal polynomial
-and the norm divided out is L[k, k].  Since U_i(x) U_j(y) and x^i y^j have
+and the norm divided out is L[k, k].  The factor also gives the condition
+gate: G^-1 = C^T C, so cond_1(G) = |G|_1 |C^T C|_1, which is at least
+cond_2(G) for a symmetric G, is checked against COND_CAP with no
+eigenvalue solve.  Since U_i(x) U_j(y) and x^i y^j have
 identical leading index pairs in every ordering used here, the result is
 the system monomial Gram-Schmidt defines, but the Gram matrices stay well
 conditioned.  The leading block of L is the factor of the leading block
@@ -146,7 +152,7 @@ import numpy as np
 
 from .ortho import LEX, REVLEX, TOTAL, OrthoSystem, index_sequence
 from .poly_core import CHEB_U, BivariatePoly, _extents, _lin, _mono_to_chebu, _padded, _square
-from .weights import MAX_BLOCK_BYTES, PRODUCT_OMEGA, InvalidWeightError, ResourceLimitError, WeightSpec, _cap_bytes
+from .weights import MAX_BLOCK_BYTES, PRODUCT_OMEGA, ResourceLimitError, WeightSpec, _cap_bytes, require_stable
 
 DEFAULT_TOL = 1e-11
 MAX_RESOLUTION = 2**14
@@ -328,11 +334,7 @@ class MomentOracle:
     def __init__(self, spec: WeightSpec, tol: float = DEFAULT_TOL):
         if not 0.0 < tol < float("inf"):  # a NaN fails here too
             raise ValueError(f"tol must be finite and positive, got {tol!r}")
-        report = spec.stability
-        if not report.stable:
-            raise InvalidWeightError(
-                f"weight is not stable: min root modulus {report.min_modulus:.6g} at y={report.witness_y}"
-            )
+        require_stable(spec)
         self.spec = spec
         self.tol = tol
         self._lock = threading.RLock()
@@ -671,16 +673,16 @@ class MomentOracle:
         cap_system(1 + max(n, 0 if ordering == TOTAL or m is None else m))  # before the slots are listed
         idx = index_sequence(ordering, n, m)
         G = self.gram(idx)
-        # G is symmetric, so its singular values are the moduli of its eigenvalues
-        lam = np.abs(np.linalg.eigvalsh(G))
-        cond = float(lam.max() / lam.min()) if lam.min() > 0.0 else float("inf")
-        if cond > COND_CAP:
-            raise OracleUnreliableError(f"Gram matrix condition number {cond:.3e} exceeds {COND_CAP:.1e}")
         try:
             L = np.linalg.cholesky(G)
         except np.linalg.LinAlgError as exc:
             raise OracleUnreliableError(f"Gram matrix is not positive definite: {exc}") from exc
         C = np.linalg.inv(L)  # row k: coefficients of the k-th orthonormal poly
+        # G^-1 = C^T C; for a symmetric G the 1-norm condition number bounds the 2-norm one from above,
+        # and a NaN (an overflowed C) fails the comparison too
+        cond = float(np.max(np.sum(np.abs(G), axis=0)) * np.max(np.sum(np.abs(C.T @ C), axis=0)))
+        if not cond <= COND_CAP:
+            raise OracleUnreliableError(f"Gram matrix condition number {cond:.3e} exceeds {COND_CAP:.1e}")
         # row k holds C[k, k] = 1 / L[k, k] > 0 at its own slot, so no sign fix is needed
         ii, jj = np.array(idx).T
         s = int(max(ii.max(), jj.max())) + 1

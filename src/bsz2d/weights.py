@@ -10,13 +10,20 @@ stable (zero free on |z| <= 1) for every y in [-1, 1].  Two views exist:
 
 The reflected weight h~(x, w) swaps the roles of (z, y) and (w, x); for
 product specs it has the same factor parameters.
+
+``is_stable`` certifies a product spec analytically and a generic one by
+the crossing test: h(., 0) is stable, and no real root in [-1, 1] of the
+resultant of h and its reversal z^N h(1/z) marks a root of h(., y) on or
+inside |z| = 1.  Its report's ``min_modulus`` is a sampled diagnostic,
+computed only when read.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from functools import cached_property
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -37,8 +44,16 @@ class UnsupportedWeightError(ValueError):
 # largest array one step of the package allocates: an oracle's Gram block (s^4
 # doubles) or stack of K coefficient grids (K s^2 doubles), where a 40 x 40 lex
 # window needs about 25 MB of each and lex --n 150 --m 150 4 GB, or the
-# companion matrices of a sampled stability certificate
+# Sylvester or companion matrices of a stability certificate
 MAX_BLOCK_BYTES = 2**27
+
+# The sampled diagnostic scan of a generic weight: its Chebyshev y values
+# (the endpoints are added), and the margin above 1 by which a root modulus
+# must clear the unit circle, there and in the certificate.  The dense scan
+# decides when the crossing test is inconclusive.
+SCAN_SAMPLES = 129
+DENSE_SAMPLES = 20001
+MODULUS_MARGIN = 1e-9
 
 
 class ResourceLimitError(ValueError):
@@ -54,12 +69,38 @@ def _cap_bytes(doubles: int, what: str):
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """The verdict of ``is_stable``.
+
+    ``crossing_y`` is None for a stable weight, and otherwise a y in
+    [-1, 1] where h(., y) has a root of modulus at most 1 + MODULUS_MARGIN:
+    where a root crosses |z| = 1, if the test found one.  ``min_modulus``,
+    ``witness_y`` and ``degree_drops`` are diagnostics of a sampled scan,
+    computed on first access (analytic for a product spec): the smallest
+    root modulus over SCAN_SAMPLES Chebyshev y values and the endpoints,
+    the y where it occurs, and the y values where the top coefficient
+    vanishes.  A minimum above 1 there does not certify the weight.
+    """
+
     stable: bool
-    min_modulus: float
-    witness_y: float | None
-    method: str  # "analytic" or "sampled"
-    degree_drops: tuple[float, ...]
-    tol: float
+    method: str  # "analytic", "resultant" or "scan"
+    crossing_y: float | None
+    _diagnostics: Callable[[], tuple[float, float | None, tuple[float, ...]]] = field(repr=False, compare=False)
+
+    @cached_property
+    def _scan(self) -> tuple[float, float | None, tuple[float, ...]]:
+        return self._diagnostics()
+
+    @property
+    def min_modulus(self) -> float:
+        return self._scan[0]
+
+    @property
+    def witness_y(self) -> float | None:
+        return self._scan[1]
+
+    @property
+    def degree_drops(self) -> tuple[float, ...]:
+        return self._scan[2]
 
 
 def _degree_bound(n_h: int, i: int) -> float:
@@ -148,7 +189,7 @@ class WeightSpec:
 
     @cached_property
     def stability(self) -> StabilityReport:
-        """``is_stable(self)`` at its default arguments, computed once."""
+        """``is_stable(self)``, computed once."""
         return is_stable(self)
 
     @cached_property
@@ -277,31 +318,140 @@ def homogeneous_corner(spec: WeightSpec) -> np.ndarray:
     return g
 
 
-def is_stable(spec: WeightSpec, y_samples: int = 129, tol: float = 1e-9) -> StabilityReport:
+def is_stable(spec: WeightSpec) -> StabilityReport:
     """Certify h(., y) zero-free on |z| <= 1 for all y in [-1, 1].
 
     Product specs are certified analytically: every factor has both roots
-    of modulus 1/|a_i| > 1 uniformly in y.  Generic specs are sampled on a
-    Chebyshev y-grid (plus the endpoints); this is a numerical
-    certificate with an explicit margin, not a proof.  Companion matrices
-    above MAX_BLOCK_BYTES raise ResourceLimitError before they exist.
+    of modulus 1/|a_i| > 1 uniformly in y.  A generic spec gets the
+    crossing test.  As y moves, a root of h(., y) can enter the closed
+    disk only across |z| = 1, and a root z on the circle has its conjugate
+    1/z as a root too (h is real), so the reversal z^N h(1/z, y) vanishes
+    at z as well: y is a real root of the resultant
+    R(y) = Res_z(h, z^N h(1/z)) (E. I. Jury, "Stability of multidimensional
+    scalar and matrix polynomials", Proc. IEEE 66, 1978).  So h is stable
+    when h(., 0) is and no real root of R in [-1, 1] has a root of h(., y)
+    of modulus at most 1 + MODULUS_MARGIN.  A root of R from a reciprocal
+    pair z, 1/z off the circle has one of the two inside the disk, so those
+    moduli refuse it too.  The test is inconclusive when R is numerically
+    zero, when h_N (a constant, by the degree bounds) vanishes, or when a
+    root of R sits at an end of the interval; then a scan of DENSE_SAMPLES
+    y values decides, and refuses the weight unless every root modulus
+    clears the margin.  The report's ``min_modulus``, ``witness_y`` and
+    ``degree_drops`` are a sampled diagnostic computed on first access, so
+    a caller that reads only ``stable`` never runs that scan.  A Sylvester
+    or companion stack above MAX_BLOCK_BYTES raises ResourceLimitError
+    before it exists.
     """
-    if y_samples < 2:
-        raise ValueError("y_samples must be >= 2")
     if spec.variant == PRODUCT_OMEGA:
-        mods = [1.0 / abs(a) for a in spec.factors]
-        mn = min(mods, default=float("inf"))
-        return StabilityReport(mn > 1.0 + tol, mn, None, "analytic", (), tol)
+        mn = min((1.0 / abs(a) for a in spec.factors), default=float("inf"))
+        stable = mn > 1.0 + MODULUS_MARGIN
+        return StabilityReport(stable, "analytic", None if stable else 0.0, lambda: (mn, None, ()))
+    diagnostics = partial(_sampled_scan, spec.h)
+    verdict = _crossing_test(spec.h_mono)
+    if verdict is not None:
+        return StabilityReport(verdict[0], "resultant", verdict[1], diagnostics)
+    min_mod, witness, _ = _sampled_scan(spec.h, DENSE_SAMPLES)
+    stable = min_mod > 1.0 + MODULUS_MARGIN
+    return StabilityReport(stable, "scan", None if stable else witness, diagnostics)
 
-    ys = np.cos(np.pi * (2 * np.arange(y_samples) + 1) / (2 * y_samples))
-    ys = np.concatenate([ys, [-1.0, 1.0]])
-    c = np.stack([np.broadcast_to(hi(ys), ys.shape) for hi in spec.h], axis=1)  # row: z^0 .. z^N at ys[r]
-    scale = np.max(np.abs(c), axis=1, keepdims=True)
-    live = np.abs(c) > 1e-14 * scale
+
+def require_stable(spec: WeightSpec):
+    """Raise InvalidWeightError, naming a y where h(., y) has a root in the
+    closed disk, unless the report cached on ``spec`` certifies it."""
+    report = spec.stability
+    if not report.stable:
+        raise InvalidWeightError(f"weight is not stable: h(., y) has a root in |z| <= 1 at y = {report.crossing_y:.6g}")
+
+
+def _crossing_test(H: np.ndarray) -> tuple[bool, float | None] | None:
+    """(stable, y of a root in the closed disk) from the resultant of h and its
+    reversal, or None when the test is inconclusive.  Row i of H holds h_i(y)."""
+    n, kappa = len(H) - 1, H.shape[1] - 1
+    if n == 0:
+        return True, None
+    if abs(H[-1, 0]) <= 1e-14 * np.max(np.abs(H)):
+        return None
+    # R has y-degree <= 2 n kappa: its 2n x 2n Sylvester matrix has entries h_i(y)
+    m = 2 * n * kappa + 1
+    _cap_bytes(m * (2 * n) ** 2, f"a stack of {m} Sylvester matrices of order {2 * n}")
+    ys, powers, to_cheb, rows, cols, which = _resultant_grid(n, kappa)
+    c = powers @ H.T  # c[j, i] = h_i(ys[j])
+    S = np.zeros((m, 2 * n, 2 * n))
+    S[:, rows, cols] = c[:, which]
+    R = np.linalg.det(S)
+    # Hadamard: |R| <= (|c|^2)^n, each of the 2n rows holding the entries of c once.  Far
+    # below that bound the rounding of the determinants would move the roots of R.
+    if not np.max(np.abs(R)) > 1e-9 * np.max(np.einsum("ji,ji->j", c, c) ** n):
+        return None
+    roots = _chebyshev_roots(to_cheb @ R)
+    # a root pair crossing the circle is a double root of R, which rounding can split into
+    # a complex pair; checking a root that is not real costs a few moduli, and refuses nothing
+    # that is stable, so the filter is wide
+    real = roots[np.abs(roots.imag) <= 1e-2].real
+    if np.any(np.abs(np.abs(real) - 1.0) < 1e-6):
+        return None
+    y = np.append(real[np.abs(real) < 1.0], 0.0)  # the crossings first, then y0 = 0
+    mods, _ = _min_moduli(np.power.outer(y, np.arange(kappa + 1)) @ H.T)
+    inside = np.flatnonzero(mods <= 1.0 + MODULUS_MARGIN)
+    return (True, None) if inside.size == 0 else (False, float(y[inside[0]]))
+
+
+@lru_cache(maxsize=32)
+def _resultant_grid(n: int, kappa: int):
+    """For a z-degree n and y-degree kappa: the 2 n kappa + 1 Chebyshev nodes,
+    the powers y^k there, the map from values there to Chebyshev-T
+    coefficients, and the Sylvester positions (row, column, index into h's
+    coefficients): row r < n holds h's from the top, shifted r places, and
+    row n + r those of the reversal, that is h's from the bottom.  The arrays
+    are shared by every caller, so they are read-only."""
+    m = 2 * n * kappa + 1
+    theta = np.pi * (np.arange(m) + 0.5) / m
+    ys = np.cos(theta)
+    to_cheb = np.cos(np.outer(np.arange(m), theta)) * (2.0 / m)
+    to_cheb[0] /= 2.0
+    r, k = np.divmod(np.arange(2 * n * (n + 1)), n + 1)
+    out = (ys, np.power.outer(ys, np.arange(kappa + 1)), to_cheb, r, r % n + k, np.where(r < n, n - k, k))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _chebyshev_roots(a: np.ndarray) -> np.ndarray:
+    """Roots of sum_k a_k T_k(y), trimmed of leading coefficients below 1e-13 of
+    the largest, as the eigenvalues of the colleague matrix."""
+    a = a[: np.flatnonzero(np.abs(a) > 1e-13 * np.max(np.abs(a)))[-1] + 1]
+    d = len(a) - 1
+    if d < 2:
+        return -a[:1] / a[1:]  # empty for a constant
+    A = _colleague(d).copy()
+    A[-1] -= a[:-1] / (2.0 * a[-1])
+    return np.linalg.eigvals(A)
+
+
+@lru_cache(maxsize=32)
+def _colleague(d: int) -> np.ndarray:
+    """The read-only part of a degree-d colleague matrix that does not depend on the
+    series: y T_0 = T_1 and y T_k = (T_{k-1} + T_{k+1}) / 2; the last row also
+    carries the series, which eliminates T_d."""
+    A = np.zeros((d, d))
+    A[0, 1] = 1.0
+    k = np.arange(1, d)
+    A[k, k - 1] = 0.5
+    A[k[:-1], k[:-1] + 1] = 0.5
+    A.flags.writeable = False
+    return A
+
+
+def _min_moduli(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of c, the smallest root modulus of sum_k c_k z^k (inf for a
+    constant) and the length left after trailing coefficients below 1e-14 of
+    the row's largest."""
+    a = np.abs(c)
+    live = a > 1e-14 * np.max(a, axis=1, keepdims=True)
     live[:, 0] = True
     nz = c.shape[1] - np.argmax(live[:, ::-1], axis=1)  # effective length after trailing near-zeros
-    mods = np.full(len(ys), np.inf)
-    for n in np.unique(nz[nz > 1]):
+    mods = np.full(len(c), np.inf)
+    for n in sorted(set(nz.tolist()) - {1}):
         rows = np.flatnonzero(nz == n)
         # companion matrices of the reversed coefficients, as np.roots builds them
         p = c[rows, :n][:, ::-1]
@@ -310,10 +460,21 @@ def is_stable(spec: WeightSpec, y_samples: int = 129, tol: float = 1e-9) -> Stab
         comp[:, 0, :] = -p[:, 1:] / p[:, :1]
         comp[:, np.arange(1, n - 1), np.arange(n - 2)] = 1.0
         mods[rows] = np.min(np.abs(np.linalg.eigvals(comp)), axis=1)
+    return mods, nz
+
+
+def _sampled_scan(h: tuple[UnivariatePoly, ...], samples: int | None = None) -> tuple[float, float | None, tuple]:
+    """The smallest root modulus of h(., y) over ``samples`` (default
+    SCAN_SAMPLES) Chebyshev y values and the endpoints, the y where it
+    occurs, and the y values at which the top coefficient vanishes."""
+    samples = SCAN_SAMPLES if samples is None else samples
+    ys = np.cos(np.pi * (2 * np.arange(samples) + 1) / (2 * samples))
+    ys = np.concatenate([ys, [-1.0, 1.0]])
+    c = np.stack([np.broadcast_to(hi(ys), ys.shape) for hi in h], axis=1)  # row: z^0 .. z^N at ys[r]
+    mods, nz = _min_moduli(c)
     drops = tuple(float(y) for y in ys[nz < c.shape[1]])
     k = int(np.argmin(mods))
-    min_mod, witness = float(mods[k]), float(ys[k]) if np.isfinite(mods[k]) else None
-    return StabilityReport(min_mod > 1.0 + tol, min_mod, witness, "sampled", drops, tol)
+    return float(mods[k]), float(ys[k]) if np.isfinite(mods[k]) else None, drops
 
 
 # -- JSON config ------------------------------------------------------------

@@ -5,6 +5,17 @@ import pytest
 
 from bsz2d.moment_oracle import MomentOracle
 
+# An N_h = 4 generic weight that is not stable, though the 131 y samples of the diagnostic
+# scan read a minimum root modulus of 1.000001: a root pair dips to modulus 0.99996 near
+# y = -0.371, crossing |z| = 1 at y = -0.3797 and -0.3615 (y-monomial coefficient rows)
+CROSSING_ROWS = [
+    [1.0],
+    [-0.6698313147905028, 0.507915478674425],
+    [-0.3095202433662152, 0.1606618284542834, 0.4985576735946885],
+    [0.17387638567330999, -0.29904407476346323],
+    [-0.12609160828825425],
+]
+
 
 @pytest.fixture()
 def oracle_calls(monkeypatch) -> Counter:

@@ -9,6 +9,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import CROSSING_ROWS
 
 from bsz2d import moment_oracle, recurrence
 from bsz2d.cli import main
@@ -209,11 +210,20 @@ class TestErrors:
         res = runner.invoke(main, ["moments", "--weight", str(tmp_path / "absent.json")])
         assert res.exit_code == 2
 
-    def test_unstable_weight_rejected(self, runner, tmp_path):
+    @pytest.mark.parametrize(
+        "rows,command,y",
+        [([[1.0], [-2.0]], ["moments"], "0"), (CROSSING_ROWS, ["verify", "--depth", "2"], "-0.3")],
+        ids=["root-inside", "crossing-between-samples"],
+    )
+    def test_unstable_weight_rejected(self, runner, tmp_path, rows, command, y):
+        # the second weight passes the sampled scan; its oracle would climb to MAX_RESOLUTION and exit 3
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"generic_h": [[1.0], [-2.0]]}))
-        res = runner.invoke(main, ["moments", "--weight", str(path)])
-        assert res.exit_code == 2
+        path.write_text(json.dumps({"generic_h": rows}))
+        res = runner.invoke(main, [command[0], "--weight", str(path), *command[1:]])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)  # a usage message, not a traceback
+        lines = [line for line in res.output.splitlines() if "not stable" in line]
+        assert len(lines) == 1 and f"at y = {y}" in lines[0], res.output
 
     @pytest.mark.parametrize(
         "args",
@@ -317,12 +327,13 @@ def test_second_process_prints_the_same_moments(tmp_path):
 
 
 def test_stability_certificate_over_the_budget_is_a_usage_error(runner, tmp_path, monkeypatch):
-    # N_h = 20 sampled at 131 y values needs 131 * 20^2 doubles of companion matrices, 409 KiB
+    # N_h = 20 with h_1 of degree 1: a resultant of y-degree 40 needs 41 Sylvester matrices
+    # of 40^2 doubles, 513 KiB
     from bsz2d import weights
 
     monkeypatch.setattr(weights, "MAX_BLOCK_BYTES", 2**18)
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps({"generic_h": [[1.0]] + [[0.0]] * 19 + [[0.5]]}))
+    path.write_text(json.dumps({"generic_h": [[1.0], [0.0, 0.1]] + [[0.0]] * 18 + [[0.5]]}))
     res = runner.invoke(main, ["moments", "--weight", str(path), "--max-degree", "2"])
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)  # a usage message, not a traceback

@@ -12,7 +12,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 import pytest
-from conftest import chebu_mul_reference, h_eval_reference
+from conftest import CROSSING_ROWS, chebu_mul_reference, h_eval_reference
 
 from bsz2d import moment_oracle
 from bsz2d.moment_oracle import (
@@ -227,6 +227,18 @@ class TestGramSchmidt:
         monkeypatch.setattr(moment_oracle, "COND_CAP", 1.0)
         with pytest.raises(OracleUnreliableError):
             MomentOracle(product_spec([0.5])).gram_schmidt(TOTAL, 3)
+
+    def test_condition_cap_is_a_one_norm_bound(self, monkeypatch):
+        # the gate reads cond_1 from the Cholesky factor, which is at least cond_2 for a symmetric G:
+        # a cap between the two refuses the matrix, one above cond_1 accepts it
+        G = MomentOracle(product_spec([0.5])).gram(index_sequence(TOTAL, 3))
+        cond2, cond1 = np.linalg.cond(G), np.linalg.cond(G, 1)
+        assert cond2 < cond1
+        monkeypatch.setattr(moment_oracle, "COND_CAP", math.sqrt(cond1 * cond2))
+        with pytest.raises(OracleUnreliableError, match="condition number"):
+            MomentOracle(product_spec([0.5])).gram_schmidt(TOTAL, 3)
+        monkeypatch.setattr(moment_oracle, "COND_CAP", 1.001 * cond1)
+        MomentOracle(product_spec([0.5])).gram_schmidt(TOTAL, 3)
 
     def test_indefinite_gram_raises(self, monkeypatch):
         # well conditioned but not positive definite, so the Cholesky factorization fails
@@ -746,10 +758,11 @@ def test_derived_moments_match_direct_trapezoid(spec):
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-13
 
 
-def test_unstable_weight_is_rejected():
-    # min root modulus 0.62: an ungated oracle climbs toward a 16384^2 grid
-    with pytest.raises(InvalidWeightError):
-        MomentOracle(generic_spec([[1], [-0.6, -1.2], [0.3]]))
+@pytest.mark.parametrize("rows", [[[1], [-0.6, -1.2], [0.3]], CROSSING_ROWS], ids=["min-modulus-0.62", "crossing"])
+def test_unstable_weight_is_rejected(rows):
+    # an ungated oracle climbs toward a 16384^2 grid; the second weight passes the sampled scan
+    with pytest.raises(InvalidWeightError, match="not stable"):
+        MomentOracle(generic_spec(rows))
 
 
 class TestKernel:

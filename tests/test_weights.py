@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import h_eval_reference
+from conftest import CROSSING_ROWS, h_eval_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,15 +135,15 @@ class TestStability:
         assert rep.stable and rep.method == "analytic"
         assert rep.min_modulus == pytest.approx(1 / 0.9)
 
-    def test_generic_sampled(self):
+    def test_generic_resultant(self):
         rep = is_stable(generic_spec([[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]]))
-        assert rep.stable and rep.method == "sampled"
+        assert rep.stable and rep.method == "resultant" and rep.crossing_y is None
         assert rep.min_modulus > 1.0
 
     def test_unstable_detected(self):
-        # h = 1 - 2z has a root at 1/2 inside the disk
+        # h = 1 - 2z has a root at 1/2 inside the disk at every y, so no crossing: y0 = 0 is named
         rep = is_stable(generic_spec([[1.0], [-2.0]]))
-        assert not rep.stable
+        assert not rep.stable and rep.crossing_y == 0.0
         assert rep.min_modulus == pytest.approx(0.5, rel=1e-9)
 
 
@@ -181,7 +181,7 @@ def test_batched_stability_matches_per_sample_roots(rows):
     spec = generic_spec(rows)
     rep = is_stable(spec)
     stable, min_mod, witness, drops = _stability_reference(spec)
-    assert rep.method == "sampled" and rep.stable == stable
+    assert rep.stable == stable
     assert rep.min_modulus == pytest.approx(min_mod, rel=1e-12)
     assert rep.witness_y == witness and rep.degree_drops == drops
 
@@ -198,22 +198,121 @@ def test_batched_stability_on_random_specs():
             assert rep.min_modulus == pytest.approx(min_mod, rel=1e-12)
 
 
-def test_stability_is_computed_once_per_spec():
+def test_stability_is_computed_once_per_spec(monkeypatch):
     spec = generic_spec([[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]])
     rep = spec.stability
     assert spec.stability is rep
     assert rep == is_stable(spec)
-    assert is_stable(spec, y_samples=33) is not rep  # other arguments still compute
+    min_mod = rep.min_modulus
+    monkeypatch.setattr(weights, "SCAN_SAMPLES", 33)
+    assert rep.min_modulus == min_mod  # the report keeps its scan
+    assert is_stable(spec).min_modulus == pytest.approx(_stability_reference(spec, y_samples=33)[1], rel=1e-12)
 
 
 def test_stability_certificate_checks_its_budget(monkeypatch):
-    # h = 1 + 0.5 z^20 at 131 y values: 131 companion matrices of 20^2 doubles, 409 KiB
+    # h = 1 + 0.5 z^20: a resultant constant in y, one Sylvester matrix of 40^2 doubles, but the
+    # diagnostic scan at 131 y values needs 131 companion matrices of 20^2 doubles, 409 KiB
     spec = generic_spec([[1.0]] + [[0.0]] * 19 + [[0.5]])
     assert is_stable(spec).stable  # roots of modulus 2^(1/20)
     monkeypatch.setattr(weights, "MAX_BLOCK_BYTES", 2**18)
+    rep = is_stable(spec)
+    assert rep.stable
     with pytest.raises(moment_oracle.ResourceLimitError, match="a stack of 131 companion matrices of degree 20"):
-        is_stable(spec)
-    assert is_stable(spec, y_samples=2).stable  # 4 matrices fit
+        rep.min_modulus
+    monkeypatch.setattr(weights, "SCAN_SAMPLES", 2)
+    assert is_stable(spec).min_modulus == pytest.approx(2 ** (1 / 20))  # 4 matrices fit
+    # h_1 = 0.1 y raises the resultant's y-degree to 40: 41 Sylvester matrices, 513 KiB
+    with pytest.raises(moment_oracle.ResourceLimitError, match="a stack of 41 Sylvester matrices of order 40"):
+        is_stable(generic_spec([[1.0], [0.0, 0.1]] + [[0.0]] * 18 + [[0.5]]))
+
+
+def test_crossing_between_samples_is_refused():
+    spec = generic_spec(CROSSING_ROWS)
+    rep = is_stable(spec)
+    assert rep.min_modulus > 1.0 + weights.MODULUS_MARGIN  # the sampled scan misses it
+    assert not rep.stable and rep.method == "resultant"
+    assert min(abs(rep.crossing_y + 0.3797), abs(rep.crossing_y + 0.3615)) < 1e-3
+    c = np.array([float(hi(rep.crossing_y)) for hi in spec.h])
+    assert abs(np.min(np.abs(np.roots(c[::-1]))) - 1.0) < 1e-9  # a root on the circle there
+
+
+def test_reading_the_verdict_runs_no_scan(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the diagnostic scan ran")
+
+    monkeypatch.setattr(weights, "_sampled_scan", fail)
+    assert is_stable(generic_spec([[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]])).stable
+    moment_oracle.MomentOracle(generic_spec([[1.0], [0.3, -0.5], [0.1]]))
+
+
+@pytest.mark.parametrize(
+    "rows,stable",
+    [
+        ([[1.0], [1.0, 1.0], [0.25, 1.0], [0.25]], False),  # (1 + z)(1 + y z + z^2 / 4): R = 0, a root at -1
+        ([[1.0], [-2.5], [1.0]], False),  # (1 - 2z)(1 - z / 2): a reciprocal pair, R = 0
+        ([[1], [0.3, -0.5], [0.0]], True),  # h_2 = 0
+        ([[1.0], [0.0, 1.998], [0.998001]], True),  # product [0.999]: R has a root at y = 1 + 5e-7
+    ],
+    ids=["root-on-circle", "reciprocal-pair", "top-vanishes", "root-at-edge"],
+)
+def test_inconclusive_crossing_test_falls_back_to_the_dense_scan(rows, stable):
+    rep = is_stable(generic_spec(rows))
+    assert rep.method == "scan" and rep.stable == stable
+    assert (rep.crossing_y is None) == stable
+
+
+@pytest.mark.parametrize(
+    "rows", [CROSSING_ROWS, [[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]], [[1.0], [0.5, 0.2], [0.3]]]
+)
+def test_resultant_parts_match_references(rows):
+    # |det S(y)| = |h_N|^(2N) |prod_ij (1 - a_i a_j)| over the roots a_i of h(., y); the nodes'
+    # values map to the Chebyshev coefficients numpy's chebval reads; the colleague matrix has the
+    # eigenvalues of numpy's chebroots
+    H = generic_spec(rows).h_mono
+    n, kappa = len(H) - 1, H.shape[1] - 1
+    ys, powers, to_cheb, r, c, k = weights._resultant_grid(n, kappa)
+    vals = powers @ H.T
+    S = np.zeros((len(ys), 2 * n, 2 * n))
+    S[:, r, c] = vals[:, k]
+    for row, det in zip(vals, np.linalg.det(S)):
+        a = np.roots(row[::-1])
+        want = abs(row[-1] ** (2 * n) * np.prod(1.0 - np.outer(a, a)))
+        assert abs(abs(det) - want) <= 1e-12 * max(1.0, want)
+    cheb = np.polynomial.chebyshev
+    coeffs = np.random.default_rng(len(ys)).normal(size=len(ys))
+    assert np.allclose(to_cheb @ cheb.chebval(ys, coeffs), coeffs, atol=1e-13)
+    got, want = weights._chebyshev_roots(coeffs), cheb.chebroots(coeffs)
+    assert np.allclose(np.sort_complex(got), np.sort_complex(want), atol=1e-9)
+
+
+def _rescaled_rows(rng, n_h, rho):
+    """Random rows within the degree bounds, rescaled (h_i -> s^i h_i) so that the sampled
+    minimum root modulus is rho, as the benchmark's generators draw them."""
+    rows = [[1.0]] + [list(rng.uniform(-1.0, 1.0, int(min(i, n_h - i)) + 1)) for i in range(1, n_h + 1)]
+    s = is_stable(generic_spec(rows)).min_modulus / rho
+    return [[c * s**i for c in row] for i, row in enumerate(rows)]
+
+
+@pytest.mark.parametrize("lo,hi,stable", [(1.02, 2.2, True), (0.7, 0.99, False)], ids=["stable", "unstable"])
+def test_certificate_battery(lo, hi, stable):
+    rng = np.random.default_rng(11 if stable else 12)
+    for k in range(90):
+        spec = generic_spec(_rescaled_rows(rng, 2 + k % 3, rng.uniform(lo, hi)))
+        rep = is_stable(spec)
+        assert rep.stable == stable, spec.h
+        if rep.stable != (rep.min_modulus > 1.0 + weights.MODULUS_MARGIN):
+            dense = weights._sampled_scan(spec.h, 20001)[0]
+            assert rep.stable == (dense > 1.0 + weights.MODULUS_MARGIN), spec.h
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ex2(0.6, 0.3), ex2(-0.5, 0.25), remark_n4(0.3, -0.2, 0.5), generic_spec([[1.0], [0.0, 1.95], [0.950625]])],
+    ids=["ex2", "ex2-negative", "remark_n4", "near-boundary"],
+)
+def test_certificate_keeps_known_verdicts(spec):
+    rep = is_stable(spec)
+    assert rep.stable and rep.method == "resultant" and rep.min_modulus > 1.0
 
 
 class TestConfig:
