@@ -8,9 +8,12 @@ degree or window bound, an out-of-range example parameter or depth) exits
 2 with a usage message, and so does a request over a size cap
 (``ResourceLimitError``).  A ``--tol`` that is not finite and positive
 exits 2 with a one-line message.  A quadrature that does not meet the
-tolerance below the resolution cap (``AccuracyError``), or a Gram matrix
-too ill conditioned to factor (``OracleUnreliableError``), exits 3 with a
-one-line message.
+tolerance below the resolution cap (``AccuracyError``), a Gram matrix too
+ill conditioned to factor (``OracleUnreliableError``), or a high-band
+solve whose leading combination weight vanishes (``AnomalousSolutionError``)
+exits 3 with a one-line message.  Blocks that fail their own consistency
+check (``ConstructionInconsistencyError``, such as a three-term residual
+above ``RESIDUAL_TOL`` at a loose ``--tol``) exit 1 with a one-line message.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import click
 import numpy as np
 
 from .examples_suite import EXAMPLES, run_regression
-from .lex_order import lex_system
+from .lex_order import AnomalousSolutionError, lex_system
 from .moment_oracle import (
     DEFAULT_TOL,
     MAX_DEGREE,
@@ -35,7 +38,13 @@ from .moment_oracle import (
 )
 from . import recurrence as recurrence_module  # the name recurrence is the command below
 from .ortho import LEX, REVLEX, TOTAL
-from .recurrence import lex_blocks, total_blocks, verify_lex_structure, verify_total_structure
+from .recurrence import (
+    ConstructionInconsistencyError,
+    lex_blocks,
+    total_blocks,
+    verify_lex_structure,
+    verify_total_structure,
+)
 from .total_order import build_total_vector, gram_deviation
 from .weights import WeightSpec, require_stable, spec_from_config
 
@@ -82,8 +91,10 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except ResourceLimitError as exc:
             raise click.UsageError(str(exc), ctx) from exc
-        except (AccuracyError, OracleUnreliableError) as exc:
+        except (AccuracyError, OracleUnreliableError, AnomalousSolutionError) as exc:
             raise _NumericalFailure(f"{type(exc).__name__}: {exc}") from exc
+        except ConstructionInconsistencyError as exc:
+            raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
 
 
 @click.group(cls=_Main)

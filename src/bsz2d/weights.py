@@ -6,7 +6,8 @@ stable (zero free on |z| <= 1) for every y in [-1, 1].  Two views exist:
 * generic: the list of coefficient polynomials h_i(y) is given directly;
 * product: h is a product of quadratic factors (1 + 2 a_i y z + a_i^2 z^2)
   coming from the bidisk-stable factorization prod_i (1 + a_i z w); the
-  raw parameters a_i are stored and the generic expansion is cached.
+  raw parameters a_i are stored, N_h = 2 N_f and kappa = N_f are read from
+  them, and the generic expansion is built on first use, not up front.
 
 The reflected weight h~(x, w) swaps the roles of (z, y) and (w, x); for
 product specs it has the same factor parameters.
@@ -15,12 +16,15 @@ product specs it has the same factor parameters.
 the crossing test: h(., 0) is stable, and no real root in [-1, 1] of the
 resultant of h and its reversal z^N h(1/z) marks a root of h(., y) on or
 inside |z| = 1.  Its report's ``min_modulus`` is a sampled diagnostic,
-computed only when read.
+computed only when read.  A spec object is certified once: the report is
+cached as ``WeightSpec.stability``, and ``is_stable``, ``require_stable``
+and ``MomentOracle`` all read it, whichever asks first.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -111,7 +115,9 @@ class WeightSpec:
     """Weight specification; immutable after construction.
 
     ``factors`` is None for generic specs.  ``h`` is the list of
-    UnivariatePoly coefficients of z^0 .. z^{N_h} (monomial basis in y).
+    UnivariatePoly coefficients of z^0 .. z^{N_h} (monomial basis in y);
+    a product spec expands it on first use, and answers ``n_h`` and
+    ``kappa`` from its factors without it.
     """
 
     def __init__(self, h: list[UnivariatePoly] | None = None, factors: tuple[float, ...] | None = None):
@@ -178,19 +184,33 @@ class WeightSpec:
         H.flags.writeable = False
         return H
 
+    @cached_property
+    def _degrees(self) -> tuple[int, int]:
+        """(N_h, kappa).  When a product's top coefficient prod a_i^2, taken in
+        the order ``_expand_z`` takes it, is a nonzero double, so is its
+        y^N_f z^N_f coefficient prod 2 a_i, hence N_h = 2 N_f and kappa = N_f.
+        A generic spec, or a product whose top coefficient underflows (the
+        expansion then drops rows), reads them from ``h``."""
+        if self._factors is not None and math.prod(a * a for a in self._factors) != 0.0:
+            return 2 * len(self._factors), len(self._factors)
+        degs = [hi.deg for hi in self.h if not hi.is_zero]
+        return len(self.h) - 1, int(max(degs, default=0))
+
     @property
     def n_h(self) -> int:
-        return len(self.h) - 1
+        return self._degrees[0]
 
-    @cached_property
+    @property
     def kappa(self) -> int:
-        degs = [hi.deg for hi in self.h if not hi.is_zero]
-        return int(max((d for d in degs), default=0))
+        return self._degrees[1]
 
     @cached_property
     def stability(self) -> StabilityReport:
-        """``is_stable(self)``, computed once."""
-        return is_stable(self)
+        """The certificate of this spec object, computed on first access.
+
+        ``is_stable``, ``require_stable`` and ``MomentOracle`` all read this
+        report, so a spec is certified once, whichever of them asks first."""
+        return _certify(self)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -321,6 +341,10 @@ def homogeneous_corner(spec: WeightSpec) -> np.ndarray:
 def is_stable(spec: WeightSpec) -> StabilityReport:
     """Certify h(., y) zero-free on |z| <= 1 for all y in [-1, 1].
 
+    The report is ``spec.stability``: it is computed once per spec object,
+    whichever of ``is_stable``, ``require_stable`` or ``MomentOracle`` asks
+    first, and every later call returns the same report.
+
     Product specs are certified analytically: every factor has both roots
     of modulus 1/|a_i| > 1 uniformly in y.  A generic spec gets the
     crossing test.  As y moves, a root of h(., y) can enter the closed
@@ -342,6 +366,11 @@ def is_stable(spec: WeightSpec) -> StabilityReport:
     or companion stack above MAX_BLOCK_BYTES raises ResourceLimitError
     before it exists.
     """
+    return spec.stability
+
+
+def _certify(spec: WeightSpec) -> StabilityReport:
+    """The certificate ``is_stable`` describes; only ``WeightSpec.stability`` calls it."""
     if spec.variant == PRODUCT_OMEGA:
         mn = min((1.0 / abs(a) for a in spec.factors), default=float("inf"))
         stable = mn > 1.0 + MODULUS_MARGIN
@@ -357,7 +386,9 @@ def is_stable(spec: WeightSpec) -> StabilityReport:
 
 def require_stable(spec: WeightSpec):
     """Raise InvalidWeightError, naming a y where h(., y) has a root in the
-    closed disk, unless the report cached on ``spec`` certifies it."""
+    closed disk, unless ``spec.stability`` certifies it.  That report is
+    computed once per spec object, here or by whichever of ``is_stable``
+    and ``MomentOracle`` asked first."""
     report = spec.stability
     if not report.stable:
         raise InvalidWeightError(f"weight is not stable: h(., y) has a root in |z| <= 1 at y = {report.crossing_y:.6g}")

@@ -341,20 +341,19 @@ def test_stability_certificate_over_the_budget_is_a_usage_error(runner, tmp_path
 
 
 def test_stability_certified_once_per_command(runner, generic_weight, monkeypatch):
-    # the loader and the oracle both read the spec's cached report; the cleared
-    # oracle cache makes the command build its oracle
-    from bsz2d import cli, weights
+    # the loader and the oracle both read the spec's cached report, so the resultant
+    # certificate runs once; the cleared oracle cache makes the command build its oracle
+    from bsz2d import weights
 
     monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
     calls = []
-    real = weights.is_stable
+    real = weights._crossing_test
 
-    def counting(spec, *args, **kwargs):
-        calls.append(spec.fingerprint)
-        return real(spec, *args, **kwargs)
+    def counting(H):
+        calls.append(H.shape)
+        return real(H)
 
-    for mod in (weights, cli, moment_oracle):
-        monkeypatch.setattr(mod, "is_stable", counting, raising=False)
+    monkeypatch.setattr(weights, "_crossing_test", counting)
     res = runner.invoke(main, ["lex", "--weight", generic_weight, "--n", "2", "--m", "2"])
     assert res.exit_code == 0, res.output
     assert len(calls) == 1
@@ -376,3 +375,29 @@ def test_numerical_failure_exits_3(runner, product_weight, generic_weight, monke
     assert res.exit_code == 3, res.output
     assert isinstance(res.exception, SystemExit)  # a message, not a traceback
     assert res.output.startswith(f"Error: {error}: ") and res.output.count("\n") == 1, res.output
+
+
+def test_loose_tol_residual_is_one_line_exit_1(tmp_path):
+    # at --tol 1e-4 the [0.975, 0.5] blocks miss the three-term residual gate: a failed
+    # check of the construction, reported as one line, not a traceback
+    weight = tmp_path / "near.json"
+    weight.write_text(json.dumps({"product": [0.975, 0.5]}))
+    res = _console(["--tol", "1e-4", "verify", "--weight", str(weight), "--depth", "4"], {})
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("Error: ConstructionInconsistencyError: three-term residual ")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+
+def test_anomalous_high_band_solution_exits_3(runner, product_weight, monkeypatch):
+    # _closed_grid does not catch it, so it leaves lex_system; the window reaches the high band
+    from bsz2d import lex_order
+
+    def anomalous(grids, r, k, m):
+        raise lex_order.AnomalousSolutionError(f"leading combination weight a_0 ~ 0 at ({r}, {k}, {m})")
+
+    monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
+    monkeypatch.setattr(lex_order, "_null_vector", anomalous)
+    res = runner.invoke(main, ["lex", "--weight", product_weight, "--n", "3", "--m", "3"])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("Error: AnomalousSolutionError: ") and res.output.count("\n") == 1, res.output

@@ -199,14 +199,71 @@ def test_batched_stability_on_random_specs():
 
 
 def test_stability_is_computed_once_per_spec(monkeypatch):
-    spec = generic_spec([[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]])
+    rows = [[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]]
+    spec = generic_spec(rows)
     rep = spec.stability
     assert spec.stability is rep
-    assert rep == is_stable(spec)
+    assert is_stable(spec) is rep
     min_mod = rep.min_modulus
     monkeypatch.setattr(weights, "SCAN_SAMPLES", 33)
     assert rep.min_modulus == min_mod  # the report keeps its scan
-    assert is_stable(spec).min_modulus == pytest.approx(_stability_reference(spec, y_samples=33)[1], rel=1e-12)
+    fresh = generic_spec(rows)  # a new spec object gets a new report, with a new scan
+    assert is_stable(fresh).min_modulus == pytest.approx(_stability_reference(fresh, y_samples=33)[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("first", ["is_stable", "require_stable", "MomentOracle"])
+def test_certified_once_whichever_entry_point_asks_first(monkeypatch, first):
+    calls = []
+    real = weights._crossing_test
+
+    def counting(H):
+        calls.append(H.shape)
+        return real(H)
+
+    monkeypatch.setattr(weights, "_crossing_test", counting)
+    spec = generic_spec([[1.0], [-0.6, -1.2], [0.36, 0.72], [-0.216]])
+    entry = {
+        "is_stable": is_stable,
+        "require_stable": weights.require_stable,
+        "MomentOracle": moment_oracle.MomentOracle,
+    }
+    entry.pop(first)(spec)
+    for ask in entry.values():
+        ask(spec)
+    assert len(calls) == 1
+    assert is_stable(spec) is spec.stability
+
+
+def test_product_degrees_match_the_expansion():
+    # N_h = 2 N_f and kappa = N_f from the factors, unless prod a_i^2 underflows and the
+    # expansion drops rows: [1e-200] has N_h = 1, while [1e-160] keeps a subnormal top row
+    rng = np.random.default_rng(26)
+    tiny = [1e-200, 1e-170, 1e-160, 1e-120, 1e-100, 1e-80]
+    cases = [[], [1e-200], [1e-160], [1e-160, 1e-3], [1e-160, 0.5], [1e-100] * 4, [0.999, -0.999]]
+    for _ in range(300):
+        mags = [rng.choice(tiny) if rng.random() < 0.3 else rng.uniform(1e-3, 0.999) for _ in range(rng.integers(0, 5))]
+        cases.append([float(rng.choice([-1.0, 1.0])) * m for m in mags])
+    underflows = 0
+    for a in cases:
+        spec = product_spec(a)
+        n_h, kappa = spec.n_h, spec.kappa
+        h = product_spec(a).h  # the expansion, on another spec object
+        assert n_h == len(h) - 1, a
+        assert kappa == max((hi.deg for hi in h if not hi.is_zero), default=0), a
+        underflow = math.prod(x * x for x in a) == 0.0
+        assert ("h" in spec.__dict__) == underflow, a  # the expansion is built only on underflow
+        underflows += underflow
+    assert product_spec([1e-200]).n_h == 1 and product_spec([1e-160]).n_h == 2
+    assert 20 < underflows < len(cases) - 100
+
+
+def test_product_spec_builds_no_expansion_until_a_caller_needs_coefficients():
+    spec = product_spec([0.5, -0.3])
+    assert (spec.n_h, spec.kappa, spec.n_f) == (4, 2, 2)
+    assert spec.stability.stable and spec.fingerprint
+    moment_oracle.MomentOracle(spec).chebu_table(4)
+    assert not {"h", "h_chebu", "h_mono"} & set(spec.__dict__)
+    assert spec.h_mono.shape == (5, 3) and "h" in spec.__dict__
 
 
 def test_stability_certificate_checks_its_budget(monkeypatch):
