@@ -4,8 +4,10 @@ On the window Pi_{n,m}, slots (r, k) with k <= m - kappa are simply
 q_r(x, y) U_k(y).  The last N_f slots of each row mix the q and q~
 families; the mixing coefficients come either from a nullspace solve
 (kill every tensor-Chebyshev slot that is out of window or beyond the
-target), or from the step-by-step elimination that tracks the Laurent
+target), or from the step-by-step elimination that tracks the leading
 image of the combination and cancels its w^{-(m+1)} term at each step.
+That image is the Chebyshev-U grid: entry (i, j) is the coefficient of
+z^{-i} w^{-j}.
 Both must produce the same polynomial, and so must the whole-window
 system ``lex_system`` builds.
 """
@@ -32,9 +34,8 @@ def main():
         terms = {(a, b): c for (t, a, b), c in state.s_atoms.items() if t == kind}
         print(f"  {label} terms (alpha, beta): coefficient:",
               {ab: round(c, 6) for ab, c in sorted(terms.items())})
-    img = state.s_image().prune(1e-10)
-    print("  lowest surviving w-exponent in the image:",
-          min(b for _, b in img.support))
+    cols = np.flatnonzero(np.any(np.abs(state.s_image()) > 1e-10, axis=0))
+    print("  lowest surviving w-exponent in the image:", -int(cols[-1]))
 
     direct = build_lex_high(spec, r, k, m)
     recursed = build_lex_high_recursion(spec, r, k, m)

@@ -10,13 +10,18 @@ q~ families:
 with j running over 0 .. k-(m-N_f)-1.  Two independent constructions are
 provided: a nullspace solve that kills every forbidden tensor-Chebyshev
 slot (the production path, ``build_lex_high`` for one slot), and the
-step-by-step Laurent elimination (``eliminate``) that determines the same
+step-by-step elimination (``eliminate``) that determines the same
 combination by repeatedly cancelling the w^{-(m+1)} term of the tracked
 leading image.  That combination depends
 only on the step count J = k - (m - N_f), not on r or m, so ``lex_system``
 solves it once per J, on the first high row r = 2 N_f, and builds every
 later high slot from that vector when it kills the slot's forbidden
 slots; a slot where it does not is solved on its own.
+
+The map U_i(x) U_j(y) -> z^{-i} w^{-j} that defines the leading image
+only relabels the tensor Chebyshev-U slots, so the elimination holds the
+image as the Chebyshev-U grid itself: entry (i, j) is the coefficient of
+z^{-i} w^{-j}.
 
 Every term above is one polynomial times one U_k, so a slot is built in
 coefficient space: ``poly_core.u_band`` applies the banded product by
@@ -37,9 +42,9 @@ import numpy as np
 
 from .moment_oracle import MomentOracle, _oracle, cap_system
 from .ortho import LEX, REVLEX, OrthoSystem
-from .poly_core import CHEB_U, MONOMIAL, BivariatePoly, LaurentPoly, _padded, t_map, u_band
+from .poly_core import CHEB_U, MONOMIAL, BivariatePoly, _padded, u_band
 from .szego_core import norm_threshold, qk_grid, tilde_ql_grid
-from .weights import PRODUCT_OMEGA, WeightSpec, homogeneous_corner, omega_laurent
+from .weights import PRODUCT_OMEGA, WeightSpec, homogeneous_corner
 
 
 class DegenerateWindowError(RuntimeError):
@@ -180,7 +185,8 @@ class EliminationState:
 
     ``gamma`` holds the coefficients of the homogeneous factor of the
     tracked image, degree N_f - step: T(S) = z^{-r} w^{-m} omega(z, w)
-    sum_i gamma_i z^i w^{deg - i}.
+    sum_i gamma_i z^i w^{deg - i}.  Both sides are image grids, entry
+    (i, j) the coefficient of z^{-i} w^{-j}.
     """
 
     spec: WeightSpec
@@ -195,28 +201,39 @@ class EliminationState:
     def s_poly(self) -> BivariatePoly:
         return _realize(self.spec, self.s_atoms)
 
-    def s_image(self) -> LaurentPoly:
-        return t_map(self.s_poly())
+    def s_image(self) -> np.ndarray:
+        """The trimmed Chebyshev-U grid of S, read as the image T(S) under
+        U_i(x) U_j(y) -> z^{-i} w^{-j}: entry (i, j) is the coefficient of
+        z^{-i} w^{-j}."""
+        return self.s_poly().coeffs
 
-    def predicted_image(self) -> LaurentPoly:
-        """z^{-r} w^{-m} omega(z, w) times the homogeneous gamma factor."""
+    def predicted_image(self) -> np.ndarray:
+        """z^{-r} w^{-m} omega(z, w) times the homogeneous gamma factor, as an
+        (r+1) x (m+1) image grid.  omega = sum_k e_k (z w)^k, e the elementary
+        symmetric functions ``homogeneous_corner`` returns, so the term
+        e_k gamma_i lands at (r - k - i, m - k - deg + i)."""
+        e = homogeneous_corner(self.spec)
         deg = len(self.gamma) - 1
-        omega = LaurentPoly(omega_laurent(self.spec))
-        homog = LaurentPoly({(i, deg - i): g for i, g in enumerate(self.gamma)})
-        return (omega * homog).shift(-self.r, -self.m)
+        k, i = np.divmod(np.arange(len(e) * (deg + 1)), deg + 1)
+        rows, cols = self.r - k - i, self.m - k - deg + i
+        # r, m >= 2 N_f keeps every index >= 0; np.add.at would wrap a negative one
+        assert rows.min() >= 0 and cols.min() >= 0, (self.r, self.m, deg)
+        grid = np.zeros((self.r + 1, self.m + 1))
+        np.add.at(grid, (rows, cols), e[k] * self.gamma[i])
+        return grid
 
     def check_invariants(self):
         if self.step == 0:
             return
         img = self.s_image()
-        # a deviation above 1e-9 of the image's largest coefficient is a breakdown
-        cutoff = 1e-9 * max((abs(v) for v in img.coeffs.values()), default=1.0)
-        dev = img.max_abs_diff(self.predicted_image())
-        if dev > cutoff:
+        # a deviation above 1e-9 of the image's largest coefficient is a breakdown,
+        # and so is a NaN; the predicted image ends at w^{-m}, so a surviving
+        # w^{-(m+1)} term is one
+        cutoff = 1e-9 * (float(np.max(np.abs(img))) if img.size else 1.0)
+        both = _padded([img, self.predicted_image()])
+        dev = float(np.max(np.abs(both[0] - both[1])))
+        if not dev <= cutoff:
             raise RecursionBreakdownError(f"image invariant violated at step {self.step}: {dev:.3e}")
-        low_w = [b for (_, b) in img.prune(cutoff).support if b <= -(self.m + 1)]
-        if low_w:
-            raise RecursionBreakdownError(f"w^{min(low_w)} survives step {self.step}")
 
 
 def eliminate(spec: WeightSpec, r: int, k: int, m: int) -> EliminationState:

@@ -34,6 +34,8 @@ _KEYS = {TOTAL: td_key, LEX: lex_key, REVLEX: revlex_key}
 def index_sequence(ordering: str, n: int, m: int | None = None) -> list[tuple[int, int]]:
     """Ordered (x-degree, y-degree) pairs: total degree <= n, or the
     rectangular window 0..n by 0..m for lex/revlex."""
+    if ordering not in _KEYS:
+        raise ValueError(f"unknown ordering {ordering!r}: use {TOTAL}, {LEX} or {REVLEX}")
     if n < 0 or (m is not None and m < 0):
         raise ValueError("index bounds n and m must be nonnegative")
     if ordering == TOTAL:

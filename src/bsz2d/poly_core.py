@@ -1,9 +1,11 @@
 """Exact-shape polynomial arithmetic in the tensor Chebyshev-U basis.
 
 Univariate and bivariate polynomials are stored as dense coefficient
-arrays over either the Chebyshev-U basis or the monomial basis; a sparse
-Laurent table in (z, w) supports the leading-behaviour bookkeeping of the
-lexicographical elimination algorithm.  Coefficients are double precision.
+arrays over either the Chebyshev-U basis or the monomial basis.
+Coefficients are double precision.  The Chebyshev-U grid is the one
+representation: the leading image of the lexicographical elimination,
+U_i(x) U_j(y) -> z^{-i} w^{-j}, only relabels its slots, so
+``lex_order`` reads that image off the grid itself.
 
 Every Chebyshev-U product reduces to the linearization rule
 U_a U_b = sum of U_c over c = |a-b|, |a-b|+2, ..., a+b, held as a 0/1
@@ -20,7 +22,7 @@ invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -173,25 +175,6 @@ class UnivariatePoly:
             return chebu_eval(self.coeffs, x)
         return np.polyval(np.asarray(self.coeffs, dtype=float)[::-1], x)
 
-    def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        if self.basis != other.basis:
-            raise BasisMismatchError(self.basis + " vs " + other.basis)
-        out = np.zeros(max(len(self.coeffs), len(other.coeffs)))
-        out[: len(self.coeffs)] += self.coeffs
-        out[: len(other.coeffs)] += other.coeffs
-        return UnivariatePoly(self.basis, out)
-
-    def __neg__(self) -> "UnivariatePoly":
-        return UnivariatePoly(self.basis, -self.coeffs if len(self.coeffs) else self.coeffs)
-
-    def __sub__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        return self + (-other)
-
-    def scale(self, c) -> "UnivariatePoly":
-        if len(self.coeffs) == 0:
-            return self
-        return UnivariatePoly(self.basis, self.coeffs * c)
-
 
 @lru_cache(maxsize=256)
 def _lin(na: int, nb: int) -> np.ndarray:
@@ -249,12 +232,6 @@ class BivariatePoly:
     def is_zero(self) -> bool:
         return self.coeffs.size == 0
 
-    def support(self) -> list[tuple[int, int]]:
-        if self.is_zero:
-            return []
-        ii, jj = np.nonzero(self.coeffs != 0)
-        return list(zip(ii.tolist(), jj.tolist()))
-
     # -- construction helpers --------------------------------------------
     @staticmethod
     def zero(basis: str = CHEB_U) -> "BivariatePoly":
@@ -309,68 +286,6 @@ class BivariatePoly:
                 row = row * y + float(c[i, j])
             acc = acc + row * x**i
         return acc
-
-
-# ---------------------------------------------------------------------------
-# Laurent side
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LaurentPoly:
-    """Finite real coefficient table on z^a w^b; zero entries are absent."""
-
-    coeffs: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.coeffs = {k: float(v) for k, v in self.coeffs.items() if v != 0.0}
-
-    def get(self, a: int, b: int) -> float:
-        return self.coeffs.get((a, b), 0.0)
-
-    @property
-    def support(self) -> set[tuple[int, int]]:
-        return set(self.coeffs)
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + v
-        return LaurentPoly(out)
-
-    def scale(self, c: float) -> "LaurentPoly":
-        return LaurentPoly({k: c * v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + other.scale(-1.0)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[tuple[int, int], float] = {}
-        for (a1, b1), v1 in self.coeffs.items():
-            for (a2, b2), v2 in other.coeffs.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, 0.0) + v1 * v2
-        return LaurentPoly(out)
-
-    def shift(self, da: int, db: int) -> "LaurentPoly":
-        return LaurentPoly({(a + da, b + db): v for (a, b), v in self.coeffs.items()})
-
-    def max_abs_diff(self, other: "LaurentPoly") -> float:
-        keys = self.support | other.support
-        return max((abs(self.get(*k) - other.get(*k)) for k in keys), default=0.0)
-
-    def prune(self, cutoff: float) -> "LaurentPoly":
-        return LaurentPoly({k: v for k, v in self.coeffs.items() if abs(v) > cutoff})
-
-
-def t_map(p: BivariatePoly) -> LaurentPoly:
-    """Linear map U_i(x) U_j(y) -> z^{-i} w^{-j}."""
-    if p.basis != CHEB_U:
-        raise BasisMismatchError("t_map requires the chebU basis")
-    out: dict[tuple[int, int], float] = {}
-    for i, j in p.support():
-        out[(-i, -j)] = float(p.coeffs[i, j])
-    return LaurentPoly(out)
 
 
 # ---------------------------------------------------------------------------

@@ -314,18 +314,6 @@ def tilde_expand(spec: WeightSpec) -> WeightSpec:
     return spec
 
 
-def omega_laurent(spec: WeightSpec) -> dict[tuple[int, int], float]:
-    """Laurent table of omega(z, w) = prod_i (1 + a_i z w); support {(i, i)}."""
-    coeffs = {(0, 0): 1.0}
-    for a in spec.factors:
-        new: dict[tuple[int, int], float] = {}
-        for (p, q), v in coeffs.items():
-            new[(p, q)] = new.get((p, q), 0.0) + v
-            new[(p + 1, q + 1)] = new.get((p + 1, q + 1), 0.0) + v * a
-        coeffs = new
-    return coeffs
-
-
 def homogeneous_corner(spec: WeightSpec) -> np.ndarray:
     """Coefficients gamma_i of w^{N_f} omega(z, 1/w) = sum_i gamma_i z^i w^{N_f - i}.
 

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import OrderedDict
 
 import numpy as np
@@ -6,6 +7,7 @@ from conftest import chebu_mul_reference
 
 from bsz2d import lex_order, moment_oracle
 from bsz2d.lex_order import (
+    RecursionBreakdownError,
     _closed_grid,
     _forbidden_rows,
     _high_band_grids,
@@ -236,6 +238,77 @@ class TestElimination:
         b = build_lex_high_recursion(SPEC1, 2, 3, 3)
         assert approx_eq(a, b, 1e-8)
         assert approx_eq(a, oracle_for(SPEC1).gram_schmidt(LEX, 2, 3).poly((2, 3)), 1e-7)
+
+
+def _laurent_image(spec, r: int, m: int, gamma: np.ndarray) -> np.ndarray:
+    """z^{-r} w^{-m} prod_i (1 + a_i z w) sum_i gamma_i z^i w^{deg - i}, formed
+    term by term as a dict of z^a w^b coefficients, with z^a w^b placed at
+    grid entry (-a, -b)."""
+    omega = {(0, 0): 1.0}
+    for a in spec.factors:
+        nxt: dict[tuple[int, int], float] = {}
+        for (p, q), v in omega.items():
+            nxt[(p, q)] = nxt.get((p, q), 0.0) + v
+            nxt[(p + 1, q + 1)] = nxt.get((p + 1, q + 1), 0.0) + a * v
+        omega = nxt
+    deg = len(gamma) - 1
+    table: dict[tuple[int, int], float] = {}
+    for (p, q), v in omega.items():
+        for i, g in enumerate(gamma):
+            key = (p + i - r, q + deg - i - m)
+            table[key] = table.get(key, 0.0) + v * g
+    grid = np.zeros((r + 1, m + 1))
+    for (a, b), v in table.items():
+        assert a <= 0 and b <= 0, (a, b)  # a positive exponent has no grid entry
+        grid[-a, -b] = v
+    return grid
+
+
+class TestEliminationRefusals:
+    @pytest.mark.parametrize("spec", [SPEC1, SPEC2, SPEC3], ids=["nf1", "nf2", "nf3"])
+    def test_perturbed_gamma_is_refused(self, spec):
+        n_f = spec.n_f
+        for steps in range(1, n_f + 1):
+            state = eliminate(spec, 2 * n_f + 1, n_f + steps, 2 * n_f)
+            state.check_invariants()
+            gamma = state.gamma.copy()
+            gamma[0] += 1e-6
+            with pytest.raises(RecursionBreakdownError, match=f"image invariant violated at step {steps}"):
+                dataclasses.replace(state, gamma=gamma).check_invariants()
+
+    def test_nan_gamma_is_refused(self):
+        state = eliminate(SPEC2, 5, 5, 5)
+        with pytest.raises(RecursionBreakdownError, match="image invariant violated at step 2: nan"):
+            dataclasses.replace(state, gamma=np.array([np.nan])).check_invariants()
+
+    def test_surviving_w_term_is_refused(self, monkeypatch):
+        r, m = 5, 5
+        state = eliminate(SPEC2, r, 5, m)
+        grid = state.s_poly().coeffs
+        bad = np.zeros((grid.shape[0], max(grid.shape[1], m + 2)))
+        bad[:, : grid.shape[1]] = grid
+        bad[r, m + 1] += 1e-6 * np.max(np.abs(grid))  # w^{-(m+1)}, far above the 1e-9 cutoff
+        monkeypatch.setattr(state, "s_poly", lambda: BivariatePoly(CHEB_U, bad))
+        with pytest.raises(RecursionBreakdownError, match="image invariant violated at step 2"):
+            state.check_invariants()
+
+    def test_vanishing_gamma_0_is_refused(self, monkeypatch):
+        monkeypatch.setattr(lex_order, "homogeneous_corner", lambda spec: np.array([0.0, 0.2, -0.15]))
+        with pytest.raises(RecursionBreakdownError, match="gamma_0 ~ 0 entering step 1"):
+            eliminate(SPEC2, 5, 5, 5)
+
+    def test_predicted_image_is_the_laurent_product(self):
+        rng = np.random.default_rng(2718)
+        for _ in range(40):
+            n_f = int(rng.integers(1, 4))
+            spec = product_spec(list(rng.uniform(0.05, 0.9, n_f) * rng.choice([-1.0, 1.0], n_f)))
+            r, m = (int(v) for v in rng.integers(2 * n_f, 10, size=2))
+            steps = int(rng.integers(1, n_f + 1))
+            state = eliminate(spec, r, m - n_f + steps, m)
+            got = state.predicted_image()
+            want = _laurent_image(spec, r, m, state.gamma)
+            assert got.shape == want.shape == (r + 1, m + 1)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestSystems:

@@ -5,7 +5,7 @@ import pytest
 
 from bsz2d.lex_order import lex_system
 from bsz2d.moment_oracle import oracle_for
-from bsz2d.ortho import LEX, REVLEX, TOTAL, OrthoSystem
+from bsz2d.ortho import LEX, REVLEX, TOTAL, OrthoSystem, index_sequence
 from bsz2d.poly_core import CHEB_U, BivariatePoly
 from bsz2d.total_order import build_total_vector
 from bsz2d.weights import product_spec
@@ -60,6 +60,15 @@ class TestTensor:
 def test_missing_index_raises_key_error(systems):
     with pytest.raises(KeyError):
         systems["lex"].poly((9, 9))
+
+
+@pytest.mark.parametrize("m", [3, None])
+def test_unknown_ordering_raises_value_error(m):
+    # the ordering is checked first, so a missing m is not blamed for it
+    with pytest.raises(ValueError, match="unknown ordering 'Lex': use total, lex or revlex"):
+        index_sequence("Lex", 3, m)
+    with pytest.raises(ValueError, match="unknown ordering 'Lex'"):
+        oracle_for(product_spec([0.5])).gram_schmidt("Lex", 3, m)
 
 
 def test_system_without_norms():

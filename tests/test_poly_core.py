@@ -15,14 +15,12 @@ from bsz2d.poly_core import (
     MONOMIAL,
     BasisMismatchError,
     BivariatePoly,
-    LaurentPoly,
     UnivariatePoly,
     _extents,
     _square,
     _trim2,
     poly_from_dict,
     poly_to_dict,
-    t_map,
     u_band,
 )
 from bsz2d.recurrence import total_blocks
@@ -62,7 +60,9 @@ class TestUnivariate:
     def test_basis_round_trip(self, coeffs):
         p = UnivariatePoly(CHEB_U, coeffs)
         back = p.to_basis(MONOMIAL).to_basis(CHEB_U)
-        assert approx_eq(back, p, 1e-9 * (1 + max(abs(c) for c in coeffs)))
+        n = max(len(back.coeffs), len(p.coeffs))
+        diff = np.pad(back.coeffs, (0, n - len(back.coeffs))) - np.pad(p.coeffs, (0, n - len(p.coeffs)))
+        assert np.max(np.abs(diff), initial=0.0) <= 1e-9 * (1 + max(abs(c) for c in coeffs))
 
     def test_monomial_and_chebu_agree_pointwise(self):
         p = UnivariatePoly(CHEB_U, [1.0, -0.5, 0.25, 2.0])
@@ -121,44 +121,12 @@ class TestBivariate:
         b = a.to_basis(MONOMIAL)
         with pytest.raises(BasisMismatchError):
             a + b
-        with pytest.raises(BasisMismatchError):
-            UnivariatePoly(CHEB_U, [1.0]) - UnivariatePoly(MONOMIAL, [1.0])
 
     def test_bivariate_basis_round_trip(self):
         rng = np.random.default_rng(7)
         p = BivariatePoly(CHEB_U, rng.normal(size=(4, 5)))
         back = p.to_basis(MONOMIAL).to_basis(CHEB_U)
         assert approx_eq(back, p, 1e-10)
-
-
-
-def _substitute_half(mono_coeffs) -> dict[int, float]:
-    """Laurent expansion of p((u + 1/u) / 2) from the monomial coefficients of
-    p, term by term by the binomial theorem."""
-    out: dict[int, float] = {}
-    for k, c in enumerate(mono_coeffs):
-        for j in range(k + 1):
-            out[k - 2 * j] = out.get(k - 2 * j, 0.0) + c / 2.0**k * math.comb(k, j)
-    return {e: v for e, v in out.items() if v != 0.0}
-
-
-class TestLaurent:
-    def test_t_map_on_separable(self):
-        # T(p(x) U_n(x)) = z^{-n} p((z + 1/z) / 2), applied with n >= deg p
-        mono = [0.5, -1.0, 2.0]
-        assert _substitute_half([0.0, 0.0, 1.0]) == {2: 0.25, 0: 0.5, -2: 0.25}  # x^2
-        px = UnivariatePoly(MONOMIAL, mono).to_basis(CHEB_U)
-        p = BivariatePoly(CHEB_U, u_band(px.coeffs[:, None], 5, 0))
-        img = t_map(p)
-        want = LaurentPoly({(e, 0): v for e, v in _substitute_half(mono).items()}).shift(-5, 0)
-        assert img.max_abs_diff(want) < 1e-12
-
-    def test_laurent_algebra(self):
-        a = LaurentPoly({(1, 0): 2.0, (0, 1): 1.0})
-        b = LaurentPoly({(-1, 0): 0.5})
-        assert (a * b).get(0, 0) == pytest.approx(1.0)
-        assert (a - a).support == set()
-        assert a.shift(2, -1).get(3, -1) == pytest.approx(2.0)
 
 
 def test_json_round_trip():

@@ -19,7 +19,6 @@ from bsz2d.weights import (
     generic_spec,
     homogeneous_corner,
     is_stable,
-    omega_laurent,
     product_spec,
     spec_from_config,
     spec_to_config,
@@ -111,13 +110,6 @@ class TestGeneric:
 
 
 class TestLaurentViews:
-    @given(factors_st)
-    @settings(max_examples=30, deadline=None)
-    def test_omega_support_is_diagonal(self, factors):
-        table = omega_laurent(product_spec(factors))
-        assert set(table) <= {(i, i) for i in range(len(factors) + 1)}
-        assert table[(0, 0)] == 1.0
-
     @given(factors_st)
     @settings(max_examples=30, deadline=None)
     def test_corner_is_elementary_symmetric(self, factors):
