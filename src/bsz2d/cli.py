@@ -255,12 +255,9 @@ def verify(ctx, weight, depth, report):
     record(f"lex orthonormality {window}x{window}", gram_deviation(spec, system, orc), 1e-7)
     n0 = spec.n_h // 2
     for n in range(max(1, n0), min(depth - 1, n0 + 2) + 1):
-        try:
-            srep = verify_total_structure(spec, n, oracle=orc, blocks=levels[n])
-            worst = max((abs(v[3]) for v in srep.violations), default=0.0)
-            record(f"total structure n={n}", worst, recurrence_module.STRUCTURE_TOL)
-        except ValueError:
-            pass
+        srep = verify_total_structure(spec, n, oracle=orc, blocks=levels[n])
+        worst = max((abs(v[3]) for v in srep.violations), default=0.0)
+        record(f"total structure n={n}", worst, recurrence_module.STRUCTURE_TOL)
     text = json.dumps({"weight": weight, "checks": checks, "ok": all(c["passed"] for c in checks)}) + "\n"
     _emit(text, report)
     if not all(c["passed"] for c in checks):

@@ -216,10 +216,7 @@ def run_regression(example_id: str, depth: int = 5, tol: float = DEFAULT_TOL, **
 
     n0 = spec.n_h // 2
     for n in range(max(1, n0), min(depth, n0 + 3) + 1):
-        try:
-            srep = verify_total_structure(spec, n, oracle=orc, blocks=blocks.get(n))
-            worst = max((abs(v[3]) for v in srep.violations), default=0.0)
-            rep.add(f"total structure n={n}", "section 4 block pattern", worst, gate)
-        except ValueError:
-            pass
+        srep = verify_total_structure(spec, n, oracle=orc, blocks=blocks.get(n))
+        worst = max((abs(v[3]) for v in srep.violations), default=0.0)
+        rep.add(f"total structure n={n}", "section 4 block pattern", worst, gate)
     return rep

@@ -1,9 +1,10 @@
 """Lexicographical and reverse-lexicographical orthonormal systems.
 
 On the window Pi_{n,m} the slot (r, k) splits into two bands.  In the
-low band (k <= m - kappa) the polynomial is simply q_r(x, y) U_k(y).  In
-the high band (m - N_f < k <= m, product weights) it mixes the q and
-q~ families:
+low band (k <= m - kappa, from the row r = low_band_threshold(N_h) that
+also starts the total ordering's closed form) the polynomial is simply
+q_r(x, y) U_k(y).  In the high band (m - N_f < k <= m, product
+weights) it mixes the q and q~ families:
 
     p = sum_j [ a_j q_{r+j} U_{k-j}(y) + b_j q~_{m+1+j} U_{r+k-m-1-j}(x) ]
 
@@ -43,7 +44,7 @@ import numpy as np
 from .moment_oracle import MomentOracle, _oracle, cap_system
 from .ortho import LEX, REVLEX, OrthoSystem
 from .poly_core import CHEB_U, MONOMIAL, BivariatePoly, _padded, u_band
-from .szego_core import norm_threshold, qk_grid, tilde_ql_grid
+from .szego_core import low_band_threshold, qk_grid, tilde_ql_grid
 from .weights import PRODUCT_OMEGA, WeightSpec, homogeneous_corner
 
 
@@ -328,7 +329,7 @@ def _closed_grid(
     window, un-normalized, or None when only the oracle can build it.
     ``q`` is ``qk_grid(base, r)`` when the caller already has it; ``solved``
     holds the window's high-band combinations (see ``_high_band_sum``)."""
-    if k <= m - base.kappa and r >= norm_threshold(base.n_h):
+    if k <= m - base.kappa and r >= low_band_threshold(base.n_h):
         return u_band(qk_grid(base, r) if q is None else q, k, 1)
     if base.variant == PRODUCT_OMEGA and m - base.n_f < k <= m and r >= 2 * base.n_f and m >= 2 * base.n_f:
         try:

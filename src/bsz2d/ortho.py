@@ -14,37 +14,21 @@ LEX = "lex"
 REVLEX = "revlex"
 
 
-def td_key(idx: tuple[int, int]) -> tuple[int, int]:
-    i, j = idx
-    return (i + j, i)
-
-
-def lex_key(idx: tuple[int, int]) -> tuple[int, int]:
-    return idx
-
-
-def revlex_key(idx: tuple[int, int]) -> tuple[int, int]:
-    i, j = idx
-    return (j, i)
-
-
-_KEYS = {TOTAL: td_key, LEX: lex_key, REVLEX: revlex_key}
-
-
 def index_sequence(ordering: str, n: int, m: int | None = None) -> list[tuple[int, int]]:
-    """Ordered (x-degree, y-degree) pairs: total degree <= n, or the
-    rectangular window 0..n by 0..m for lex/revlex."""
-    if ordering not in _KEYS:
+    """Ordered (x-degree, y-degree) pairs: total degree <= n (by degree,
+    then x-degree), or the rectangular window 0..n by 0..m for lex (by
+    x-degree, then y-degree) or revlex (by y-degree, then x-degree)."""
+    if ordering not in (TOTAL, LEX, REVLEX):
         raise ValueError(f"unknown ordering {ordering!r}: use {TOTAL}, {LEX} or {REVLEX}")
     if n < 0 or (m is not None and m < 0):
         raise ValueError("index bounds n and m must be nonnegative")
     if ordering == TOTAL:
-        idx = [(i, j) for d in range(n + 1) for i in range(d + 1) for j in [d - i]]
-        return sorted(idx, key=td_key)
+        return [(i, d - i) for d in range(n + 1) for i in range(d + 1)]
     if m is None:
         raise ValueError("lex/revlex orderings need the window bound m")
-    idx = [(i, j) for i in range(n + 1) for j in range(m + 1)]
-    return sorted(idx, key=_KEYS[ordering])
+    if ordering == LEX:
+        return [(i, j) for i in range(n + 1) for j in range(m + 1)]
+    return [(i, j) for j in range(m + 1) for i in range(n + 1)]
 
 
 class OrthoSystem:

@@ -11,7 +11,8 @@ for y.  Lexicographical ordering (window column m):
 
 with A_{n,m} = <x p_{n-1,m}, p_{n,m}> lower triangular.  Beyond
 weight-dependent corner blocks the matrices freeze into half-shift
-patterns, which the verify_* functions assert entry by entry.
+patterns, which the verify_* functions assert as masked comparisons of
+whole blocks.
 """
 
 from __future__ import annotations
@@ -144,11 +145,36 @@ class StructureReport:
     blocks: BlockRecurrence | None = None
 
 
-def _check_zero(name: str, mat: np.ndarray, cells, out: list):
-    for i, j in cells:
-        v = float(mat[i, j])
-        if abs(v) > STRUCTURE_TOL:
-            out.append((name, i, j, v))
+def _listed(name: str, values: np.ndarray, bad: np.ndarray) -> list[tuple[str, int, int, float]]:
+    """(name, i, j, values[i, j]) at every cell flagged in ``bad``, row-major."""
+    i, j = np.nonzero(bad)
+    return [(name, a, b, v) for a, b, v in zip(i.tolist(), j.tolist(), values[i, j].tolist())]
+
+
+def _cell_violations(rows) -> list[tuple[str, int, int, float]]:
+    """Rows (name, block, expected value, mask): a masked cell whose entry
+    minus the expected value is not within STRUCTURE_TOL, NaN included,
+    is a violation recording that deviation."""
+    out = []
+    for name, mat, want, mask in rows:
+        dev = mat - want
+        out += _listed(name, dev, mask & ~(np.abs(dev) <= STRUCTURE_TOL))
+    return out
+
+
+def _sign_violations(rows) -> list[tuple[str, int, int, float]]:
+    """Rows (name, block, mask): a masked cell whose entry is not positive,
+    NaN included, is a violation recording the entry."""
+    out = []
+    for name, mat, mask in rows:
+        out += _listed(name, mat, mask & ~(mat > 0.0))
+    return out
+
+
+def _max_violations(rows) -> list[tuple[str, int, int, float]]:
+    """Rows (name, largest deviation): one not within STRUCTURE_TOL, NaN
+    included, is a violation (name, -1, -1, deviation)."""
+    return [(name, -1, -1, dev) for name, dev in rows if not dev <= STRUCTURE_TOL]
 
 
 def verify_total_structure(
@@ -161,14 +187,17 @@ def verify_total_structure(
     ceil((N-1)/2) with positive diagonal; B_y = diag(D_y, 0) with D_y of
     size ceil((N-2)/2); A_x has half-shift rows below the lower-Hessenberg
     corner C_x of size ceil((N+1)/2); B_x = diag(D_x, 0) with D_x of size
-    ceil(N/2).  Entries at the ambiguous C_x seam are reported verbatim
-    rather than asserted.
+    ceil(N/2).  Entries at the ambiguous C_x seam are reported verbatim,
+    row-major, rather than asserted.
 
-    A violation is (name, i, j, deviation), with deviation above
-    STRUCTURE_TOL: a cell asserted to be 0 or 1/2 reports its entry minus
-    that value, a symmetry check (i = j = -1) the largest entry of M - M^T,
-    and a sign check ("C_y diag", "A_x superdiag") the entry itself, which
-    is its own deviation from positivity.
+    A violation is (name, i, j, deviation), for a deviation that is not
+    within STRUCTURE_TOL (a NaN deviation is one): a cell asserted to be
+    0 or 1/2 reports its entry minus that value, a sign check ("C_y diag",
+    "A_x superdiag") an entry that is not positive, and a symmetry check
+    (i = j = -1) the largest entry of M - M^T.  Violations are listed
+    check by check in that order (A_y, A_y diag, B_y, A_x, A_x shift,
+    B_x, C_y diag, A_x superdiag, B_x sym, B_y sym), row-major within a
+    check.
 
     ``blocks`` is this level's ``total_blocks(spec, n)``, for a caller that
     has already computed it; without it the blocks are computed here.
@@ -185,45 +214,23 @@ def verify_total_structure(
         blocks = total_blocks(spec, n, oracle=oracle)
     elif (blocks.ordering, blocks.level) != (TOTAL, (n,)):
         raise ValueError(f"blocks are {blocks.ordering} at level {blocks.level}, not total at ({n},)")
-    bad: list[tuple[str, int, int, float]] = []
-
-    a_y = blocks.a_y
-    _check_zero("A_y", a_y, [(i, j) for i in range(n + 1) for j in range(n + 2) if j > i], bad)
-    _check_zero("A_y", a_y, [(i, j) for i in range(c_y, n + 1) for j in range(i)], bad)
-    for i in range(n + 1):
-        if i >= c_y and abs(a_y[i, i] - 0.5) > STRUCTURE_TOL:
-            bad.append(("A_y diag", i, i, float(a_y[i, i] - 0.5)))
-        if i < min(c_y, n + 1) and a_y[i, i] <= 0.0:
-            bad.append(("C_y diag", i, i, float(a_y[i, i])))
-
-    b_y = blocks.b_y
-    _check_zero("B_y", b_y, [(i, j) for i in range(n + 1) for j in range(n + 1) if i >= d_y or j >= d_y], bad)
-
-    a_x = blocks.a_x
-    seam = {}
-    for i in range(n + 1):
-        for j in range(n + 2):
-            v = float(a_x[i, j])
-            if j > i + 1 and abs(v) > STRUCTURE_TOL:
-                bad.append(("A_x", i, j, v))
-            elif i >= c_x:
-                if j == i + 1:
-                    if abs(v - 0.5) > STRUCTURE_TOL:
-                        bad.append(("A_x shift", i, j, v - 0.5))
-                elif abs(v) > STRUCTURE_TOL:
-                    bad.append(("A_x", i, j, v))
-            elif j <= min(c_x, i + 1) and (j == c_x or i == c_x - 1):
-                seam[(i, j)] = v
-        if a_x[i, i + 1] <= 0.0:
-            bad.append(("A_x superdiag", i, i + 1, float(a_x[i, i + 1])))
-
-    b_x = blocks.b_x
-    _check_zero("B_x", b_x, [(i, j) for i in range(n + 1) for j in range(n + 1) if i >= d_x or j >= d_x], bad)
-    for name, mat in (("B_x sym", b_x), ("B_y sym", b_y)):
-        dev = float(np.max(np.abs(mat - mat.T), initial=0.0))
-        if dev > STRUCTURE_TOL:
-            bad.append((name, -1, -1, dev))
-
+    a_x, b_x, a_y, b_y = blocks.a_x, blocks.b_x, blocks.a_y, blocks.b_y
+    i, j = np.ogrid[: n + 1, : n + 2]  # A blocks; the B blocks drop the last column
+    k = j[:, :-1]
+    bad = _cell_violations([
+        ("A_y", a_y, 0.0, (j > i) | ((i >= c_y) & (j < i))),
+        ("A_y diag", a_y, 0.5, (i >= c_y) & (j == i)),
+        ("B_y", b_y, 0.0, (i >= d_y) | (k >= d_y)),
+        ("A_x", a_x, 0.0, (j > i + 1) | ((i >= c_x) & (j <= i))),
+        ("A_x shift", a_x, 0.5, (i >= c_x) & (j == i + 1)),
+        ("B_x", b_x, 0.0, (i >= d_x) | (k >= d_x)),
+    ])
+    bad += _sign_violations([("C_y diag", a_y, (i < c_y) & (j == i)), ("A_x superdiag", a_x, j == i + 1)])
+    bad += _max_violations(
+        (name, float(np.max(np.abs(mat - mat.T), initial=0.0))) for name, mat in (("B_x sym", b_x), ("B_y sym", b_y))
+    )
+    si, sj = np.nonzero((i < c_x) & (j <= i + 1) & ((j == c_x) | (i == c_x - 1)))
+    seam = dict(zip(zip(si.tolist(), sj.tolist()), a_x[si, sj].tolist()))
     sizes = {"C_y": c_y, "D_y": d_y, "C_x": c_x, "D_x": d_x}
     return StructureReport(not bad, sizes, bad, seam, blocks)
 
@@ -235,8 +242,11 @@ def verify_lex_structure(
     and for product weights past 2 N_f the full collapse A = 1/2 I, B = 0.
 
     Violations are reported as by ``verify_total_structure``: a cell asserted
-    to be 0 or 1/2 reports its entry minus that value, a collapse check
-    (i = j = -1) its largest deviation, and the sign check "C diag" the entry."""
+    to be 0 or 1/2 reports its entry minus that value, the sign check
+    "C diag" an entry that is not positive, and a collapse check (i = j = -1)
+    its largest deviation; NaN counts as a violation.  They are listed check
+    by check (A, C, B, C diag, A collapse, B collapse), row-major within a
+    check."""
     kappa = spec.kappa
     if n < spec.n_h // 2 + 1:
         raise ValueError(f"theorem applies for n >= {spec.n_h // 2 + 1}")
@@ -245,29 +255,16 @@ def verify_lex_structure(
     blocks = lex_blocks(spec, n, m, oracle=oracle)
     a, b = blocks.a, blocks.b
     cut = m - kappa + 1
-    bad: list[tuple[str, int, int, float]] = []
-    for i in range(m + 1):
-        for j in range(m + 1):
-            v = float(a[i, j])
-            if i < cut or j < cut:
-                want = 0.5 if i == j else 0.0
-                if abs(v - want) > STRUCTURE_TOL:
-                    bad.append(("A", i, j, v - want))
-            elif j > i and abs(v) > STRUCTURE_TOL:
-                bad.append(("C", i, j, v))
-            v = float(b[i, j])
-            if (i < cut or j < cut) and abs(v) > STRUCTURE_TOL:
-                bad.append(("B", i, j, v))
-    for i in range(cut, m + 1):
-        if a[i, i] <= 0.0:
-            bad.append(("C diag", i, i, float(a[i, i])))
+    i, j = np.ogrid[: m + 1, : m + 1]
+    edge = (i < cut) | (j < cut)  # outside the corner blocks C and D
+    half = 0.5 * (i == j)
+    bad = _cell_violations([("A", a, half, edge), ("C", a, 0.0, ~edge & (j > i)), ("B", b, 0.0, edge)])
+    bad += _sign_violations([("C diag", a, (i >= cut) & (i == j))])
     if spec.variant == PRODUCT_OMEGA and min(n, m) > 2 * spec.n_f:
-        dev_a = float(np.max(np.abs(a - 0.5 * np.eye(m + 1))))
-        dev_b = float(np.max(np.abs(b)))
-        if dev_a > STRUCTURE_TOL:
-            bad.append(("A collapse", -1, -1, dev_a))
-        if dev_b > STRUCTURE_TOL:
-            bad.append(("B collapse", -1, -1, dev_b))
+        bad += _max_violations([
+            ("A collapse", float(np.max(np.abs(a - half)))),
+            ("B collapse", float(np.max(np.abs(b)))),
+        ])
     sizes = {"C": kappa, "D": kappa, "identity": cut}
     return StructureReport(not bad, sizes, bad, {}, blocks)
 

@@ -21,7 +21,7 @@ from bsz2d.lex_order import (
 from bsz2d.moment_oracle import MomentOracle, OracleUnreliableError, oracle_for
 from bsz2d.ortho import LEX, REVLEX, index_sequence
 from bsz2d.poly_core import CHEB_U, BivariatePoly
-from bsz2d.szego_core import build_qk, norm_threshold, tilde_ql_grid
+from bsz2d.szego_core import build_qk, low_band_threshold, norm_threshold, tilde_ql_grid
 from bsz2d.weights import PRODUCT_OMEGA, generic_spec, product_spec
 
 SPEC1 = product_spec([-0.6])        # N_f = 1, N_h = 2, kappa = 1
@@ -81,7 +81,7 @@ def _pad(polys: list[BivariatePoly]) -> np.ndarray:
 def _reference_slot(spec, r, k, m) -> BivariatePoly | None:
     """The closed-form lex slot (r, k), un-normalized, by general products
     and the looped high-band matrix; None where the oracle builds it."""
-    if k <= m - spec.kappa and r >= norm_threshold(spec.n_h):
+    if k <= m - spec.kappa and r >= low_band_threshold(spec.n_h):
         return _reference_low(spec, r, k)
     if not (spec.variant == PRODUCT_OMEGA and m - spec.n_f < k <= m and r >= 2 * spec.n_f and m >= 2 * spec.n_f):
         return None
@@ -126,22 +126,32 @@ class TestBands:
             assert approx_eq(grid, low, 1e-13 * np.max(np.abs(low.coeffs))) == (k <= 3)
 
     def test_low_band_guards(self):
-        # rows below the pi/2-norm threshold N_h / 2 = 2 have no closed form: the oracle builds them
-        assert [r for r in range(4) if _closed_grid(SPEC2, r, 0, 5) is None] == [0, 1]
+        # rows below low_band_threshold(N_h) = 1, as in the total ordering, have no closed form
+        assert [r for r in range(4) if _closed_grid(SPEC2, r, 0, 5) is None] == [0]
         assert _closed_grid(SPEC_CUBIC, 1, 0, 3) is not None  # a generic weight has the low band too
 
     @pytest.mark.parametrize(
-        "spec, ks", [(SPEC2, range(5)), (product_spec([0.4, 0.3, -0.5, 0.2]), range(3))], ids=["n4", "n8"]
+        "spec, ks",
+        [
+            (SPEC2, range(5)),
+            (product_spec([0.4, 0.3, -0.5, 0.2]), range(3)),
+            (generic_spec([[1.0], [0.3, -0.5], [0.1]]), range(4)),
+            (generic_spec([[1.0], [0.3, -0.8], [0.2, 0.1, 0.15], [-0.05, 0.1], [0.02]]), range(4)),
+        ],
+        ids=["n4", "n8", "generic2", "generic4"],
     )
     def test_even_boundary_row_matches_the_closed_form(self, spec, ks):
-        # for even N_h the row r = N_h / 2 - 1, one below the threshold, is still q_r U_k
+        # for even N_h the row r = N_h / 2 - 1, one below the pi/2-norm threshold, is still
+        # q_r U_k: Gram-Schmidt gives that polynomial, and the low band starts there
         orc = MomentOracle(spec)
         r = spec.n_h // 2 - 1
-        assert r == norm_threshold(spec.n_h) - 1
-        system = orc.gram_schmidt(LEX, r, max(ks) + spec.kappa)
+        assert r == norm_threshold(spec.n_h) - 1 == low_band_threshold(spec.n_h)
+        m = max(ks) + spec.kappa
+        system = orc.gram_schmidt(LEX, r, m)
         for k in ks:
             want, _ = orc.normalized(_reference_low(spec, r, k), (r, k))
             assert approx_eq(system.poly((r, k)), want, 1e-13)
+            assert _closed_grid(spec, r, k, m) is not None
 
 
 class TestLowBand:
@@ -375,7 +385,7 @@ class TestFallbackPrefix:
 
     @pytest.mark.parametrize("ordering,window", [(LEX, (LEX, 3, 8)), (REVLEX, (REVLEX, 8, 3))])
     def test_only_the_prefix_is_factored(self, monkeypatch, ordering, window):
-        # on [0.5, -0.3] the 22 fallback slots of the 8 x 8 window lie in rows 0..3 (revlex: columns)
+        # on [0.5, -0.3] the 15 fallback slots of the 8 x 8 window lie in rows 0..3 (revlex: columns)
         orc = MomentOracle(SPEC2)
         asked = []
         real = orc.gram_schmidt
@@ -397,7 +407,7 @@ class TestFallbackPrefix:
         monkeypatch.setattr(orc, "assemble", spy)
         system = lex_system(SPEC2, 8, 8, ordering, orc)
         whole = orc.gram_schmidt(ordering, 8, 8)
-        assert len(fallback) == 22
+        assert len(fallback) == 15
         at = {idx: k for k, idx in enumerate(whole.indices())}
         for idx in fallback:
             p, q = system.poly(idx), whole.poly(idx)

@@ -71,6 +71,21 @@ def test_unknown_ordering_raises_value_error(m):
         oracle_for(product_spec([0.5])).gram_schmidt("Lex", 3, m)
 
 
+def test_orderings_match_a_sort_by_their_keys():
+    keys = {
+        TOTAL: lambda idx: (idx[0] + idx[1], idx[0]),
+        LEX: lambda idx: idx,
+        REVLEX: lambda idx: (idx[1], idx[0]),
+    }
+    for n in range(7):
+        total = [(i, j) for i in range(n + 1) for j in range(n + 1) if i + j <= n]
+        assert index_sequence(TOTAL, n) == sorted(total, key=keys[TOTAL])
+        for m in range(7):
+            window = [(i, j) for i in range(n + 1) for j in range(m + 1)]
+            for ordering in (LEX, REVLEX):
+                assert index_sequence(ordering, n, m) == sorted(window, key=keys[ordering])
+
+
 def test_system_without_norms():
     entry = {"index": [0, 0], "poly": {"basis": "chebU", "coeffs": [[1.0]]}}
     system = OrthoSystem.from_dict({"ordering": LEX, "entries": [entry]})

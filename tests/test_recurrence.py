@@ -214,15 +214,166 @@ class TestViolationsReportTheirDeviation:
         assert want < 0.0
         assert self._total(field, i, j, lambda v: -v) == [(name, i, j, want)]
 
+    @staticmethod
+    def _lex(monkeypatch, changes, n=3, m=5):
+        """Violations of the lex window (n, m) of SPEC2 with each (block, i, j, change) applied."""
+        blocks = lex_blocks(SPEC2, n, m)
+        mats = {"a": blocks.a.copy(), "b": blocks.b.copy()}
+        for which, i, j, change in changes:
+            mats[which][i, j] = change(mats[which][i, j])
+        monkeypatch.setattr(recurrence, "lex_blocks", lambda *args, **kwargs: replace(blocks, **mats))
+        return verify_lex_structure(SPEC2, n, m).violations
+
     @pytest.mark.parametrize("which,i,j,name", [("a", 1, 1, "A"), ("a", 0, 1, "A"), ("a", 4, 5, "C"), ("b", 0, 0, "B")])
     def test_lex_cell(self, monkeypatch, which, i, j, name):
         # at window (3, 5) kappa = 2: the first 4 rows and columns hold the half-identity and zero B
-        blocks = lex_blocks(SPEC2, 3, 5)
-        mat = getattr(blocks, which).copy()
-        mat[i, j] += self.MISS
-        monkeypatch.setattr(recurrence, "lex_blocks", lambda *args, **kwargs: replace(blocks, **{which: mat}))
-        (got,) = verify_lex_structure(SPEC2, 3, 5).violations
+        (got,) = self._lex(monkeypatch, [(which, i, j, lambda v: v + self.MISS)])
         assert got[:3] == (name, i, j) and abs(got[3] - self.MISS) < 1e-12
+
+    @pytest.mark.parametrize(
+        "field,i,j,name,at",
+        [
+            ("a_y", 0, 2, "A_y", (0, 2)),
+            ("a_y", 2, 2, "A_y diag", (2, 2)),
+            ("a_y", 0, 0, "C_y diag", (0, 0)),
+            ("a_x", 0, 1, "A_x superdiag", (0, 1)),
+            ("b_x", 0, 1, "B_x sym", (-1, -1)),  # inside D_x, so only the symmetry check sees it
+            ("b_y", 0, 0, "B_y sym", (-1, -1)),
+        ],
+    )
+    def test_total_nan_is_a_violation(self, field, i, j, name, at):
+        got = self._total(field, i, j, lambda v: np.nan)
+        assert [v[:3] for v in got if np.isnan(v[3])] == [(name, *at)]
+
+    @pytest.mark.parametrize(
+        "which,i,j,name,window",
+        [
+            ("a", 1, 1, "A", (3, 5)),
+            ("a", 4, 5, "C", (3, 5)),
+            ("b", 0, 0, "B", (3, 5)),
+            ("a", 4, 4, "C diag", (3, 5)),
+            # past 2 N_f = 4 the collapse checks run; these cells lie in C and D, which no cell check reads
+            ("a", 5, 4, "A collapse", (5, 5)),
+            ("b", 5, 5, "B collapse", (5, 5)),
+        ],
+    )
+    def test_lex_nan_is_a_violation(self, monkeypatch, which, i, j, name, window):
+        got = self._lex(monkeypatch, [(which, i, j, lambda v: np.nan)], *window)
+        at = (-1, -1) if name.endswith("collapse") else (i, j)
+        assert [v[:3] for v in got if np.isnan(v[3])] == [(name, *at)]
+
+    def test_all_nan_blocks_fail(self):
+        blocks = total_blocks(SPEC2, 3)
+        nan = {f: np.full_like(getattr(blocks, f), np.nan) for f in ("a_x", "b_x", "a_y", "b_y")}
+        rep = verify_total_structure(SPEC2, 3, blocks=replace(blocks, **nan))
+        assert not rep.ok and all(np.isnan(v[3]) for v in rep.violations)
+
+    def test_violations_are_listed_check_by_check_and_row_major(self, monkeypatch):
+        blocks = total_blocks(SPEC2, 3)
+        mats = {f: getattr(blocks, f).copy() for f in ("a_x", "b_x", "a_y", "b_y")}
+        # applied in an order unlike the report's
+        for field, i, j in [("b_x", 3, 0), ("a_x", 3, 4), ("a_y", 3, 1), ("a_x", 0, 3), ("a_y", 0, 2)]:
+            mats[field][i, j] += self.MISS
+        mats["a_y"][0, 0] *= -1.0
+        got = verify_total_structure(SPEC2, 3, blocks=replace(blocks, **mats)).violations
+        assert [v[:3] for v in got] == [
+            ("A_y", 0, 2), ("A_y", 3, 1), ("A_x", 0, 3), ("A_x shift", 3, 4), ("B_x", 3, 0),
+            ("C_y diag", 0, 0), ("B_x sym", -1, -1),
+        ]
+        got = self._lex(monkeypatch, [("b", 0, 0, lambda v: v + self.MISS), ("a", 4, 5, lambda v: v + self.MISS),
+                                      ("a", 1, 1, lambda v: v + self.MISS), ("a", 0, 1, lambda v: v + self.MISS)],
+                        5, 5)
+        assert [v[:3] for v in got] == [
+            ("A", 0, 1), ("A", 1, 1), ("C", 4, 5), ("B", 0, 0), ("A collapse", -1, -1), ("B collapse", -1, -1),
+        ]
+
+
+def _loop_total(a_x, b_x, a_y, b_y, c_y, c_x, d_y, d_x):
+    """The total-degree pattern checks cell by cell: (violations, seam)."""
+    tol, bad, seam = recurrence.STRUCTURE_TOL, [], {}
+    rows, cols = a_x.shape
+    for i in range(rows):
+        for j in range(cols):
+            zero_y = j > i or (i >= c_y and j < i)
+            zero_x = j > i + 1 or (i >= c_x and j <= i)
+            checks = [("A_y", a_y, 0.0, zero_y), ("A_y diag", a_y, 0.5, i >= c_y and j == i),
+                      ("A_x", a_x, 0.0, zero_x), ("A_x shift", a_x, 0.5, i >= c_x and j == i + 1)]
+            if j < rows:
+                checks += [("B_y", b_y, 0.0, i >= d_y or j >= d_y), ("B_x", b_x, 0.0, i >= d_x or j >= d_x)]
+            bad += [(name, i, j, float(m[i, j] - w)) for name, m, w, on in checks if on and abs(m[i, j] - w) > tol]
+            if i < c_x and j <= i + 1 and (j == c_x or i == c_x - 1):
+                seam[(i, j)] = float(a_x[i, j])
+        bad += [("C_y diag", i, i, float(a_y[i, i]))] if i < c_y and a_y[i, i] <= 0.0 else []
+        bad += [("A_x superdiag", i, i + 1, float(a_x[i, i + 1]))] if a_x[i, i + 1] <= 0.0 else []
+    for name, m in (("B_x sym", b_x), ("B_y sym", b_y)):
+        dev = max(abs(m[i, j] - m[j, i]) for i in range(rows) for j in range(rows))
+        bad += [(name, -1, -1, float(dev))] if dev > tol else []
+    return bad, seam
+
+
+def _loop_lex(a, b, cut, collapse):
+    """The lex pattern checks cell by cell."""
+    tol, bad, size = recurrence.STRUCTURE_TOL, [], len(a)
+    for i in range(size):
+        for j in range(size):
+            edge = i < cut or j < cut
+            want = 0.5 if edge and i == j else 0.0
+            checks = [("A", a, want, edge), ("C", a, 0.0, not edge and j > i), ("B", b, 0.0, edge)]
+            bad += [(name, i, j, float(m[i, j] - w)) for name, m, w, on in checks if on and abs(m[i, j] - w) > tol]
+        bad += [("C diag", i, i, float(a[i, i]))] if i >= cut and a[i, i] <= 0.0 else []
+    if collapse:
+        dev_a = max(abs(a[i, j] - (0.5 if i == j else 0.0)) for i in range(size) for j in range(size))
+        dev_b = max(abs(v) for v in b.ravel())
+        bad += [(name, -1, -1, float(d)) for name, d in (("A collapse", dev_a), ("B collapse", dev_b)) if d > tol]
+    return bad
+
+
+class TestMaskedChecksMatchTheLoops:
+    """On finite perturbations the masked checks give the cell-by-cell verdict:
+    the same violations, bit for bit, and the same seam."""
+
+    @staticmethod
+    def _perturbed(mats):
+        """Each cell moved by 2e-8 and, apart, negated; then 20 seeded
+        changes of up to four cells each."""
+        for key, mat in mats.items():
+            for (i, j), v in np.ndenumerate(mat):
+                for new in (v + 2e-8, -v):
+                    changed = mat.copy()
+                    changed[i, j] = new
+                    yield {**mats, key: changed}
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            out = {k: v.copy() for k, v in mats.items()}
+            for _ in range(rng.integers(1, 5)):
+                m = out[list(out)[rng.integers(len(out))]]
+                i, j = rng.integers(m.shape[0]), rng.integers(m.shape[1])
+                m[i, j] = [m[i, j] + rng.choice([-2e-8, 2e-8]), m[i, j] + rng.normal(), 0.0, 0.5][rng.integers(4)]
+            yield out
+
+    @pytest.mark.parametrize("spec", [SPEC1, SPEC2, SPEC_CUBIC], ids=["f1", "f2", "generic"])
+    def test_total(self, spec):
+        c_y = spec.n_h // 2
+        sizes = (c_y, c_y + 1, max(0, (spec.n_h - 1) // 2), (spec.n_h + 1) // 2)
+        for n in (c_y, c_y + 1):
+            blocks = total_blocks(spec, n)
+            for mats in self._perturbed({f: getattr(blocks, f) for f in ("a_x", "b_x", "a_y", "b_y")}):
+                rep = verify_total_structure(spec, n, blocks=replace(blocks, **mats))
+                bad, seam = _loop_total(mats["a_x"], mats["b_x"], mats["a_y"], mats["b_y"], *sizes)
+                assert sorted(rep.violations) == sorted(bad) and rep.ok == (not bad)
+                assert list(rep.seam.items()) == list(seam.items())
+
+    @pytest.mark.parametrize(
+        "spec, window", [(SPEC1, (3, 3)), (SPEC2, (3, 5)), (SPEC2, (5, 5))], ids=["f1-3x3", "f2-3x5", "f2-5x5"]
+    )
+    def test_lex(self, monkeypatch, spec, window):
+        n, m = window
+        blocks = lex_blocks(spec, n, m)
+        for mats in self._perturbed({"a": blocks.a, "b": blocks.b}):
+            monkeypatch.setattr(recurrence, "lex_blocks", lambda *args, **kwargs: replace(blocks, **mats))
+            rep = verify_lex_structure(spec, n, m)
+            bad = _loop_lex(mats["a"], mats["b"], m - spec.kappa + 1, min(n, m) > 2 * spec.n_f)
+            assert sorted(rep.violations) == sorted(bad) and rep.ok == (not bad)
 
 
 class TestOracleOfAnotherSpec:
@@ -345,3 +496,25 @@ class TestLevelsComputedOnce:
         assert sorted(levels) == sorted(set(levels)) == [0, 1, 2, 3, 4]
         assert any(name.startswith("total structure") for name, _, _ in checks)
         assert checks == self._run(monkeypatch, self._example, recompute=True)[0]
+
+
+class TestStructureErrorsPropagate:
+    """A ValueError raised inside the structure check reaches the caller of
+    ``verify`` and ``run_regression``; neither swallows it as "out of range"."""
+
+    @staticmethod
+    def _raising(*args, **kwargs):
+        raise ValueError("injected structure failure")
+
+    def test_verify(self, monkeypatch, tmp_path):
+        path = tmp_path / "weight.json"
+        path.write_text(json.dumps({"product": [0.5, -0.3]}))
+        monkeypatch.setattr(cli, "verify_total_structure", self._raising)
+        res = CliRunner().invoke(cli.main, ["verify", "--weight", str(path), "--depth", "5"])
+        assert res.exit_code != 0 and isinstance(res.exception, ValueError), res.output
+        assert str(res.exception) == "injected structure failure"
+
+    def test_example(self, monkeypatch):
+        monkeypatch.setattr(examples_suite, "verify_total_structure", self._raising)
+        with pytest.raises(ValueError, match="injected structure failure"):
+            run_regression("ex2", 5, a=0.6, b=0.3)
