@@ -31,8 +31,8 @@ one place that holds the band rules; ``lex_system`` builds with it
 the grids of all closed-form slots of a window (revlex: those of the
 reflected weight, transposed) and hands them to
 ``MomentOracle.assemble``, which normalizes them together and fills the
-other slots from one oracle Gram-Schmidt system, factored only over the
-leading rows (revlex: columns) of the window that hold those slots.
+other slots from one oracle Cholesky factor, of the window's slot
+sequence up to the last of those slots.
 """
 
 from __future__ import annotations
@@ -334,7 +334,7 @@ def _closed_grid(
     if base.variant == PRODUCT_OMEGA and m - base.n_f < k <= m and r >= 2 * base.n_f and m >= 2 * base.n_f:
         try:
             return _high_band_sum(base, r, k, m, solved)
-        except (ValueError, DegenerateWindowError):
+        except DegenerateWindowError:
             return None
     return None
 

@@ -102,11 +102,11 @@ The slots with a closed form arrive as Chebyshev-U grids and are
 normalized in one batch by ``normalize``, whose squared norms are the
 diagonal of C G C^T and which makes each leading coefficient positive;
 Gram-Schmidt scatters C into its tensor with one assignment.  Every other
-slot is read from one Gram-Schmidt system of the same ordering, and only
-of the smallest window that holds those slots: by the leading-block
-property that window's system is the leading block of the whole one, so
-a lex window whose fallback slots all lie in its first rows factors only
-those rows (revlex: columns), and the condition gate sees only them.
+slot is read from one factor of the same ordering, of the shortest prefix
+of its slot sequence that holds those slots: by the leading-block
+property that factor is the leading block of the whole one, so whatever
+the ordering only that prefix is factored, and the condition gate sees
+only it.  No factor is kept: ``gram_schmidt`` factors anew on every call.
 
 A table or slice degree above MAX_DEGREE, and a Gram block (s^4 doubles)
 or a stack of K coefficient grids (K s^2 doubles) above MAX_BLOCK_BYTES
@@ -150,7 +150,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ortho import LEX, REVLEX, TOTAL, OrthoSystem, index_sequence
+from .ortho import TOTAL, OrthoSystem, index_sequence
 from .poly_core import CHEB_U, BivariatePoly, _extents, _lin, _mono_to_chebu, _padded, _square
 from .weights import MAX_BLOCK_BYTES, PRODUCT_OMEGA, ResourceLimitError, WeightSpec, _cap_bytes, require_stable
 
@@ -324,11 +324,11 @@ class MomentOracle:
     """Per-spec moment cache and Gram-Schmidt engine.
 
     The oracle owns every cached result for its spec and tolerance: the
-    moment tables, the Gram block and, in ``_systems``, the Gram-Schmidt
-    systems and the total-degree vectors.  Thread access: the cache is
-    read-mostly; a missing table is computed under a lock so the first
-    writer's value is the one stored, and a larger Gram block replaces the
-    read-only one a caller may still hold.
+    moment tables, the Gram block and, in ``_systems``, the total-degree
+    vectors.  Thread access: the cache is read-mostly; a missing table is
+    computed under a lock so the first writer's value is the one stored,
+    and a larger Gram block replaces the read-only one a caller may still
+    hold.
     """
 
     def __init__(self, spec: WeightSpec, tol: float = DEFAULT_TOL):
@@ -624,18 +624,18 @@ class MomentOracle:
     def gram_schmidt(self, ordering: str, n: int, m: int | None = None) -> OrthoSystem:
         """Orthonormal system over the requested index range, built purely
         from quadrature moments.  This is the universal oracle the closed
-        forms are compared against."""
-        return self._memo((ordering, n, m), lambda: self._orthonormalize(ordering, n, m))
+        forms are compared against.  Every call factors anew: no system is kept."""
+        cap_system(1 + max(n, 0 if ordering == TOTAL or m is None else m))  # before the slots are listed
+        return self._orthonormalize(ordering, index_sequence(ordering, n, m))
 
     def assemble(
         self, ordering: str, slots: list[tuple[int, int]], closed: dict, n: int, m: int | None = None
     ) -> OrthoSystem:
         """The orthonormal system over ``slots``, in their order.  A slot in
         ``closed`` is its closed-form Chebyshev-U grid, normalized with the
-        others in one batch.  Every other slot is read from one Gram-Schmidt
-        system, asked for at most once: ``gram_schmidt(ordering, n, m)``,
-        except that a lex window ends at the row of the last such slot and
-        a revlex window at its column, a leading block of the (n, m) one."""
+        others in one batch.  Every other slot is read from one factor: that
+        of ``index_sequence(ordering, n, m)`` cut after the last such slot,
+        the leading block of the whole system."""
         cap_system(1 + max((max(idx) for idx in slots), default=0))
         pos = {idx: k for k, idx in enumerate(slots)}
         parts = []
@@ -644,13 +644,10 @@ class MomentOracle:
             parts.append(([pos[idx] for idx in closed], units, norms))
         rest = [idx for idx in slots if idx not in closed]
         if rest:
-            if ordering == LEX:
-                n = max(i for i, _ in rest)
-            elif ordering == REVLEX:
-                m = max(j for _, j in rest)
-            fallback = self.gram_schmidt(ordering, n, m)
-            at = {idx: k for k, idx in enumerate(fallback.indices())}
+            seq = index_sequence(ordering, n, m)
+            at = {idx: k for k, idx in enumerate(seq)}
             take = [at[idx] for idx in rest]
+            fallback = self._orthonormalize(ordering, seq[: max(take) + 1])
             parts.append(([pos[idx] for idx in rest], fallback.coeffs[take], fallback.norms[take]))
         s = max(part.shape[1] for _, part, _ in parts)
         T = np.zeros((len(slots), s, s))
@@ -669,9 +666,8 @@ class MomentOracle:
         with self._lock:
             return self._systems.setdefault(key, system)
 
-    def _orthonormalize(self, ordering: str, n: int, m: int | None) -> OrthoSystem:
-        cap_system(1 + max(n, 0 if ordering == TOTAL or m is None else m))  # before the slots are listed
-        idx = index_sequence(ordering, n, m)
+    def _orthonormalize(self, ordering: str, idx: list[tuple[int, int]]) -> OrthoSystem:
+        """The orthonormal system of exactly the slots ``idx``, in their order."""
         G = self.gram(idx)
         try:
             L = np.linalg.cholesky(G)

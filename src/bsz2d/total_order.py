@@ -5,7 +5,8 @@ monomial x^k y^{n-k} is the closed form q_k(x, y) U_{n-k}(y), normalized
 under the probability-normalized measure.  Below the threshold no closed
 form exists in general and the component comes from oracle Gram-Schmidt.
 ``MomentOracle.assemble`` does both: it normalizes the closed components
-in one batch and reads the others from one Gram-Schmidt system.
+in one batch and reads the others from one Cholesky factor, of the slots
+of degree below n and those of level n up to the last fallback one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def total_threshold(spec: WeightSpec) -> int:
 def build_total_vector(spec: WeightSpec, n: int, oracle: MomentOracle | None = None) -> OrthoSystem:
     """The (n+1)-component orthonormal vector P_n, ordered by ascending k.
 
-    Cached by the oracle, beside its Gram-Schmidt systems.
+    Cached by the oracle.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -19,10 +19,10 @@ CROSSING_ROWS = [
 
 @pytest.fixture()
 def oracle_calls(monkeypatch) -> Counter:
-    """Counts of the calls to MomentOracle.normalized and .gram_schmidt made
-    during the test, by any oracle."""
+    """Counts of the calls to MomentOracle.normalized, .gram_schmidt and
+    ._orthonormalize (one per Cholesky factor) made during the test, by any oracle."""
     calls = Counter()
-    for name in ("normalized", "gram_schmidt"):
+    for name in ("normalized", "gram_schmidt", "_orthonormalize"):
         real = getattr(MomentOracle, name)
 
         def counting(self, *args, _real=real, _name=name, **kwargs):

@@ -7,6 +7,7 @@ from conftest import chebu_mul_reference
 
 from bsz2d import lex_order, moment_oracle
 from bsz2d.lex_order import (
+    DegenerateWindowError,
     RecursionBreakdownError,
     _closed_grid,
     _forbidden_rows,
@@ -22,6 +23,7 @@ from bsz2d.moment_oracle import MomentOracle, OracleUnreliableError, oracle_for
 from bsz2d.ortho import LEX, REVLEX, index_sequence
 from bsz2d.poly_core import CHEB_U, BivariatePoly
 from bsz2d.szego_core import build_qk, low_band_threshold, norm_threshold, tilde_ql_grid
+from bsz2d.total_order import gram_deviation
 from bsz2d.weights import PRODUCT_OMEGA, generic_spec, product_spec
 
 SPEC1 = product_spec([-0.6])        # N_f = 1, N_h = 2, kappa = 1
@@ -102,13 +104,13 @@ def _reference_system(spec, n, m, ordering):
     orc = oracle_for(spec)
     swap = ordering == REVLEX
     major, minor = (m, n) if swap else (n, m)
+    system = orc.gram_schmidt(ordering, n, m)
     out = []
     for r in range(major + 1):
         for k in range(minor + 1):
             idx = (k, r) if swap else (r, k)
             p = _reference_slot(spec, r, k, minor) if spec.variant == PRODUCT_OMEGA or not swap else None
             if p is None:
-                system = orc.gram_schmidt(ordering, n, m)
                 pos = system.indices().index(idx)
                 out.append((idx, system.entries[pos][1], system.norms[pos]))
             else:
@@ -371,27 +373,28 @@ class TestSystems:
     @pytest.mark.parametrize("ordering", [LEX, REVLEX])
     @pytest.mark.parametrize("spec", [SPEC2, SPEC3, SPEC_CUBIC], ids=["f2", "f3", "generic"])
     def test_one_assembly_pass(self, oracle_calls, spec, ordering):
-        # closed slots are normalized in one batch, and the fallback is one Gram-Schmidt run
+        # closed slots are normalized in one batch, and the fallback is one Cholesky factor
         orc = MomentOracle(spec)
         for n, m in [(3, 3), (5, 7), (8, 8)]:
             lex_system(spec, n, m, ordering, orc)
-            assert oracle_calls["normalized"] == 0 and oracle_calls["gram_schmidt"] <= 1
+            assert oracle_calls["normalized"] == 0 and oracle_calls["gram_schmidt"] == 0
+            assert oracle_calls["_orthonormalize"] <= 1
             oracle_calls.clear()
 
 
 class TestFallbackPrefix:
     """A Gram-Schmidt slot depends only on the slots before it, so lex_system
-    factors only the leading window that holds every fallback slot."""
+    factors only the prefix of the window's slots that holds every fallback slot."""
 
     @pytest.mark.parametrize("ordering,window", [(LEX, (LEX, 3, 8)), (REVLEX, (REVLEX, 8, 3))])
     def test_only_the_prefix_is_factored(self, monkeypatch, ordering, window):
         # on [0.5, -0.3] the 15 fallback slots of the 8 x 8 window lie in rows 0..3 (revlex: columns)
         orc = MomentOracle(SPEC2)
         asked = []
-        real = orc.gram_schmidt
-        monkeypatch.setattr(orc, "gram_schmidt", lambda *w: asked.append(w) or real(*w))
+        real = orc._orthonormalize
+        monkeypatch.setattr(orc, "_orthonormalize", lambda o, idx: asked.append((o, idx)) or real(o, idx))
         lex_system(SPEC2, 8, 8, ordering, orc)
-        assert asked == [window]
+        assert asked == [(ordering, index_sequence(*window))]
         assert len(index_sequence(*window)) == 36
 
     @pytest.mark.parametrize("ordering", [LEX, REVLEX])
@@ -414,6 +417,42 @@ class TestFallbackPrefix:
             assert p.coeffs.shape == q.coeffs.shape
             assert np.max(np.abs(p.coeffs - q.coeffs)) < 1e-13
             assert abs(system.norms[system.indices().index(idx)] - whole.norms[at[idx]]) < 1e-13
+
+    def test_library_value_error_propagates(self, monkeypatch):
+        # the band guard already rules out the bounds _high_band_grids refuses, so a ValueError
+        # from it is a fault, not a reason to fall back to Gram-Schmidt
+        def broken(*args):
+            raise ValueError("broken")
+
+        monkeypatch.setattr(lex_order, "_high_band_grids", broken)
+        with pytest.raises(ValueError, match="broken"):
+            lex_system(SPEC2, 5, 5, LEX, MomentOracle(SPEC2))
+
+    def test_degenerate_slot_comes_from_the_factor(self, monkeypatch):
+        # the first high-band solve of the 5 x 5 window, at (4, 4), finds no one-dimensional
+        # nullspace: that slot falls back, and the factor ends there, mid-row
+        real_null = lex_order._null_vector
+        failed = []
+
+        def degenerate_once(grids, r, k, m):
+            if not failed:
+                failed.append((r, k))
+                raise DegenerateWindowError("patched")
+            return real_null(grids, r, k, m)
+
+        monkeypatch.setattr(lex_order, "_null_vector", degenerate_once)
+        orc = MomentOracle(SPEC2)
+        asked = []
+        real = orc._orthonormalize
+        monkeypatch.setattr(orc, "_orthonormalize", lambda o, idx: asked.append(idx) or real(o, idx))
+        system = lex_system(SPEC2, 5, 5, LEX, orc)
+        assert failed == [(4, 4)]
+        assert asked == [index_sequence(LEX, 5, 5)[:29]] and asked[0][-1] == (4, 4)
+        assert gram_deviation(SPEC2, system, orc) <= 1e-12
+        whole = orc.gram_schmidt(LEX, 5, 5)
+        at = whole.indices().index((4, 4))
+        assert np.max(np.abs(system.poly((4, 4)).coeffs - whole.poly((4, 4)).coeffs)) < 1e-13
+        assert abs(system.norms[system.indices().index((4, 4))] - whole.norms[at]) < 1e-13
 
     def test_condition_gate_still_applies(self, monkeypatch):
         monkeypatch.setattr(moment_oracle, "COND_CAP", 1.0)
