@@ -29,7 +29,8 @@ coefficient space: ``poly_core.u_band`` applies the banded product by
 U_k along one axis to the grid of q_r or q~_l.  ``_closed_grid`` is the
 one place that holds the band rules; ``lex_system`` builds with it
 the grids of all closed-form slots of a window (revlex: those of the
-reflected weight, transposed) and hands them to
+reflected weight, transposed, which only a product weight has; a generic
+revlex window comes from the oracle factor alone) and hands them to
 ``MomentOracle.assemble``, which normalizes them together and fills the
 other slots from one oracle Cholesky factor, of the window's slot
 sequence up to the last of those slots.
@@ -303,7 +304,8 @@ def lex_system(
     orc = _oracle(spec, oracle)
     swap = ordering == REVLEX
     major, minor = (n, m) if not swap else (m, n)
-    base = tilde_expandable(spec) if swap else spec
+    # revlex reads the lex slots of the reflected weight, which only a product spec has: itself
+    base = spec if not swap or spec.variant == PRODUCT_OMEGA else None
     slots = [(r, k) if not swap else (k, r) for r in range(major + 1) for k in range(minor + 1)]
     closed = {}
     solved: dict[int, np.ndarray] = {}  # one high-band combination per step count J
@@ -337,15 +339,6 @@ def _closed_grid(
         except DegenerateWindowError:
             return None
     return None
-
-
-def tilde_expandable(spec: WeightSpec) -> WeightSpec | None:
-    from .weights import UnsupportedWeightError, tilde_expand
-
-    try:
-        return tilde_expand(spec)
-    except UnsupportedWeightError:
-        return None
 
 
 @dataclass

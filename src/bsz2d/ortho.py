@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .poly_core import CHEB_U, BivariatePoly, _extents, _padded, _square, poly_from_dict, poly_to_dict
+from .poly_core import CHEB_U, BivariatePoly, _extents, _padded, _square
 
 TOTAL = "total"
 LEX = "lex"
@@ -84,7 +84,9 @@ class OrthoSystem:
     def to_dict(self) -> dict:
         return {
             "ordering": self.ordering,
-            "entries": [{"index": list(k), "poly": poly_to_dict(p)} for k, p in self.entries],
+            "entries": [
+                {"index": list(k), "poly": {"basis": p.basis, "coeffs": p.coeffs.tolist()}} for k, p in self.entries
+            ],
             "norms": self.norms.tolist(),
         }
 
@@ -93,7 +95,7 @@ class OrthoSystem:
 
     @staticmethod
     def from_dict(d: dict) -> "OrthoSystem":
-        grids = [poly_from_dict(e["poly"]).to_basis(CHEB_U).coeffs for e in d["entries"]]
+        grids = [BivariatePoly(e["poly"]["basis"], e["poly"]["coeffs"]).to_basis(CHEB_U).coeffs for e in d["entries"]]
         s = max([1] + [max(g.shape) for g in grids])
         coeffs = _padded(grids, (s, s))
         return OrthoSystem(d["ordering"], [e["index"] for e in d["entries"]], coeffs, d.get("norms", []))

@@ -287,22 +287,3 @@ class BivariatePoly:
             acc = acc + row * x**i
         return acc
 
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-# ---------------------------------------------------------------------------
-
-
-def poly_to_dict(p: BivariatePoly | UnivariatePoly) -> dict:
-    return {"basis": p.basis, "coeffs": p.coeffs.tolist()}
-
-
-def poly_from_dict(d: dict) -> BivariatePoly | UnivariatePoly:
-    coeffs = d["coeffs"]
-    if coeffs and isinstance(coeffs[0], list):
-        return BivariatePoly(d["basis"], np.asarray(coeffs, dtype=float))
-    if not coeffs:
-        # ambiguous empty payload; default to the bivariate zero
-        return BivariatePoly(d["basis"], np.zeros((0, 0)))
-    return UnivariatePoly(d["basis"], np.asarray(coeffs, dtype=float))
-

@@ -144,6 +144,12 @@ class StructureReport:
     seam: dict[tuple[int, int], float] = field(default_factory=dict)
     blocks: BlockRecurrence | None = None
 
+    @property
+    def worst(self) -> float:
+        """The largest |recorded value| of the violations: 0 when there are
+        none, NaN when any is NaN."""
+        return float(np.abs([v[3] for v in self.violations]).max(initial=0.0))
+
 
 def _listed(name: str, values: np.ndarray, bad: np.ndarray) -> list[tuple[str, int, int, float]]:
     """(name, i, j, values[i, j]) at every cell flagged in ``bad``, row-major."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly_core import CHEB_U, MONOMIAL, BivariatePoly, UnivariatePoly
-from .weights import UnsupportedWeightError, WeightSpec, tilde_expand
+from .weights import PRODUCT_OMEGA, UnsupportedWeightError, WeightSpec
 
 
 class EliminationBreakdownError(RuntimeError):
@@ -59,9 +59,13 @@ def _fold(H: np.ndarray, k: int) -> np.ndarray:
 
 
 def tilde_ql_grid(spec: WeightSpec, l: int) -> np.ndarray:
-    """The grid of q~_l: q_l of the reflected weight, variables exchanged
-    (product specs)."""
-    return qk_grid(tilde_expand(spec), l).T
+    """The grid of q~_l: q_l of the reflected weight, variables exchanged.
+    Only a product spec has a reflected weight, and it is the spec itself
+    (each factor reads 1 + 2 a_i x w + a_i^2 w^2 in the swapped variables);
+    a generic spec raises ``UnsupportedWeightError``."""
+    if spec.variant != PRODUCT_OMEGA:
+        raise UnsupportedWeightError("the reflected weight needs product structure")
+    return qk_grid(spec, l).T
 
 
 def build_qk(spec: WeightSpec, k: int) -> BivariatePoly:

@@ -138,6 +138,8 @@ class WeightSpec:
     def _validate_h(h: tuple[UnivariatePoly, ...]):
         if not h:
             raise InvalidWeightError("empty h list")
+        if not all(np.all(np.isfinite(hi.coeffs)) for hi in h):
+            raise InvalidWeightError("h coefficients must be finite")
         n_h = len(h) - 1
         h0 = h[0].to_basis(MONOMIAL)
         if h0.deg != 0 or abs(float(h0.coeffs[0]) - 1.0) > 1e-12:
@@ -299,19 +301,6 @@ def generic_spec(h_rows: list[list[float]] | list[UnivariatePoly]) -> WeightSpec
         for r in h_rows
     ]
     return WeightSpec(h=h)
-
-
-def tilde_expand(spec: WeightSpec) -> WeightSpec:
-    """The reflected weight h~(x, w) = omega(z, w) omega(1/z, w).
-
-    For product specs the reflected weight is again a product spec with
-    the same factor parameters (each factor reads 1 + 2 a_i x w + a_i^2 w^2
-    in the swapped variables), so the same WeightSpec value represents it;
-    callers interpret its variables as (w, x).
-    """
-    if spec.variant != PRODUCT_OMEGA:
-        raise UnsupportedWeightError("tilde expansion requires product structure")
-    return spec
 
 
 def homogeneous_corner(spec: WeightSpec) -> np.ndarray:

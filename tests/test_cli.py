@@ -401,3 +401,18 @@ def test_anomalous_high_band_solution_exits_3(runner, product_weight, monkeypatc
     assert res.exit_code == 3, res.output
     assert isinstance(res.exception, SystemExit)
     assert res.output.startswith("Error: AnomalousSolutionError: ") and res.output.count("\n") == 1, res.output
+
+
+@pytest.mark.parametrize("rows", [[[1.0], [float("nan")]], [[1.0], [0.5], [float("nan")]], [[float("nan")]]],
+                         ids=["h1", "h2", "h0"])
+def test_non_finite_weight_is_a_usage_error(tmp_path, rows):
+    # Python's json reads NaN; the spec refuses it before the stability certificate computes
+    # a determinant, so numpy prints no warning and the oracle never climbs its ladder
+    weight = tmp_path / "nan.json"
+    weight.write_text(json.dumps({"generic_h": rows}))
+    res = _console(["verify", "--weight", str(weight), "--depth", "2"], {})
+    assert res.returncode == 2, res.stderr
+    lines = res.stderr.splitlines()
+    assert lines[-1].startswith("Error: ") and "finite" in lines[-1]
+    assert sum(line.startswith("Error") for line in lines) == 1
+    assert not any("Warning" in line or "Traceback" in line for line in lines), res.stderr

@@ -91,3 +91,15 @@ def test_system_without_norms():
     system = OrthoSystem.from_dict({"ordering": LEX, "entries": [entry]})
     assert len(system.norms) == 0 and len(system.slice_first(0).norms) == 0
     assert system.to_dict()["norms"] == []
+
+
+def test_entry_format_and_monomial_input():
+    # an entry is {"index", "poly": {"basis", "coeffs"}}, written in the chebU basis;
+    # an entry written in the monomial basis reads to its chebU coefficients
+    system = OrthoSystem(LEX, [(1, 1)], np.array([[[0.5, 0.0], [0.125, 0.5]]]))
+    want = {"index": [1, 1], "poly": {"basis": "chebU", "coeffs": [[0.5, 0.0], [0.125, 0.5]]}}
+    assert system.to_dict()["entries"] == [want]
+    entry = {"index": [1, 1], "poly": {"basis": "monomial", "coeffs": [[0.5, 0.0], [0.25, 2.0]]}}
+    back = OrthoSystem.from_dict({"ordering": LEX, "entries": [entry]})
+    assert back.to_dict() == system.to_dict()
+    assert np.array_equal(back.coeffs, system.coeffs)

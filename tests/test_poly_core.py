@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -19,8 +18,6 @@ from bsz2d.poly_core import (
     _extents,
     _square,
     _trim2,
-    poly_from_dict,
-    poly_to_dict,
     u_band,
 )
 from bsz2d.recurrence import total_blocks
@@ -127,16 +124,6 @@ class TestBivariate:
         p = BivariatePoly(CHEB_U, rng.normal(size=(4, 5)))
         back = p.to_basis(MONOMIAL).to_basis(CHEB_U)
         assert approx_eq(back, p, 1e-10)
-
-
-def test_json_round_trip():
-    p = BivariatePoly(CHEB_U, [[1.0, 0.5], [0.0, -2.0]])
-    q = poly_from_dict(json.loads(json.dumps(poly_to_dict(p))))
-    assert isinstance(q, BivariatePoly)
-    assert approx_eq(q, p, 0.0)
-    blob = poly_to_dict(p)
-    assert blob["basis"] == "chebU"
-    assert blob["coeffs"] == [[1.0, 0.5], [0.0, -2.0]]
 
 
 @settings(max_examples=60, deadline=None)

@@ -165,6 +165,16 @@ class TestStructureReports:
         rep = verify_total_structure(SPEC2, 3)
         assert isinstance(rep.seam, dict)
 
+    def test_worst_is_the_largest_recorded_value(self):
+        rep = verify_total_structure(SPEC2, 3)
+        assert rep.ok and rep.worst == 0.0
+        bad = [("A_y", 0, 2, 2e-8), ("C_y diag", 0, 0, -3e-8), ("B_x sym", -1, -1, 1e-8)]
+        rep = replace(rep, ok=False, violations=bad)
+        assert rep.worst == 3e-8
+        # a NaN is the worst value wherever it is listed
+        for bad in ([("A_y", 0, 2, np.nan), ("B_x", 3, 0, 2e-8)], [("A_y", 0, 2, 2e-8), ("B_x", 3, 0, np.nan)]):
+            assert np.isnan(replace(rep, violations=bad).worst)
+
     def test_lex_structure_holds(self):
         for n in range(3, 6):
             rep = verify_lex_structure(SPEC2, n, 5)
@@ -518,3 +528,42 @@ class TestStructureErrorsPropagate:
         monkeypatch.setattr(examples_suite, "verify_total_structure", self._raising)
         with pytest.raises(ValueError, match="injected structure failure"):
             run_regression("ex2", 5, a=0.6, b=0.3)
+
+
+class TestStructureVerdictIsTheReports:
+    """A structure row of ``verify`` and ``run_regression`` passes exactly when the
+    structure report is ok, and its margin is the report's ``worst``.  A C_y diagonal
+    entry of -1e-10 fails the sign check, though its magnitude is below STRUCTURE_TOL."""
+
+    @staticmethod
+    def _negative_c_y(monkeypatch):
+        real = recurrence.total_blocks
+
+        def patched(*args, **kwargs):
+            blocks = real(*args, **kwargs)
+            a_y = blocks.a_y.copy()
+            a_y[0, 0] = -1e-10
+            return replace(blocks, a_y=a_y)
+
+        monkeypatch.setattr(moment_oracle, "_ORACLES", OrderedDict())
+        for module in (cli, examples_suite):
+            monkeypatch.setattr(module, "total_blocks", patched)
+
+    def test_verify(self, monkeypatch, tmp_path):
+        path = tmp_path / "weight.json"
+        path.write_text(json.dumps({"product": [0.5, -0.3]}))
+        self._negative_c_y(monkeypatch)
+        res = CliRunner().invoke(cli.main, ["verify", "--weight", str(path), "--depth", "4"])
+        assert res.exit_code == 1, res.output
+        blob = json.loads(res.output)
+        rows = [c for c in blob["checks"] if c["name"].startswith("total structure")]
+        assert [c["name"] for c in rows] == ["total structure n=2", "total structure n=3"]
+        assert all(c["passed"] is False and c["margin"] == 1e-10 for c in rows) and blob["ok"] is False
+
+    def test_example(self, monkeypatch):
+        self._negative_c_y(monkeypatch)
+        rep = run_regression("ex4", 4, a1=0.5, a2=-0.3)
+        rows = [e for e in rep.entries if e.name.startswith("total structure")]
+        # depth 4 computes levels 0..3 up front; the level-4 check computes its own, unpatched blocks
+        assert [e.passed for e in rows] == [False, False, True]
+        assert rows[0].margin == 1e-10 and not rep.ok

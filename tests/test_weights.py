@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bsz2d import moment_oracle, weights
 from bsz2d.examples_suite import ex2, remark_n4
 from bsz2d.poly_core import CHEB_U, MONOMIAL, UnivariatePoly
+from bsz2d.szego_core import qk_grid, tilde_ql_grid
 from bsz2d.weights import (
     GENERIC_H,
     PRODUCT_OMEGA,
@@ -22,7 +23,6 @@ from bsz2d.weights import (
     product_spec,
     spec_from_config,
     spec_to_config,
-    tilde_expand,
 )
 
 factors_st = st.lists(
@@ -75,14 +75,22 @@ class TestGeneric:
             generic_spec([[1.0], [0.0, 0.0, 1.0], [0.1]])
 
     def test_variant_and_tilde(self):
+        # only a product weight has a reflected weight: its own factors, variables exchanged
         g = generic_spec([[1.0], [-0.6, -1.0], [0.25, 0.3], [-0.1]])
         assert g.variant == GENERIC_H
-        with pytest.raises(UnsupportedWeightError):
-            tilde_expand(g)
         p = product_spec([0.4, -0.2])
         assert p.variant == PRODUCT_OMEGA
-        assert tilde_expand(p) == p  # same factor parameters
-        assert tilde_expand(p) is p  # the spec itself, with its cached expansion
+        for l in range(6):
+            with pytest.raises(UnsupportedWeightError):
+                tilde_ql_grid(g, l)
+            assert np.array_equal(tilde_ql_grid(p, l), qk_grid(p, l).T)
+
+    @pytest.mark.parametrize("rows", [[[math.nan]], [[1.0], [math.nan]], [[1.0], [0.5], [math.nan]],
+                                      [[1.0], [0.0, math.inf]], [[1.0], [-math.inf]]])
+    def test_non_finite_coefficients_rejected(self, rows):
+        # a NaN h_0 would pass the h_0 = 1 test, and the stability certificate would pass NaN rows
+        with pytest.raises(InvalidWeightError, match="finite"):
+            generic_spec(rows)
 
     def test_h_chebu_is_a_read_only_copy_of_h(self):
         for spec in (product_spec([0.5, -0.3]), generic_spec([[1.0], [-0.6, -1.0], [0.25, 0.3], [-0.1]])):
