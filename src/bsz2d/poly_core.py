@@ -13,11 +13,15 @@ tensor by ``_lin``.
 
 Every ``BivariatePoly`` holds a trimmed grid: its last row and last column
 each hold a nonzero entry (NaN counts as nonzero, -0.0 as zero), and the
-zero polynomial is the 0 x 0 grid.  Construction trims, after converting
-the coefficients to a 2-D float64 array when they are not one already;
-``_wrap`` takes a grid that is already trimmed and skips that step.  Sums
-and scalings are built by construction, so the arithmetic keeps the
-invariant.
+zero polynomial is the 0 x 0 grid.  ``_trim2`` drops a trailing row or
+column while the Python list of its entries is falsy, which is that rule.
+Construction trims, after converting the coefficients to a 2-D float64
+array when they are not one already; ``_wrap`` takes a grid that is
+already trimmed and skips both steps.  A sum or a scaling builds its
+float64 grid, trims it (cancellation, a zero scalar or underflow can leave
+zero rows) and wraps it; a negation wraps its grid untrimmed, since
+negating keeps a trimmed grid trimmed.  So the arithmetic keeps the
+invariant without converting again.
 """
 
 from __future__ import annotations
@@ -45,10 +49,13 @@ def _trim1(c: np.ndarray) -> np.ndarray:
 
 
 def _trim2(c: np.ndarray) -> np.ndarray:
+    # A row list is falsy when every entry is 0.0 or -0.0; NaN is truthy, as
+    # in ndarray.any().  On the rows of at most a few dozen entries that the
+    # sums form, the list test costs a fraction of ndarray.any()'s wrapper.
     nr, nc = c.shape
-    while nr > 0 and not c[nr - 1].any():
+    while nr > 0 and not any(c[nr - 1].tolist()):
         nr -= 1
-    while nc > 0 and not c[:nr, nc - 1].any():
+    while nc > 0 and not any(c[:nr, nc - 1].tolist()):
         nc -= 1
     return c[:nr, :nc]
 
@@ -250,10 +257,11 @@ class BivariatePoly:
         a, b = self.coeffs, other.coeffs
         out[: a.shape[0], : a.shape[1]] += a
         out[: b.shape[0], : b.shape[1]] += b
-        return BivariatePoly(self.basis, out)
+        return BivariatePoly._wrap(self.basis, _trim2(out))
 
     def __neg__(self) -> "BivariatePoly":
-        return BivariatePoly(self.basis, -self.coeffs if self.coeffs.size else self.coeffs)
+        # negation maps zeros to zeros and nonzeros to nonzeros: still trimmed
+        return BivariatePoly._wrap(self.basis, -self.coeffs if self.coeffs.size else self.coeffs)
 
     def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
         return self + (-other)
@@ -261,7 +269,7 @@ class BivariatePoly:
     def scale(self, c) -> "BivariatePoly":
         if self.is_zero:
             return self
-        return BivariatePoly(self.basis, self.coeffs * c)
+        return BivariatePoly._wrap(self.basis, _trim2(self.coeffs * c))
 
     def to_basis(self, basis: str) -> "BivariatePoly":
         if basis == self.basis or self.is_zero:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bsz2d.moment_oracle import MomentOracle
+from bsz2d.poly_core import BivariatePoly
 
 # An N_h = 4 generic weight that is not stable, though the 131 y samples of the diagnostic
 # scan read a minimum root modulus of 1.000001: a root pair dips to modulus 0.99996 near
@@ -46,6 +47,32 @@ def chebu_mul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for i2, j2, c2 in terms_b:
             out[abs(i1 - i2) : i1 + i2 + 1 : 2, abs(j1 - j2) : j1 + j2 + 1 : 2] += c1 * c2
     return out
+
+
+# The earlier ``BivariatePoly.__add__``, ``scale`` and ``__neg__``: each result
+# built through the constructor, which converts and trims it again.  The library
+# wraps a trimmed grid instead; the two must give the same shape and bytes.
+
+
+def add_reference(self, other):
+    self._check(other)
+    nr = max(self.coeffs.shape[0], other.coeffs.shape[0])
+    nc = max(self.coeffs.shape[1], other.coeffs.shape[1])
+    out = np.zeros((nr, nc))
+    a, b = self.coeffs, other.coeffs
+    out[: a.shape[0], : a.shape[1]] += a
+    out[: b.shape[0], : b.shape[1]] += b
+    return BivariatePoly(self.basis, out)
+
+
+def scale_reference(self, c):
+    if self.is_zero:
+        return self
+    return BivariatePoly(self.basis, self.coeffs * c)
+
+
+def neg_reference(self):
+    return BivariatePoly(self.basis, -self.coeffs if self.coeffs.size else self.coeffs)
 
 
 def h_eval_reference(spec, z, y) -> np.ndarray:

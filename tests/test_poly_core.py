@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import chebu_mul_reference
+from conftest import add_reference, chebu_mul_reference, neg_reference, scale_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,11 +151,11 @@ def test_wrap_takes_the_grid_as_is():
 
 
 # -- the construct -> trim -> add path against its earlier form ----------------
-# The loops below are the earlier ``_trim2``, ``__post_init__`` and ``__add__``:
-# every test on raw arrays through np.any and np.asarray, and every sum over a
-# zero grid of the larger shape.  The current trim and conversion take neither
-# step for a 2-D float64 grid, and they and the sums built through them must
-# give the same shape and bytes.
+# The loops below are the earlier ``_trim2`` and ``__post_init__``: every test on
+# raw arrays through np.any and np.asarray.  The current trim tests row lists,
+# and the conversion is skipped for a 2-D float64 grid; they, and the sums,
+# scalings and negations wrapped after them (against the constructor-built
+# forms in conftest), must give the same shape and bytes.
 
 
 def _trim2_reference(c: np.ndarray) -> np.ndarray:
@@ -177,17 +177,6 @@ def _post_init_reference(self):
         raise ValueError(f"unknown basis {self.basis!r}")
 
 
-def _add_reference(self, other):
-    self._check(other)
-    nr = max(self.coeffs.shape[0], other.coeffs.shape[0])
-    nc = max(self.coeffs.shape[1], other.coeffs.shape[1])
-    out = np.zeros((nr, nc))
-    a, b = self.coeffs, other.coeffs
-    out[: a.shape[0], : a.shape[1]] += a
-    out[: b.shape[0], : b.shape[1]] += b
-    return BivariatePoly(self.basis, out)
-
-
 def _same(got: np.ndarray, want: np.ndarray):
     assert got.dtype == want.dtype == np.float64
     assert got.shape == want.shape
@@ -196,6 +185,17 @@ def _same(got: np.ndarray, want: np.ndarray):
 
 # entries that trim and sum differently: signed zeros, NaN, infinities, subnormals
 _SPECIAL = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -1.5, 2.0]
+
+
+# scalars that zero, flip, poison or underflow a grid: 1e-300 takes a row of
+# 1e-300 to zero, as 5e-324 does most rows; then a numpy scalar and an int
+_SCALARS = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e-300, 5e-324, -1.5, np.float64(0.3), 3]
+
+
+def _shape(rng) -> tuple[int, int]:
+    """A grid shape: half the draws up to 5 x 5, half up to 64 x 64, past the
+    widest grids the residual sums form."""
+    return tuple(rng.integers(0, 6 if rng.random() < 0.5 else 65, 2))
 
 
 def _grid(rng, shape) -> np.ndarray:
@@ -221,7 +221,7 @@ class TestByteIdentity:
     def test_trim_matches_the_loop(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(50):
-            g = _grid(rng, tuple(rng.integers(0, 6, 2)))
+            g = _grid(rng, _shape(rng))
             _same(_trim2(g), _trim2_reference(g))
 
     def test_trim_edge_grids(self):
@@ -273,22 +273,53 @@ class TestByteIdentity:
     def test_sum_matches_the_padded_sum(self, seed):
         rng = np.random.default_rng(100 + seed)
         for _ in range(50):
-            shape = tuple(rng.integers(0, 5, 2))
-            other = shape if rng.random() < 0.5 else tuple(rng.integers(0, 5, 2))
+            shape = _shape(rng)
+            other = shape if rng.random() < 0.5 else _shape(rng)
             p, q = BivariatePoly(CHEB_U, _grid(rng, shape)), BivariatePoly(CHEB_U, _grid(rng, other))
-            _same((p + q).coeffs, _add_reference(p, q).coeffs)
-            _same((p - q).coeffs, _add_reference(p, -q).coeffs)
+            _same((p + q).coeffs, add_reference(p, q).coeffs)
+            _same((p - q).coeffs, add_reference(p, neg_reference(q)).coeffs)
+
+    @pytest.mark.parametrize("c", _SCALARS, ids=repr)
+    def test_scale_and_negation_match_the_constructed_forms(self, c):
+        rng = np.random.default_rng(200)
+        for _ in range(50):
+            p = BivariatePoly(CHEB_U, _grid(rng, _shape(rng)))
+            _same(p.scale(c).coeffs, scale_reference(p, c).coeffs)
+            _same((-p).coeffs, neg_reference(p).coeffs)
+        zero = BivariatePoly.zero(CHEB_U)
+        _same(zero.scale(c).coeffs, scale_reference(zero, c).coeffs)
+        _same((-zero).coeffs, neg_reference(zero).coeffs)
+
+    def test_scale_trims_an_underflowed_row(self):
+        p = BivariatePoly(CHEB_U, np.array([[1.0, 1e-300], [1e-300, 1e-300]]))
+        got = p.scale(1e-300).coeffs
+        _same(got, scale_reference(p, 1e-300).coeffs)
+        assert got.tolist() == [[1e-300]]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_arithmetic_keeps_the_grid_trimmed(self, seed):
+        def trimmed(p):
+            g = p.coeffs
+            assert type(g) is np.ndarray and g.dtype == np.float64 and g.ndim == 2
+            # NaN != 0, so NaN counts as nonzero
+            assert g.shape == (0, 0) or (g.shape[0] and (g[-1] != 0).any() and (g[:, -1] != 0).any())
+
+        rng = np.random.default_rng(300 + seed)
+        for _ in range(50):
+            p, q = (BivariatePoly(CHEB_U, _grid(rng, _shape(rng))) for _ in range(2))
+            for r in (p + q, p - q, p + p.scale(-1.0), -p, *(p.scale(c) for c in _SCALARS)):
+                trimmed(r)
 
     def test_sum_of_signed_zeros_and_nan(self):
         a = np.array([[-0.0, -0.0, 1.0], [0.0, np.nan, -0.0], [2.0, -0.0, 0.0]])
         b = np.array([[-0.0, 0.0, -1.0], [-0.0, 1.0, np.nan], [-2.0, -0.0, 3.0]])
         p, q = BivariatePoly._wrap(CHEB_U, a), BivariatePoly._wrap(CHEB_U, b)
         got = (p + q).coeffs
-        _same(got, _add_reference(p, q).coeffs)
+        _same(got, add_reference(p, q).coeffs)
         assert not np.signbit(got[0, 0])  # -0.0 + -0.0 is +0.0, as in the padded sum
         zero = BivariatePoly.zero(CHEB_U)
         for x, y in [(p, p), (p, zero), (zero, p), (zero, zero)]:
-            _same((x + y).coeffs, _add_reference(x, y).coeffs)
+            _same((x + y).coeffs, add_reference(x, y).coeffs)
 
     @given(
         st.tuples(st.integers(0, 5), st.integers(0, 5)),
@@ -308,8 +339,9 @@ class TestByteIdentity:
             _same(_trim2(g), _trim2_reference(g))
             _same(BivariatePoly(CHEB_U, g).coeffs, _reference_grid(g))
         p, q = (BivariatePoly(CHEB_U, g) for g in grids)
-        _same((p + q).coeffs, _add_reference(p, q).coeffs)
-        _same(p.scale(-0.5).coeffs, _reference_grid(p.coeffs * -0.5))
+        _same((p + q).coeffs, add_reference(p, q).coeffs)
+        _same(p.scale(-0.5).coeffs, scale_reference(p, -0.5).coeffs)
+        _same((-p).coeffs, neg_reference(p).coeffs)
 
     @pytest.mark.parametrize("spec", [ex1(0.45), ex4(0.5, -0.3), ex2(0.4, 0.3)], ids=["ex1", "ex4", "ex2"])
     def test_total_blocks_are_the_same_bytes(self, spec, monkeypatch):
@@ -320,7 +352,8 @@ class TestByteIdentity:
         new = blocks()
         monkeypatch.setattr(poly_core, "_trim2", _trim2_reference)
         monkeypatch.setattr(BivariatePoly, "__post_init__", _post_init_reference)
-        monkeypatch.setattr(BivariatePoly, "__add__", _add_reference)
+        monkeypatch.setattr(BivariatePoly, "__add__", add_reference)
+        monkeypatch.setattr(BivariatePoly, "scale", scale_reference)
         old = blocks()
         for b_new, b_old in zip(new, old):
             for name in ("a_x", "b_x", "a_y", "b_y"):

@@ -6,13 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import chebu_mul_reference
+from conftest import add_reference, chebu_mul_reference, scale_reference
 
 from bsz2d import cli, examples_suite, moment_oracle, recurrence
 from bsz2d.examples_suite import run_regression
 from bsz2d import lex_order, szego_core
 from bsz2d.lex_order import build_lex_high, build_lex_high_recursion, lex_system
-from bsz2d.moment_oracle import oracle_for
+from bsz2d.moment_oracle import MomentOracle, oracle_for
 from bsz2d.ortho import LEX, REVLEX, TOTAL
 from bsz2d.poly_core import CHEB_U, BivariatePoly
 from bsz2d.recurrence import (
@@ -62,6 +62,17 @@ class TestTotalBlocks:
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             total_blocks(SPEC1, -1)
+
+    @pytest.mark.parametrize("spec", [SPEC2, product_spec([0.4, 0.3, -0.5]), SPEC_CUBIC], ids=["ex4", "N_f=3", "generic"])
+    def test_residual_unmoved_by_the_wrapped_sums(self, spec, monkeypatch):
+        # the residual is the independent check of the blocks: with the sums and
+        # scalings built through the constructor it reads the same value; one
+        # oracle, so both runs read the same vectors
+        orc = MomentOracle(spec)
+        new = [total_blocks(spec, n, oracle=orc).residual for n in range(1, 11)]
+        monkeypatch.setattr(BivariatePoly, "__add__", add_reference)
+        monkeypatch.setattr(BivariatePoly, "scale", scale_reference)
+        assert [total_blocks(spec, n, oracle=orc).residual for n in range(1, 11)] == new
 
 
 class TestLexBlocks:
