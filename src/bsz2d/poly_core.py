@@ -50,8 +50,8 @@ def _trim1(c: np.ndarray) -> np.ndarray:
 
 def _trim2(c: np.ndarray) -> np.ndarray:
     # A row list is falsy when every entry is 0.0 or -0.0; NaN is truthy, as
-    # in ndarray.any().  On the rows of at most a few dozen entries that the
-    # sums form, the list test costs a fraction of ndarray.any()'s wrapper.
+    # in ndarray.any().  On rows of 4-16 entries the list test costs a
+    # fraction of ndarray.any()'s wrapper; at 64 entries the two are level.
     nr, nc = c.shape
     while nr > 0 and not any(c[nr - 1].tolist()):
         nr -= 1
@@ -267,6 +267,9 @@ class BivariatePoly:
         return self + (-other)
 
     def scale(self, c) -> "BivariatePoly":
+        """The polynomial times the scalar ``c``, a real Python or numpy scalar
+        no wider than float64: the product grid is wrapped as numpy gives it,
+        so a wider or complex ``c`` would leave a grid that is not float64."""
         if self.is_zero:
             return self
         return BivariatePoly._wrap(self.basis, _trim2(self.coeffs * c))

@@ -49,9 +49,27 @@ def chebu_mul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def trim2_reference(c: np.ndarray) -> np.ndarray:
+    """The earlier ``poly_core._trim2``: drop a trailing row or column while
+    ``np.any`` of its entries ``!= 0`` is false (NaN nonzero, -0.0 zero)."""
+    nr, nc = c.shape
+    while nr > 0 and not np.any(c[nr - 1, :] != 0):
+        nr -= 1
+    while nc > 0 and not np.any(c[:nr, nc - 1] != 0):
+        nc -= 1
+    return c[:nr, :nc]
+
+
+def reference_grid(coeffs) -> np.ndarray:
+    """The earlier constructor's grid: converted to 2-D float64, then trimmed
+    by ``trim2_reference``."""
+    return trim2_reference(np.atleast_2d(np.asarray(coeffs, dtype=float)))
+
+
 # The earlier ``BivariatePoly.__add__``, ``scale`` and ``__neg__``: each result
-# built through the constructor, which converts and trims it again.  The library
-# wraps a trimmed grid instead; the two must give the same shape and bytes.
+# converted and trimmed by ``reference_grid``, never by the library's own trim
+# or constructor.  The library trims with a row-list test and wraps; the two
+# must give the same shape and bytes.
 
 
 def add_reference(self, other):
@@ -62,17 +80,17 @@ def add_reference(self, other):
     a, b = self.coeffs, other.coeffs
     out[: a.shape[0], : a.shape[1]] += a
     out[: b.shape[0], : b.shape[1]] += b
-    return BivariatePoly(self.basis, out)
+    return BivariatePoly._wrap(self.basis, reference_grid(out))
 
 
 def scale_reference(self, c):
     if self.is_zero:
         return self
-    return BivariatePoly(self.basis, self.coeffs * c)
+    return BivariatePoly._wrap(self.basis, reference_grid(self.coeffs * c))
 
 
 def neg_reference(self):
-    return BivariatePoly(self.basis, -self.coeffs if self.coeffs.size else self.coeffs)
+    return BivariatePoly._wrap(self.basis, reference_grid(-self.coeffs if self.coeffs.size else self.coeffs))
 
 
 def h_eval_reference(spec, z, y) -> np.ndarray:

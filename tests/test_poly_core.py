@@ -2,7 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import add_reference, chebu_mul_reference, neg_reference, scale_reference
+from conftest import (
+    add_reference,
+    chebu_mul_reference,
+    neg_reference,
+    reference_grid,
+    scale_reference,
+    trim2_reference,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,28 +158,17 @@ def test_wrap_takes_the_grid_as_is():
 
 
 # -- the construct -> trim -> add path against its earlier form ----------------
-# The loops below are the earlier ``_trim2`` and ``__post_init__``: every test on
-# raw arrays through np.any and np.asarray.  The current trim tests row lists,
-# and the conversion is skipped for a 2-D float64 grid; they, and the sums,
-# scalings and negations wrapped after them (against the constructor-built
-# forms in conftest), must give the same shape and bytes.
-
-
-def _trim2_reference(c: np.ndarray) -> np.ndarray:
-    nr, nc = c.shape
-    while nr > 0 and not np.any(c[nr - 1, :] != 0):
-        nr -= 1
-    while nc > 0 and not np.any(c[:nr, nc - 1] != 0):
-        nc -= 1
-    return c[:nr, :nc]
-
-
-def _reference_grid(coeffs) -> np.ndarray:
-    return _trim2_reference(np.atleast_2d(np.asarray(coeffs, dtype=float)))
+# ``trim2_reference`` and ``reference_grid`` (conftest) are the earlier ``_trim2``
+# and conversion: every test on raw arrays through np.any and np.asarray.  The
+# current trim tests row lists, and the conversion is skipped for a 2-D float64
+# grid; they, and the sums, scalings and negations wrapped after them (against
+# the reference forms in conftest, which trim by the same np.any loop), must
+# give the same shape and bytes.  ``_post_init_reference`` is the earlier
+# constructor.
 
 
 def _post_init_reference(self):
-    object.__setattr__(self, "coeffs", _reference_grid(self.coeffs))
+    object.__setattr__(self, "coeffs", reference_grid(self.coeffs))
     if self.basis not in (CHEB_U, MONOMIAL):
         raise ValueError(f"unknown basis {self.basis!r}")
 
@@ -222,7 +218,7 @@ class TestByteIdentity:
         rng = np.random.default_rng(seed)
         for _ in range(50):
             g = _grid(rng, _shape(rng))
-            _same(_trim2(g), _trim2_reference(g))
+            _same(_trim2(g), trim2_reference(g))
 
     def test_trim_edge_grids(self):
         grids = [
@@ -238,7 +234,7 @@ class TestByteIdentity:
             np.arange(12.0).reshape(3, 4)[:, ::2],  # a strided view
         ]
         for g in grids:
-            _same(_trim2(g), _trim2_reference(g))
+            _same(_trim2(g), trim2_reference(g))
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -262,7 +258,7 @@ class TestByteIdentity:
     )
     def test_construction_matches_the_conversion(self, coeffs):
         got = BivariatePoly(CHEB_U, coeffs).coeffs
-        _same(got, _reference_grid(coeffs))
+        _same(got, reference_grid(coeffs))
         assert type(got) is np.ndarray
 
     def test_construction_keeps_a_float_grid(self):
@@ -336,10 +332,11 @@ class TestByteIdentity:
             for r, c in (shape, other)
         ]
         for g in grids:
-            _same(_trim2(g), _trim2_reference(g))
-            _same(BivariatePoly(CHEB_U, g).coeffs, _reference_grid(g))
+            _same(_trim2(g), trim2_reference(g))
+            _same(BivariatePoly(CHEB_U, g).coeffs, reference_grid(g))
         p, q = (BivariatePoly(CHEB_U, g) for g in grids)
         _same((p + q).coeffs, add_reference(p, q).coeffs)
+        _same(p.scale(-0.5).coeffs, reference_grid(p.coeffs * -0.5))
         _same(p.scale(-0.5).coeffs, scale_reference(p, -0.5).coeffs)
         _same((-p).coeffs, neg_reference(p).coeffs)
 
@@ -350,7 +347,7 @@ class TestByteIdentity:
             return [total_blocks(spec, n, oracle=orc) for n in range(1, 9)]
 
         new = blocks()
-        monkeypatch.setattr(poly_core, "_trim2", _trim2_reference)
+        monkeypatch.setattr(poly_core, "_trim2", trim2_reference)
         monkeypatch.setattr(BivariatePoly, "__post_init__", _post_init_reference)
         monkeypatch.setattr(BivariatePoly, "__add__", add_reference)
         monkeypatch.setattr(BivariatePoly, "scale", scale_reference)
